@@ -73,9 +73,11 @@ type assembler struct {
 // Assemble parses src into a program and verifies it.
 func Assemble(src string) (*prog.Program, error) {
 	a := &assembler{p: prog.New(), globalLabels: make(map[string]*prog.Block)}
-	for i, raw := range strings.Split(src, "\n") {
-		a.line = i + 1
-		if err := a.statement(raw); err != nil {
+	for rest, more := src, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		a.line++
+		if err := a.statement(line); err != nil {
 			return nil, err
 		}
 	}
@@ -191,7 +193,7 @@ func (a *assembler) statement(raw string) error {
 
 	// Label prefix (possibly followed by an instruction on the same line).
 	for {
-		i := strings.Index(line, ":")
+		i := strings.IndexByte(line, ':')
 		if i < 0 {
 			break
 		}
@@ -257,11 +259,17 @@ func (a *assembler) directive(line string) error {
 		if a.fn == nil {
 			return a.errf(".main outside .func")
 		}
+		if len(fields) != 1 {
+			return a.errf(".main takes no operands")
+		}
 		a.p.Main = a.fn
 		return nil
 	case ".package":
 		if a.fn == nil {
 			return a.errf(".package outside .func")
+		}
+		if len(fields) > 2 {
+			return a.errf(".package takes at most one phase id")
 		}
 		a.fn.IsPackage = true
 		if len(fields) == 2 {
@@ -296,7 +304,8 @@ func (a *assembler) instruction(line string) error {
 	if !ok {
 		return a.errf("unknown mnemonic %q", mnem)
 	}
-	args := splitArgs(rest)
+	var buf [4]string
+	args := splitArgs(rest, &buf)
 
 	switch op {
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
@@ -535,15 +544,20 @@ func (a *assembler) memOperand(s string) (int64, isa.Reg, error) {
 	return imm, r, nil
 }
 
-func splitArgs(s string) []string {
+// splitArgs splits a comma-separated operand list into buf and returns
+// the filled prefix. No instruction takes more than three operands, so a
+// list cut short at four still fails every arity check.
+func splitArgs(s string, buf *[4]string) []string {
 	if strings.TrimSpace(s) == "" {
 		return nil
 	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
+	n := 0
+	for more := true; more && n < len(buf); n++ {
+		var arg string
+		arg, s, more = strings.Cut(s, ",")
+		buf[n] = strings.TrimSpace(arg)
 	}
-	return parts
+	return buf[:n]
 }
 
 func isIdent(s string) bool {

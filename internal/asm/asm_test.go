@@ -212,35 +212,7 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img1, err := p.Linearize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := Disassemble(p)
-	p2, err := Assemble(text)
-	if err != nil {
-		t.Fatalf("reassemble failed: %v\n%s", err, text)
-	}
-	img2, err := p2.Linearize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(img1.Code) != len(img2.Code) {
-		t.Fatalf("image sizes differ: %d vs %d\n%s", len(img1.Code), len(img2.Code), text)
-	}
-	for i := range img1.Code {
-		if img1.Code[i] != img2.Code[i] {
-			t.Fatalf("slot %d differs: %v vs %v", i, img1.Code[i], img2.Code[i])
-		}
-	}
-	if len(p.Data) != len(p2.Data) {
-		t.Fatalf("data lengths differ")
-	}
-	for i := range p.Data {
-		if p.Data[i] != p2.Data[i] {
-			t.Fatalf("data[%d] differs", i)
-		}
-	}
+	checkRoundTrip(t, p)
 }
 
 func TestDisassembleMarksPackage(t *testing.T) {
@@ -264,21 +236,6 @@ func TestDisassembleMarksPackage(t *testing.T) {
 	f2 := p2.FuncByName("pkg.1")
 	if f2 == nil || !f2.IsPackage || f2.PhaseID != 3 {
 		t.Error("package flags lost in round trip")
-	}
-}
-
-func TestDisassembleImage(t *testing.T) {
-	p, err := Assemble(sampleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := p.Linearize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := DisassembleImage(img)
-	if !strings.Contains(text, "halt") || !strings.Contains(text, "call") {
-		t.Errorf("image disassembly seems incomplete:\n%s", text)
 	}
 }
 
@@ -306,6 +263,8 @@ func TestAssembleMoreErrorShapes(t *testing.T) {
 		{"main outside", ".main\n", "outside .func"},
 		{"package outside", ".package\n", "outside .func"},
 		{"package bad id", ".func m\n.main\n.package zz\n  halt\n", "phase id"},
+		{"package extra operand", ".func m\n.main\n.package 3 4\n  halt\n", "at most one phase id"},
+		{"main operands", ".func m\n.main m\n  halt\n", ".main takes no operands"},
 		{"empty offset ok", ".func m\n.main\n  ld r1, (sp)\n  halt\n", ""},
 		{"hex data ok", ".data 0x10 -3\n.func m\n.main\n  halt\n", ""},
 	}

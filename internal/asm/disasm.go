@@ -1,8 +1,7 @@
 package asm
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/prog"
 )
@@ -15,90 +14,80 @@ import (
 // `Assemble(Disassemble(p))` linearizes to the same code image as p, though
 // block identities may differ (non-adjacent branch fallthroughs become tiny
 // explicit jump blocks, exactly the jumps the linearizer would synthesize).
+//
+// The text is the stored and served form of every package set, and its
+// bytes are a contract: content hashes are taken over them.
 func Disassemble(p *prog.Program) string {
-	var sb strings.Builder
-	if len(p.Data) > 0 {
-		const perLine = 8
-		for i := 0; i < len(p.Data); i += perLine {
-			end := i + perLine
-			if end > len(p.Data) {
-				end = len(p.Data)
-			}
-			sb.WriteString(".data")
-			for _, v := range p.Data[i:end] {
-				fmt.Fprintf(&sb, " %d", v)
-			}
-			sb.WriteByte('\n')
+	b := make([]byte, 0, 32*p.NumInsts()+24*len(p.Data)) // rarely grows
+	for i := 0; i < len(p.Data); i += 8 {
+		b = append(b, ".data"...)
+		for _, v := range p.Data[i:min(i+8, len(p.Data))] {
+			b = strconv.AppendInt(append(b, ' '), v, 10)
 		}
+		b = append(b, '\n')
 	}
-	label := func(b *prog.Block) string { return fmt.Sprintf("B%d", b.ID) }
-
 	for _, f := range p.Funcs {
-		fmt.Fprintf(&sb, "\n.func %s\n", f.Name)
+		b = append(append(append(b, "\n.func "...), f.Name...), '\n')
 		if p.Main == f {
-			sb.WriteString(".main\n")
+			b = append(b, ".main\n"...)
 		}
 		if f.IsPackage {
-			fmt.Fprintf(&sb, ".package %d\n", f.PhaseID)
+			b = append(strconv.AppendInt(append(b, ".package "...), int64(f.PhaseID), 10), '\n')
 		}
-		for bi, b := range f.Blocks {
-			fmt.Fprintf(&sb, "%s:", label(b))
-			if len(b.ExitConsumes) > 0 {
-				sb.WriteString(" ; exit consumes")
-				for _, r := range b.ExitConsumes {
-					fmt.Fprintf(&sb, " %s", r)
+		for bi, blk := range f.Blocks {
+			b = append(appendLabel(b, blk), ':')
+			if len(blk.ExitConsumes) > 0 {
+				b = append(b, " ; exit consumes"...)
+				for _, r := range blk.ExitConsumes {
+					b = append(append(b, ' '), r.String()...)
 				}
 			}
-			sb.WriteByte('\n')
-			for _, in := range b.Insts {
+			b = append(b, '\n')
+			for _, in := range blk.Insts {
 				if in.BlockTarget != nil {
-					fmt.Fprintf(&sb, "  la %s, %s\n", in.Rd, label(in.BlockTarget))
+					b = append(append(append(b, "  la "...), in.Rd.String()...), ", "...)
+					b = append(appendLabel(b, in.BlockTarget), '\n')
 					continue
 				}
-				fmt.Fprintf(&sb, "  %s\n", in.Inst)
+				b = append(in.Inst.Append(append(b, "  "...)), '\n')
 			}
 			var next *prog.Block
 			if bi+1 < len(f.Blocks) {
 				next = f.Blocks[bi+1]
 			}
-			switch b.Kind {
+			switch blk.Kind {
 			case prog.TermFall:
-				if b.Next != next {
-					fmt.Fprintf(&sb, "  jmp %s\n", label(b.Next))
-				}
+				b = appendJump(b, blk.Next, next)
 			case prog.TermBranch:
-				fmt.Fprintf(&sb, "  %s %s, %s, %s\n", b.CmpOp, b.Rs1, b.Rs2, label(b.Taken))
-				if b.Next != next {
-					fmt.Fprintf(&sb, "  jmp %s\n", label(b.Next))
-				}
+				b = append(append(append(b, "  "...), blk.CmpOp.String()...), ' ')
+				b = append(append(append(append(b, blk.Rs1.String()...), ", "...), blk.Rs2.String()...), ", "...)
+				b = append(appendLabel(b, blk.Taken), '\n')
+				b = appendJump(b, blk.Next, next)
 			case prog.TermCall:
-				fmt.Fprintf(&sb, "  call %s\n", b.Callee.Name)
-				if b.Next != next {
-					fmt.Fprintf(&sb, "  jmp %s\n", label(b.Next))
-				}
+				b = append(append(append(b, "  call "...), blk.Callee.Name...), '\n')
+				b = appendJump(b, blk.Next, next)
 			case prog.TermRet:
-				sb.WriteString("  ret\n")
+				b = append(b, "  ret\n"...)
 			case prog.TermHalt:
-				sb.WriteString("  halt\n")
+				b = append(b, "  halt\n"...)
 			case prog.TermJumpReg:
-				fmt.Fprintf(&sb, "  jr %s\n", b.Rs1)
+				b = append(append(append(b, "  jr "...), blk.Rs1.String()...), '\n')
 			}
 		}
 	}
-	return sb.String()
+	return string(b)
 }
 
-// DisassembleImage renders a linearized code image with one slot per line,
-// for debugging dumps.
-func DisassembleImage(img *prog.Image) string {
-	var sb strings.Builder
-	var prev *prog.Block
-	for addr, in := range img.Code {
-		if b := img.AddrBlock[addr]; b != prev {
-			fmt.Fprintf(&sb, "%s:  ; %s\n", b, b.Fn.Name)
-			prev = b
-		}
-		fmt.Fprintf(&sb, "%6d  %s\n", addr, in)
+// appendLabel appends blk's label, B<ID>.
+func appendLabel(b []byte, blk *prog.Block) []byte {
+	return strconv.AppendInt(append(b, 'B'), int64(blk.ID), 10)
+}
+
+// appendJump appends the explicit jump a block needs when its successor
+// is not the block laid out after it.
+func appendJump(b []byte, to, laidOutNext *prog.Block) []byte {
+	if to == laidOutNext {
+		return b
 	}
-	return sb.String()
+	return append(appendLabel(append(b, "  jmp "...), to), '\n')
 }

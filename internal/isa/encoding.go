@@ -14,9 +14,9 @@ import (
 //	bytes 4-7  target (uint32, instruction-slot address)
 //	bytes 8-15 immediate (int64, little endian)
 //
-// The encoding exists so code images can be written to disk and so
-// round-trip properties pin down the instruction format; the simulator
-// executes decoded Inst values directly.
+// The encoding exists so round-trip properties pin down the instruction
+// format; the simulator executes decoded Inst values directly, and code
+// is stored and served as VPIR text (internal/asm).
 
 // EncodedSize is the byte length of one encoded instruction.
 const EncodedSize = 16
@@ -73,31 +73,4 @@ func Decode(buf []byte) (Inst, error) {
 		}
 	}
 	return in, nil
-}
-
-// EncodeImage encodes a whole code image.
-func EncodeImage(code []Inst) ([]byte, error) {
-	out := make([]byte, len(code)*EncodedSize)
-	for i, in := range code {
-		if err := in.Encode(out[i*EncodedSize:]); err != nil {
-			return nil, fmt.Errorf("isa: image slot %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// DecodeImage decodes a whole code image.
-func DecodeImage(data []byte) ([]Inst, error) {
-	if len(data)%EncodedSize != 0 {
-		return nil, fmt.Errorf("isa: image length %d not a multiple of %d", len(data), EncodedSize)
-	}
-	code := make([]Inst, len(data)/EncodedSize)
-	for i := range code {
-		in, err := Decode(data[i*EncodedSize:])
-		if err != nil {
-			return nil, fmt.Errorf("isa: image slot %d: %w", i, err)
-		}
-		code[i] = in
-	}
-	return code, nil
 }

@@ -10,7 +10,10 @@
 // count instruction slots, not bytes.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names an architectural register. Registers 0..31 are the integer file
 // and 32..47 are the floating-point file (F0..F15). R0 reads as zero and
@@ -48,20 +51,7 @@ func (r Reg) IsFP() bool { return r >= NumIntRegs && r < NumRegs }
 func (r Reg) Valid() bool { return r < NumRegs }
 
 // String renders the register in assembly syntax (r4, sp, ra, f2, ...).
-func (r Reg) String() string {
-	switch {
-	case r == RSP:
-		return "sp"
-	case r == RRA:
-		return "ra"
-	case r < NumIntRegs:
-		return fmt.Sprintf("r%d", uint8(r))
-	case r < NumRegs:
-		return fmt.Sprintf("f%d", uint8(r)-NumIntRegs)
-	default:
-		return fmt.Sprintf("reg?%d", uint8(r))
-	}
-}
+func (r Reg) String() string { return regNames[r] }
 
 // Opcode enumerates every VPIR operation.
 type Opcode uint8
@@ -187,9 +177,24 @@ type OpMeta struct {
 // opcodes hold the zero OpMeta (FUNone, zero latency, no flags).
 var Meta [256]OpMeta
 
+// regNames and opNames spell every uint8 Reg and Opcode value, undefined
+// ones as reg?N and op?N, so naming either is one table load.
+var regNames, opNames [256]string
+
 func init() {
+	for i := range 256 {
+		regNames[i], opNames[i] = "reg?"+strconv.Itoa(i), "op?"+strconv.Itoa(i)
+	}
+	for i := range NumIntRegs {
+		regNames[i] = "r" + strconv.Itoa(i)
+	}
+	for i := range NumFPRegs {
+		regNames[NumIntRegs+i] = "f" + strconv.Itoa(i)
+	}
+	regNames[RSP], regNames[RRA] = "sp", "ra"
 	for op := Opcode(0); op < numOpcodes; op++ {
 		info := opTable[op]
+		opNames[op] = info.name
 		Meta[op] = OpMeta{
 			FU:           info.fu,
 			Latency:      uint8(info.latency),
@@ -256,13 +261,8 @@ var opTable = [numOpcodes]opInfo{
 // Valid reports whether op is a defined opcode.
 func (op Opcode) Valid() bool { return op < numOpcodes }
 
-// String returns the assembly mnemonic.
-func (op Opcode) String() string {
-	if !op.Valid() {
-		return fmt.Sprintf("op?%d", uint8(op))
-	}
-	return opTable[op].name
-}
+// String returns the assembly mnemonic, op?N for an undefined opcode.
+func (op Opcode) String() string { return opNames[op] }
 
 // FU returns the functional-unit class op issues to.
 func (op Opcode) FU() FUClass {
@@ -374,28 +374,51 @@ func (in Inst) Uses(dst []Reg) []Reg {
 }
 
 // String renders the instruction in assembly syntax with numeric targets.
-func (in Inst) String() string {
-	info := opTable[in.Op]
+func (in Inst) String() string { return string(in.Append(make([]byte, 0, 32))) }
+
+// Append appends the instruction's String form to b and returns the
+// extended buffer. It is the only instruction renderer: the name tables
+// and strconv leave nothing to allocate beyond b's growth. An undefined
+// opcode renders as its bare op?N name.
+func (in Inst) Append(b []byte) []byte {
+	var info opInfo
+	if in.Op.Valid() {
+		info = opTable[in.Op]
+	}
+	b = append(b, opNames[in.Op]...)
 	switch {
 	case in.Op == LD || in.Op == FLD:
-		return fmt.Sprintf("%s %s, %d(%s)", info.name, in.Rd, in.Imm, in.Rs1)
+		return appendMem(b, in.Rd, in.Imm, in.Rs1)
 	case in.Op == ST || in.Op == FST:
-		return fmt.Sprintf("%s %s, %d(%s)", info.name, in.Rs2, in.Imm, in.Rs1)
+		return appendMem(b, in.Rs2, in.Imm, in.Rs1)
 	case in.Op == LI:
-		return fmt.Sprintf("%s %s, %d", info.name, in.Rd, in.Imm)
+		return appendInt(appendReg(b, " ", in.Rd), ", ", in.Imm)
 	case in.Op == LA:
-		return fmt.Sprintf("%s %s, @%d", info.name, in.Rd, in.Target)
+		return appendInt(appendReg(b, " ", in.Rd), ", @", in.Target)
 	case info.hasTarget && info.hasRs1: // conditional branches
-		return fmt.Sprintf("%s %s, %s, @%d", info.name, in.Rs1, in.Rs2, in.Target)
+		return appendInt(appendReg(appendReg(b, " ", in.Rs1), ", ", in.Rs2), ", @", in.Target)
 	case info.hasTarget:
-		return fmt.Sprintf("%s @%d", info.name, in.Target)
+		return appendInt(b, " @", in.Target)
 	case info.hasRd && info.hasRs1 && info.hasRs2:
-		return fmt.Sprintf("%s %s, %s, %s", info.name, in.Rd, in.Rs1, in.Rs2)
+		return appendReg(appendReg(appendReg(b, " ", in.Rd), ", ", in.Rs1), ", ", in.Rs2)
 	case info.hasRd && info.hasRs1 && info.hasImm:
-		return fmt.Sprintf("%s %s, %s, %d", info.name, in.Rd, in.Rs1, in.Imm)
+		return appendInt(appendReg(appendReg(b, " ", in.Rd), ", ", in.Rs1), ", ", in.Imm)
 	case info.hasRd && info.hasRs1:
-		return fmt.Sprintf("%s %s, %s", info.name, in.Rd, in.Rs1)
-	default:
-		return info.name
+		return appendReg(appendReg(b, " ", in.Rd), ", ", in.Rs1)
 	}
+	return b
+}
+
+// appendReg and appendInt append a separator and then one operand.
+func appendReg(b []byte, sep string, r Reg) []byte {
+	return append(append(b, sep...), regNames[r]...)
+}
+
+func appendInt(b []byte, sep string, v int64) []byte {
+	return strconv.AppendInt(append(b, sep...), v, 10)
+}
+
+// appendMem appends a load or store's " r, imm(base)" operands.
+func appendMem(b []byte, r Reg, imm int64, base Reg) []byte {
+	return append(appendReg(appendInt(appendReg(b, " ", r), ", ", imm), "(", base), ')')
 }

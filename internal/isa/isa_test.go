@@ -220,33 +220,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestImageRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	code := make([]Inst, 300)
-	for i := range code {
-		code[i] = randomInst(r)
-	}
-	data, err := EncodeImage(code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != len(code)*EncodedSize {
-		t.Fatalf("image size = %d, want %d", len(data), len(code)*EncodedSize)
-	}
-	back, err := DecodeImage(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range code {
-		if back[i] != code[i] {
-			t.Fatalf("slot %d: got %+v, want %+v", i, back[i], code[i])
-		}
-	}
-	if _, err := DecodeImage(data[:EncodedSize+1]); err == nil {
-		t.Error("ragged image decoded without error")
-	}
-}
-
 // Property: every encodable instruction survives a round trip, regardless of
 // junk in unused fields being rejected or normalized.
 func TestQuickEncodeRoundTrip(t *testing.T) {

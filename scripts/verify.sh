@@ -19,6 +19,11 @@ mkdir -p bin
 go build -o bin/vplint ./cmd/vplint
 go vet -vettool="$(pwd)/bin/vplint" ./...
 go test ./...
+# Assembler fuzzing: a bounded run of the native fuzz target from its
+# checked-in seed corpus (internal/asm/testdata/fuzz/FuzzAssemble). An
+# input that panics the assembler, or that it accepts but cannot round
+# trip through the disassembler, fails verification here.
+go test -run='^$' -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm
 go test -race ./internal/report/...
 go test -race ./internal/obs/...
 go test -race ./internal/telemetry/...

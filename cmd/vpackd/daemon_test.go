@@ -224,6 +224,39 @@ func TestDaemonStaleProfile(t *testing.T) {
 	}
 }
 
+// TestDaemonOversizedProfile: a profile POST over maxProfileBody is
+// refused with 413 before any record is ingested, and the daemon keeps
+// accepting well-sized POSTs afterwards.
+func TestDaemonOversizedProfile(t *testing.T) {
+	d, rec := newTestDaemon(t, 1000)
+	h := d.Handler()
+	spots := captureSpots(t, d, "m88ksim")
+	hash := d.programs["m88ksim"].hash
+
+	var big []hotSpotWire
+	for size := 0; size <= maxProfileBody; {
+		big = append(big, spots...)
+		body, err := json.Marshal(profilePost{ProgramHash: hash, HotSpots: big})
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = len(body)
+	}
+	if w := postSpots(t, h, "m88ksim", hash, big); w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST: %d, want 413: %s", w.Code, w.Body.String())
+	}
+	if got := rec.Export().Metrics.Counters[obs.DaemonRecordsCounter]; got != 0 {
+		t.Fatalf("oversized POST ingested %d records", got)
+	}
+
+	if w := postSpots(t, h, "m88ksim", hash, spots[:1]); w.Code != http.StatusOK {
+		t.Fatalf("POST after the oversized one: %d: %s", w.Code, w.Body.String())
+	}
+	if got := rec.Export().Metrics.Counters[obs.DaemonRecordsCounter]; got != 1 {
+		t.Fatalf("%s = %d after one accepted record, want 1", obs.DaemonRecordsCounter, got)
+	}
+}
+
 // TestDaemonConcurrentStreams drives 1000 concurrent profile streams
 // through the handler — the acceptance load for the ingest path: the
 // per-shard mutex serializes accumulation, the bounded queue absorbs

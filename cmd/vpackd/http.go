@@ -5,6 +5,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -21,6 +22,11 @@ import (
 // echoes it on ingest responses and stamps package/provenance responses
 // with the repack trace that built the served version.
 const TraceHeader = "Vpackd-Trace"
+
+// maxProfileBody caps a profile POST body; a larger one is refused with
+// 413 before any record is ingested. The largest body the repo's own
+// clients send (ten hot spots of vpr, ~55 KB) sits ~19x below it.
+const maxProfileBody = 1 << 20
 
 // branchWire is one branch of a streamed hot-spot record.
 type branchWire struct {
@@ -167,8 +173,13 @@ func (d *Daemon) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var post profilePost
-	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
-		http.Error(w, fmt.Sprintf("vpackd: decode profile record: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxProfileBody)).Decode(&post); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("vpackd: decode profile record: %v", err), code)
 		return
 	}
 	if post.ProgramHash != 0 && post.ProgramHash != st.hash {

@@ -115,7 +115,7 @@ func run(addr, addrFile, benches string, scale int64, workers, queueCap, batch i
 		return 2
 	}
 
-	srv := &http.Server{Addr: addr, Handler: d.Handler()}
+	srv := &http.Server{Addr: addr, Handler: d.Handler(), ReadHeaderTimeout: telemetry.ReadHeaderTimeout}
 	ln, err := listen(srv)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vpackd:", err)

@@ -10,9 +10,7 @@
 //	vpbench -scale 1        # force a smaller iteration scale
 //	vpbench -j 4            # run 4 inputs concurrently (default GOMAXPROCS)
 //	vpbench -reps 3         # run the suite 3 times, report the best rep
-//	vpbench -blockcache off # legacy instruction-at-a-time timed simulation
 //	vpbench -superblock off # tier-0 only: block cache without trace chaining
-//	vpbench -sbthreshold 64 # override the tier-1 promotion threshold
 //	vpbench -benchjson f    # write machine-readable timing JSON to f
 //	vpbench -cpuprofile f   # write a pprof CPU profile of the run to f
 //	vpbench -metrics        # per-stage wall-time, counter and histogram tables
@@ -107,7 +105,7 @@ type benchJSON struct {
 	StoreWarmWallSeconds float64     `json:"store_warm_wall_seconds,omitempty"`
 	Store                *benchStore `json:"store,omitempty"`
 	// BlockCacheHitRate aggregates the timed runs' basic-block cache
-	// traffic across all variants (absent when -blockcache=off).
+	// traffic across all variants.
 	BlockCacheHitRate float64 `json:"blockcache_hit_rate,omitempty"`
 	// SuperblockCoverage is the fraction of timed-run instructions retired
 	// inside tier-1 superblock traces; SuperblockPromoted/Demoted/SideExits

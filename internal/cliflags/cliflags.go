@@ -1,9 +1,9 @@
 // Package cliflags centralizes the flag declarations shared by the
 // command-line tools (vpack, vpbench, vpdump, vpackd): the execution
-// engine knobs (-blockcache, -superblock, -sbthreshold), the structured
-// logging pair (-log, -q) and the static verifier gate (-verify). Each
-// tool registers the shared groups into its own FlagSet so names,
-// defaults and semantics stay identical across the toolbox.
+// engine knob (-superblock), the structured logging pair (-log, -q) and
+// the static verifier gate (-verify). Each tool registers the shared
+// groups into its own FlagSet so names, defaults and semantics stay
+// identical across the toolbox.
 package cliflags
 
 import (
@@ -15,43 +15,29 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Machine carries the engine flags: the basic-block simulation cache,
-// the superblock tier and its promotion threshold.
+// Machine carries the engine flag: the superblock tier of the timed
+// simulator's block cache.
 type Machine struct {
-	blockCache  string
-	superblock  string
-	sbThreshold int
+	superblock string
 }
 
-// MachineFlags registers -blockcache, -superblock and -sbthreshold on fs.
+// MachineFlags registers -superblock on fs.
 func MachineFlags(fs *flag.FlagSet) *Machine {
 	m := &Machine{}
-	fs.StringVar(&m.blockCache, "blockcache", "on", "basic-block simulation cache for timed runs: on|off")
 	fs.StringVar(&m.superblock, "superblock", "on", "superblock (tier-1) trace chaining in the block cache: on|off")
-	fs.IntVar(&m.sbThreshold, "sbthreshold", 0, "block executions before superblock promotion (0 = default)")
 	return m
 }
 
-// Apply validates the parsed values and applies them to mc. The error
-// text names the offending flag, ready for a "tool: error" line and a
-// usage exit (2).
+// Apply validates the parsed value and applies it to mc. The error text
+// names the offending flag, ready for a "tool: error" line and a usage
+// exit (2).
 func (m *Machine) Apply(mc *cpu.Config) error {
-	switch m.blockCache {
-	case "on":
-	case "off":
-		mc.DisableBlockCache = true
-	default:
-		return fmt.Errorf("-blockcache must be on or off")
-	}
 	switch m.superblock {
 	case "on":
 	case "off":
 		mc.DisableSuperblocks = true
 	default:
 		return fmt.Errorf("-superblock must be on or off")
-	}
-	if m.sbThreshold > 0 {
-		mc.SuperblockThreshold = m.sbThreshold
 	}
 	return nil
 }

@@ -25,43 +25,35 @@ func TestMachineDefaults(t *testing.T) {
 	if err := m.Apply(&mc); err != nil {
 		t.Fatal(err)
 	}
-	if mc.DisableBlockCache || mc.DisableSuperblocks {
-		t.Errorf("defaults disabled the engine tiers: %+v", mc)
-	}
-	if mc.SuperblockThreshold != cpu.DefaultConfig().SuperblockThreshold {
-		t.Errorf("default -sbthreshold changed the threshold to %d", mc.SuperblockThreshold)
+	if mc != cpu.DefaultConfig() {
+		t.Errorf("defaults changed the machine config: %+v", mc)
 	}
 }
 
 func TestMachineOff(t *testing.T) {
 	fs := newFS()
 	m := MachineFlags(fs)
-	if err := fs.Parse([]string{"-blockcache=off", "-superblock=off", "-sbthreshold=7"}); err != nil {
+	if err := fs.Parse([]string{"-superblock=off"}); err != nil {
 		t.Fatal(err)
 	}
 	mc := cpu.DefaultConfig()
 	if err := m.Apply(&mc); err != nil {
 		t.Fatal(err)
 	}
-	if !mc.DisableBlockCache || !mc.DisableSuperblocks {
-		t.Errorf("off values not applied: %+v", mc)
-	}
-	if mc.SuperblockThreshold != 7 {
-		t.Errorf("SuperblockThreshold = %d, want 7", mc.SuperblockThreshold)
+	if !mc.DisableSuperblocks {
+		t.Errorf("off value not applied: %+v", mc)
 	}
 }
 
 func TestMachineInvalid(t *testing.T) {
-	for _, arg := range []string{"-blockcache=maybe", "-superblock=maybe"} {
-		fs := newFS()
-		m := MachineFlags(fs)
-		if err := fs.Parse([]string{arg}); err != nil {
-			t.Fatal(err)
-		}
-		mc := cpu.DefaultConfig()
-		if err := m.Apply(&mc); err == nil {
-			t.Errorf("%s: Apply accepted an invalid value", arg)
-		}
+	fs := newFS()
+	m := MachineFlags(fs)
+	if err := fs.Parse([]string{"-superblock=maybe"}); err != nil {
+		t.Fatal(err)
+	}
+	mc := cpu.DefaultConfig()
+	if err := m.Apply(&mc); err == nil {
+		t.Error("Apply accepted an invalid -superblock value")
 	}
 }
 

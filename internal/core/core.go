@@ -460,7 +460,7 @@ func (o *Outcome) EvaluateObserved(mc cpu.Config, limit uint64, ob obs.Observer)
 		return nil, fmt.Errorf("core: base run: %w", err)
 	}
 	var bc *cpu.BlockCache
-	if !mc.DisableBlockCache && limit == 0 {
+	if limit == 0 {
 		bc = cpu.NewBlockCache(packedImg)
 	}
 	packedStats, packedM, err := cpu.RunTimedCached(mc, packedImg, limit, bc)
@@ -481,16 +481,22 @@ func (o *Outcome) EvaluateObserved(mc cpu.Config, limit uint64, ob obs.Observer)
 	ob.Count("eval.base_cycles", int64(baseStats.Cycles))
 	ob.Count("eval.packed_cycles", int64(packedStats.Cycles))
 	if bc != nil {
-		ob.Count(obs.BlockCacheHitsCounter, int64(bc.Stats.Hits+bc.Stats.Chained))
-		ob.Count(obs.BlockCacheMissesCounter, int64(bc.Stats.Misses))
-		ob.Count(obs.BlockCacheEvictionsCounter, int64(bc.Stats.Evicted))
-		ob.Count(obs.SuperblockPromotedCounter, int64(bc.SB.Promoted))
-		ob.Count(obs.SuperblockDemotedCounter, int64(bc.SB.Demoted))
-		ob.Count(obs.SuperblockSideExitsCounter, int64(bc.SB.SideExits))
-		ob.Count(obs.SuperblockChainedCounter, int64(bc.SB.ChainedInsts))
+		CountEngine(ob, bc)
 	}
 	ob.Gauge("eval.speedup", ev.Speedup)
 	ob.Gauge("eval.coverage", ev.Coverage)
 	ob.Observe("eval.cycles", float64(packedStats.Cycles))
 	return ev, nil
+}
+
+// CountEngine records the block cache's and superblock tier's engine
+// counters (obs.EngineCounters) for one timed run through bc.
+func CountEngine(ob obs.Observer, bc *cpu.BlockCache) {
+	ob.Count(obs.BlockCacheHitsCounter, int64(bc.Stats.Hits+bc.Stats.Chained))
+	ob.Count(obs.BlockCacheMissesCounter, int64(bc.Stats.Misses))
+	ob.Count(obs.BlockCacheEvictionsCounter, int64(bc.Stats.Evicted))
+	ob.Count(obs.SuperblockPromotedCounter, int64(bc.SB.Promoted))
+	ob.Count(obs.SuperblockDemotedCounter, int64(bc.SB.Demoted))
+	ob.Count(obs.SuperblockSideExitsCounter, int64(bc.SB.SideExits))
+	ob.Count(obs.SuperblockChainedCounter, int64(bc.SB.ChainedInsts))
 }

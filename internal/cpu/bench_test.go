@@ -78,16 +78,15 @@ func BenchmarkTimedBlock(b *testing.B) {
 	b.ReportMetric(bc.Stats.HitRate(), "hit-rate")
 }
 
-// BenchmarkTimedNoCache measures the legacy instruction-at-a-time loop
-// (cache disabled) — the baseline the block path is gated against.
+// BenchmarkTimedNoCache measures the step-loop reference (Machine.Run +
+// Timing.Observe, no block cache) — the baseline the block path is gated
+// against.
 func BenchmarkTimedNoCache(b *testing.B) {
 	img := benchImage(b)
-	cfg := DefaultConfig()
-	cfg.DisableBlockCache = true
 	b.ResetTimer()
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		stats, _, err := RunTimed(cfg, img, 0)
+		stats, _, err := runReference(DefaultConfig(), img)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,11 +1,12 @@
 package cpu
 
-// Block-structured timed simulation. The legacy RunTimed loop interprets
-// one instruction at a time: Machine.exec fills a StepInfo record, then
-// Timing.Observe re-derives per-opcode metadata, re-computes the I-line,
-// and re-checks package membership for every retired instruction. Execution
-// is dominated by small repeating kernels, so almost all of that work is
-// identical every time a basic block re-executes.
+// Block-structured timed simulation. The step loop (Machine.Run with
+// Timing.Observe) interprets one instruction at a time: Machine.exec fills
+// a StepInfo record, then Timing.Observe re-derives per-opcode metadata,
+// re-computes the I-line, and re-checks package membership for every
+// retired instruction. Execution is dominated by small repeating kernels,
+// so almost all of that work is identical every time a basic block
+// re-executes.
 //
 // BlockCache pre-decodes each basic block once — on first dynamic entry —
 // into a flat record: the instruction run (aliasing the image, never
@@ -15,7 +16,7 @@ package cpu
 // dispatches whole blocks through a single fused functional+timing loop
 // that touches the predictor only at block boundaries and the data caches
 // only at loads/stores, with DBT-style block chaining for fall-through and
-// taken successors. The cached path is bit-identical to the legacy path:
+// taken successors. The cached path is bit-identical to the step loop:
 // TestBlockCacheEquivalence asserts equal TimingStats and DataHash over
 // the full workload suite.
 //
@@ -294,7 +295,7 @@ func (t *Timing) runBlocks(m *Machine, bc *BlockCache) error {
 	}
 }
 
-// blockFault restores the per-instruction invariants the legacy loop would
+// blockFault restores the per-instruction invariants the step loop would
 // leave behind after a fault at slot j — retired counts for the j slots
 // that completed, PC parked on the faulting instruction — so diagnostics
 // and partial machine state agree between the two paths.

@@ -9,13 +9,23 @@ import (
 	"repro/internal/workload"
 )
 
+// runReference is the step loop every timed engine must match: the
+// functional interpreter with Timing.Observe on each retired instruction,
+// the loop the profiling pass runs.
+func runReference(cfg Config, img *prog.Image) (TimingStats, *Machine, error) {
+	m := NewMachine(img)
+	t := NewTiming(cfg, img)
+	if err := m.Run(0, t.Observe); err != nil {
+		return TimingStats{}, m, err
+	}
+	return t.Finish(), m, nil
+}
+
 func timedPair(t *testing.T, img *prog.Image) (on, off TimingStats, bc *BlockCache) {
 	t.Helper()
-	offCfg := DefaultConfig()
-	offCfg.DisableBlockCache = true
-	sOff, mOff, err := RunTimed(offCfg, img, 0)
+	sOff, mOff, err := runReference(DefaultConfig(), img)
 	if err != nil {
-		t.Fatalf("legacy RunTimed: %v", err)
+		t.Fatalf("reference run: %v", err)
 	}
 	bc = NewBlockCache(img)
 	sOn, mOn, err := RunTimedCached(DefaultConfig(), img, 0, bc)
@@ -35,8 +45,8 @@ func timedPair(t *testing.T, img *prog.Image) (on, off TimingStats, bc *BlockCac
 
 // TestBlockCacheEquivalence is the bit-identity gate for the block-
 // structured timed path: for every workload input at scale 1, TimingStats
-// and the functional data hash must match the legacy instruction-at-a-time
-// loop exactly — not approximately.
+// and the functional data hash must match the step-loop reference exactly
+// — not approximately.
 func TestBlockCacheEquivalence(t *testing.T) {
 	for _, bench := range workload.Ordered() {
 		for _, in := range bench.Inputs {
@@ -94,7 +104,7 @@ func TestBlockCacheReuse(t *testing.T) {
 
 // TestBlockCacheInvalidateOnInstall checks the invalidation rule: binding
 // a cache to a different image evicts every decoded block, and the run on
-// the new image is still bit-identical to the legacy path.
+// the new image is still bit-identical to the step-loop reference.
 func TestBlockCacheInvalidateOnInstall(t *testing.T) {
 	benches := workload.Ordered()
 	inA := benches[0].Inputs[0]
@@ -126,11 +136,9 @@ func TestBlockCacheInvalidateOnInstall(t *testing.T) {
 	if got := bc.Stats.Evicted; got != uint64(decoded) {
 		t.Errorf("installing image B evicted %d blocks, want %d", got, decoded)
 	}
-	offCfg := DefaultConfig()
-	offCfg.DisableBlockCache = true
-	sOff, _, err := RunTimed(offCfg, imgB, 0)
+	sOff, _, err := runReference(DefaultConfig(), imgB)
 	if err != nil {
-		t.Fatalf("legacy run B: %v", err)
+		t.Fatalf("reference run B: %v", err)
 	}
 	if sOn != sOff {
 		t.Errorf("post-invalidation stats diverged:\n  cache on:  %+v\n  cache off: %+v", sOn, sOff)
@@ -194,8 +202,8 @@ func TestBlockCacheLimitFallsBack(t *testing.T) {
 }
 
 // TestBlockCacheFaultState: a faulting run must park PC on the faulting
-// instruction and count only retired instructions, matching the legacy
-// loop's partial state.
+// instruction and count only retired instructions, matching the step-loop
+// reference's partial state.
 func TestBlockCacheFaultState(t *testing.T) {
 	src := `
 .func main
@@ -205,9 +213,7 @@ func TestBlockCacheFaultState(t *testing.T) {
   halt
 `
 	img := mustAssemble(t, src)
-	offCfg := DefaultConfig()
-	offCfg.DisableBlockCache = true
-	_, mOff, errOff := RunTimed(offCfg, img, 0)
+	_, mOff, errOff := runReference(DefaultConfig(), img)
 	_, mOn, errOn := RunTimed(DefaultConfig(), img, 0)
 	if errOff == nil || errOn == nil {
 		t.Fatalf("want faults on both paths, got off=%v on=%v", errOff, errOn)

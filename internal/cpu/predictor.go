@@ -114,14 +114,6 @@ func (p *Predictor) PopRAS(actual int64) bool {
 	return true
 }
 
-// MispredictRate returns conditional mispredictions per conditional branch.
-func (p *Predictor) MispredictRate() float64 {
-	if p.CondSeen == 0 {
-		return 0
-	}
-	return float64(p.CondMispredict) / float64(p.CondSeen)
-}
-
 func b2u(b bool) uint64 {
 	if b {
 		return 1

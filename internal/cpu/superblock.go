@@ -27,7 +27,7 @@ package cpu
 // executor at all.
 //
 // Equivalence contract: tier 1 is bit-identical to tier 0 (and hence to
-// the legacy loop) in TimingStats, machine state and DataHash, *and* in
+// the step loop) in TimingStats, machine state and DataHash, *and* in
 // BlockCacheStats — every internal trace transition follows a chain
 // pointer tier 0 would have taken, so it counts as Chained, and every
 // side exit re-enters the dispatch switch exactly where tier 0 would

@@ -9,19 +9,17 @@ import (
 	"repro/internal/prog"
 )
 
-// timedTriple runs img through all three execution paths — legacy
-// instruction-at-a-time, tier 0 (block cache, superblocks off), and
-// tier 1 (superblocks on, promotion threshold thresh) — and requires
-// bit-identical TimingStats, machine state, and data hash across them.
-// It returns the tier-1 cache for promotion-level assertions.
+// timedTriple runs img through the step-loop reference (runReference),
+// tier 0 (block cache, superblocks off) and tier 1 (superblocks on,
+// promotion threshold thresh), and requires bit-identical TimingStats,
+// machine state, and data hash across them. It returns the tier-1 cache
+// for promotion-level assertions.
 func timedTriple(t *testing.T, img *prog.Image, thresh int) *BlockCache {
 	t.Helper()
 
-	legacyCfg := DefaultConfig()
-	legacyCfg.DisableBlockCache = true
-	sLegacy, mLegacy, err := RunTimed(legacyCfg, img, 0)
+	sRef, mRef, err := runReference(DefaultConfig(), img)
 	if err != nil {
-		t.Fatalf("legacy RunTimed: %v", err)
+		t.Fatalf("reference run: %v", err)
 	}
 
 	t0Cfg := DefaultConfig()
@@ -39,29 +37,29 @@ func timedTriple(t *testing.T, img *prog.Image, thresh int) *BlockCache {
 		t.Fatalf("tier-1 RunTimed: %v", err)
 	}
 
-	if sT0 != sLegacy {
-		t.Errorf("tier-0 TimingStats diverged from legacy:\n  tier 0: %+v\n  legacy: %+v", sT0, sLegacy)
+	if sT0 != sRef {
+		t.Errorf("tier-0 TimingStats diverged from reference:\n  tier 0: %+v\n  reference: %+v", sT0, sRef)
 	}
-	if sT1 != sLegacy {
-		t.Errorf("tier-1 TimingStats diverged from legacy:\n  tier 1: %+v\n  legacy: %+v", sT1, sLegacy)
+	if sT1 != sRef {
+		t.Errorf("tier-1 TimingStats diverged from reference:\n  tier 1: %+v\n  reference: %+v", sT1, sRef)
 	}
 	for _, pair := range []struct {
 		name string
 		m    *Machine
 	}{{"tier 0", mT0}, {"tier 1", mT1}} {
-		if pair.m.InstCount != mLegacy.InstCount {
-			t.Errorf("%s InstCount %d, legacy %d", pair.name, pair.m.InstCount, mLegacy.InstCount)
+		if pair.m.InstCount != mRef.InstCount {
+			t.Errorf("%s InstCount %d, reference %d", pair.name, pair.m.InstCount, mRef.InstCount)
 		}
-		if pair.m.IntRegs != mLegacy.IntRegs {
-			t.Errorf("%s integer register file diverged from legacy", pair.name)
+		if pair.m.IntRegs != mRef.IntRegs {
+			t.Errorf("%s integer register file diverged from reference", pair.name)
 		}
-		if pair.m.FPRegs != mLegacy.FPRegs {
-			t.Errorf("%s FP register file diverged from legacy", pair.name)
+		if pair.m.FPRegs != mRef.FPRegs {
+			t.Errorf("%s FP register file diverged from reference", pair.name)
 		}
 		h, n := pair.m.DataHash()
-		hl, nl := mLegacy.DataHash()
+		hl, nl := mRef.DataHash()
 		if h != hl || n != nl {
-			t.Errorf("%s DataHash %#x/%d, legacy %#x/%d", pair.name, h, n, hl, nl)
+			t.Errorf("%s DataHash %#x/%d, reference %#x/%d", pair.name, h, n, hl, nl)
 		}
 	}
 	return bc
@@ -120,7 +118,7 @@ func genProgram(next func() uint64) string {
 
 // TestSuperblockEquivalenceRandom is the randomized property test for
 // the two-tier engine: for a batch of generated looped workloads, tier 1
-// must match tier 0 and the legacy loop bit-for-bit, while actually
+// must match tier 0 and the step-loop reference bit-for-bit, while actually
 // promoting traces (the low threshold guarantees the tier-1 path runs).
 func TestSuperblockEquivalenceRandom(t *testing.T) {
 	state := uint64(0x243f6a8885a308d3)

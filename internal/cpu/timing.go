@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"fmt"
-
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
@@ -33,16 +31,10 @@ type Config struct {
 	// (64-byte lines of 8-byte slots).
 	FetchLineSlots int
 
-	// DisableBlockCache forces RunTimed onto the legacy
-	// instruction-at-a-time loop instead of the block-structured path
-	// (see blockcache.go). The two are bit-identical; this is an escape
-	// hatch for debugging and for A/B-testing the cache itself.
-	DisableBlockCache bool
-
 	// DisableSuperblocks keeps the block-structured path on tier 0
 	// (one basic block per dispatch) instead of promoting hot blocks
-	// into specialized superblock traces (see superblock.go). All three
-	// paths — legacy, tier 0, tier 1 — are bit-identical.
+	// into specialized superblock traces (see superblock.go). Both tiers
+	// are bit-identical to the step loop (Machine.Run + Timing.Observe).
 	DisableSuperblocks bool
 
 	// SuperblockThreshold is the number of tier-0 dispatches after which
@@ -441,49 +433,24 @@ func RunTimed(cfg Config, img *prog.Image, limit uint64) (TimingStats, *Machine,
 // install rule) and keeps its entries otherwise, making repeated timed
 // runs of one image skip decode entirely.
 //
-// The legacy instruction-at-a-time loop is used when the config disables
-// the cache or when limit > 0 (the limit must be checked per instruction,
-// not per block; limits are only used for runaway-guard runs, never on the
-// measured suite path).
+// A run with limit > 0 takes the step loop (Machine.Run + Observe)
+// instead, so the limit is exact per instruction; bc is then unused.
+// Limits only guard runaway runs, never the measured suite path.
 func RunTimedCached(cfg Config, img *prog.Image, limit uint64, bc *BlockCache) (TimingStats, *Machine, error) {
 	m := NewMachine(img)
 	t := NewTiming(cfg, img)
-	if cfg.DisableBlockCache || limit > 0 {
-		if err := t.runLegacy(m, limit); err != nil {
-			return TimingStats{}, m, err
-		}
-		return t.Finish(), m, nil
-	}
-	if bc == nil {
-		bc = NewBlockCache(img)
-	} else {
+	var err error
+	switch {
+	case limit > 0:
+		err = m.Run(limit, t.Observe)
+	case bc == nil:
+		err = t.runBlocks(m, NewBlockCache(img))
+	default:
 		bc.Bind(img)
+		err = t.runBlocks(m, bc)
 	}
-	if err := t.runBlocks(m, bc); err != nil {
+	if err != nil {
 		return TimingStats{}, m, err
 	}
 	return t.Finish(), m, nil
-}
-
-// runLegacy is the instruction-at-a-time retire/observe loop. The loop is
-// fused so Observe is a direct method call on the concrete Timing instead
-// of an indirect call through a func value for every retired instruction.
-func (t *Timing) runLegacy(m *Machine, limit uint64) error {
-	var info StepInfo
-	code := m.Img.Code
-	n := int64(len(code))
-	for !m.Halted {
-		if limit > 0 && m.InstCount >= limit {
-			return fmt.Errorf("cpu: instruction limit %d reached at pc %d", limit, m.PC)
-		}
-		pc := m.PC
-		if uint64(pc) >= uint64(n) {
-			return fmt.Errorf("cpu: PC %d outside code image (len %d)", pc, n)
-		}
-		if err := m.exec(code[pc], &info); err != nil {
-			return err
-		}
-		t.Observe(&info)
-	}
-	return nil
 }

@@ -160,11 +160,6 @@ func (b *Block) NumInsts() int {
 	return n
 }
 
-// IsEntry reports whether b is its function's entry block.
-func (b *Block) IsEntry() bool {
-	return b.Fn != nil && len(b.Fn.Blocks) > 0 && b.Fn.Blocks[0] == b
-}
-
 func (b *Block) String() string {
 	if b == nil {
 		return "<nil>"
@@ -323,19 +318,6 @@ func (p *Program) NumInsts() int {
 	return n
 }
 
-// CallSites returns every call block in the program, in layout order.
-func (p *Program) CallSites() []*Block {
-	var sites []*Block
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			if b.Kind == TermCall {
-				sites = append(sites, b)
-			}
-		}
-	}
-	return sites
-}
-
 // Callees returns the set of functions fn calls directly.
 func Callees(fn *Func) []*Func {
 	seen := make(map[*Func]bool)
@@ -347,57 +329,6 @@ func Callees(fn *Func) []*Func {
 		}
 	}
 	return out
-}
-
-// CloneFunc deep-copies fn into a new function registered in p under
-// newName. Arcs whose targets lie inside fn are redirected to the copies;
-// arcs that leave fn keep their original targets. Each copy's Origin chain
-// points at the block it was cloned from (following to the root original).
-// The returned map sends original blocks to their clones.
-func (p *Program) CloneFunc(fn *Func, newName string) (*Func, map[*Block]*Block) {
-	nf := p.AddFunc(newName)
-	m := make(map[*Block]*Block, len(fn.Blocks))
-	for _, b := range fn.Blocks {
-		nb := &Block{
-			Fn:           nf,
-			Insts:        append([]Ins(nil), b.Insts...),
-			Kind:         b.Kind,
-			CmpOp:        b.CmpOp,
-			Rs1:          b.Rs1,
-			Rs2:          b.Rs2,
-			Taken:        b.Taken,
-			Next:         b.Next,
-			Callee:       b.Callee,
-			ExitConsumes: append([]isa.Reg(nil), b.ExitConsumes...),
-		}
-		if b.Origin != nil {
-			nb.Origin = b.Origin
-		} else {
-			nb.Origin = b
-		}
-		p.AdoptBlock(nf, nb)
-		// AdoptBlock appended nb; undo the double append the loop's
-		// AdoptBlock causes if callers also appended. (AdoptBlock is the
-		// only append here, so nothing to undo; the map records identity.)
-		m[b] = nb
-	}
-	for _, b := range fn.Blocks {
-		nb := m[b]
-		if t, ok := m[b.Taken]; ok && b.Taken != nil {
-			nb.Taken = t
-		}
-		if t, ok := m[b.Next]; ok && b.Next != nil {
-			nb.Next = t
-		}
-		for i := range nb.Insts {
-			if bt := nb.Insts[i].BlockTarget; bt != nil {
-				if t, ok := m[bt]; ok {
-					nb.Insts[i].BlockTarget = t
-				}
-			}
-		}
-	}
-	return nf, m
 }
 
 // OriginRoot follows a block's Origin chain to the original block it was

@@ -40,9 +40,6 @@ func TestBuilderAndVerify(t *testing.T) {
 	if len(f.Blocks) != 4 {
 		t.Fatalf("blocks = %d, want 4", len(f.Blocks))
 	}
-	if !f.Blocks[0].IsEntry() || f.Blocks[1].IsEntry() {
-		t.Error("IsEntry misidentifies the entry block")
-	}
 }
 
 func TestComputePreds(t *testing.T) {
@@ -247,46 +244,7 @@ func TestVerifyCatchesBadBranchFields(t *testing.T) {
 	}
 }
 
-func TestCloneFunc(t *testing.T) {
-	p, f := buildDiamond(t)
-	clone, m := p.CloneFunc(f, "main.copy")
-	if err := p.Verify(); err != nil {
-		t.Fatalf("Verify after clone: %v", err)
-	}
-	if len(clone.Blocks) != len(f.Blocks) {
-		t.Fatalf("clone blocks = %d, want %d", len(clone.Blocks), len(f.Blocks))
-	}
-	for _, b := range f.Blocks {
-		nb := m[b]
-		if nb == nil || nb.Fn != clone {
-			t.Fatalf("block %s not cloned properly", b)
-		}
-		if OriginRoot(nb) != b {
-			t.Errorf("clone of %s has OriginRoot %s", b, OriginRoot(nb))
-		}
-		if nb.ID == b.ID {
-			t.Errorf("clone of %s shares ID %d", b, b.ID)
-		}
-	}
-	// Arcs were redirected into the clone.
-	entryClone := m[f.Blocks[0]]
-	if entryClone.Taken != m[f.Blocks[1]] || entryClone.Next != m[f.Blocks[2]] {
-		t.Error("clone arcs not redirected")
-	}
-	// Mutating the clone must not affect the original.
-	entryClone.Insts[0].Imm = 999
-	if f.Blocks[0].Insts[0].Imm == 999 {
-		t.Error("clone shares instruction storage with original")
-	}
-	// Cloning a clone keeps OriginRoot pointing at the true original.
-	clone2, m2 := p.CloneFunc(clone, "main.copy2")
-	_ = clone2
-	if OriginRoot(m2[entryClone]) != f.Blocks[0] {
-		t.Error("OriginRoot through two clones should reach the original")
-	}
-}
-
-func TestCallSitesAndCallees(t *testing.T) {
+func TestCallees(t *testing.T) {
 	bd := NewBuilder()
 	callee := bd.Func("callee")
 	bd.Ret()
@@ -300,10 +258,6 @@ func TestCallSitesAndCallees(t *testing.T) {
 	bd.SetBlock(c2)
 	bd.Halt()
 
-	sites := bd.P.CallSites()
-	if len(sites) != 2 {
-		t.Fatalf("call sites = %d, want 2", len(sites))
-	}
 	fns := Callees(bd.P.Main)
 	if len(fns) != 1 || fns[0] != callee {
 		t.Errorf("Callees = %v, want [callee]", fns)

@@ -659,25 +659,14 @@ func storedVariant(opts Options, imgHash, cfgHash uint64, v core.Variant, base c
 // cold and warm variant paths.
 func timePacked(opts Options, packedImg *prog.Image, o obs.Observer) (cpu.TimingStats, *cpu.BlockCache, uint64, uint64, error) {
 	esp := o.StartSpan(obs.StageEvaluate)
-	var bc *cpu.BlockCache
-	if !opts.Machine.DisableBlockCache {
-		bc = cpu.NewBlockCache(packedImg)
-	}
+	bc := cpu.NewBlockCache(packedImg)
 	stats, m, err := cpu.RunTimedCached(opts.Machine, packedImg, 0, bc)
 	esp.End()
 	if err != nil {
 		return cpu.TimingStats{}, nil, 0, 0, err
 	}
 	o.Observe("eval.cycles", float64(stats.Cycles))
-	if bc != nil {
-		o.Count(obs.BlockCacheHitsCounter, int64(bc.Stats.Hits+bc.Stats.Chained))
-		o.Count(obs.BlockCacheMissesCounter, int64(bc.Stats.Misses))
-		o.Count(obs.BlockCacheEvictionsCounter, int64(bc.Stats.Evicted))
-		o.Count(obs.SuperblockPromotedCounter, int64(bc.SB.Promoted))
-		o.Count(obs.SuperblockDemotedCounter, int64(bc.SB.Demoted))
-		o.Count(obs.SuperblockSideExitsCounter, int64(bc.SB.SideExits))
-		o.Count(obs.SuperblockChainedCounter, int64(bc.SB.ChainedInsts))
-	}
+	core.CountEngine(o, bc)
 	h, n := m.DataHash()
 	return stats, bc, h, n, nil
 }
@@ -686,14 +675,12 @@ func timePacked(opts Options, packedImg *prog.Image, o obs.Observer) (cpu.Timing
 // variant result.
 func fillTimed(vr *VariantResult, stats cpu.TimingStats, bc *cpu.BlockCache, base cpu.TimingStats) {
 	vr.TimedInsts = stats.Insts
-	if bc != nil {
-		vr.BlockCacheHits = bc.Stats.Hits + bc.Stats.Chained
-		vr.BlockCacheMisses = bc.Stats.Misses
-		vr.SuperblocksPromoted = bc.SB.Promoted
-		vr.SuperblocksDemoted = bc.SB.Demoted
-		vr.SuperblockSideExits = bc.SB.SideExits
-		vr.SuperblockInsts = bc.SB.ChainedInsts
-	}
+	vr.BlockCacheHits = bc.Stats.Hits + bc.Stats.Chained
+	vr.BlockCacheMisses = bc.Stats.Misses
+	vr.SuperblocksPromoted = bc.SB.Promoted
+	vr.SuperblocksDemoted = bc.SB.Demoted
+	vr.SuperblockSideExits = bc.SB.SideExits
+	vr.SuperblockInsts = bc.SB.ChainedInsts
 	if stats.Cycles > 0 {
 		vr.Speedup = float64(base.Cycles) / float64(stats.Cycles)
 	}

@@ -430,3 +430,35 @@ func TestRunSuiteEquivDeterministic(t *testing.T) {
 		t.Errorf("equiv-on metrics differ between -j 1 and -j 4:\n%+v\n%+v", seq.Metrics, par.Metrics)
 	}
 }
+
+// TestProfileBaseMatchesBlockEngine pins the invariant the suite's speedup
+// rests on: base cycles come from the profiling pass (the step loop,
+// Machine.Run + Timing.Observe) and packed cycles from the block engine,
+// so on the same image the two must produce identical TimingStats. It
+// checks every workload input at scale 1.
+func TestProfileBaseMatchesBlockEngine(t *testing.T) {
+	mc := cpu.DefaultConfig()
+	for _, bench := range workload.Ordered() {
+		for _, in := range bench.Inputs {
+			in.Scale = 1
+			t.Run(bench.Name+"/"+in.Name, func(t *testing.T) {
+				img, err := bench.Build(in).Linearize()
+				if err != nil {
+					t.Fatalf("linearize: %v", err)
+				}
+				memo := &profileMemo{}
+				_, base, err := memo.profile(core.ScaledConfig(), mc, img, obs.Nop{})
+				if err != nil {
+					t.Fatalf("profile: %v", err)
+				}
+				block, _, err := cpu.RunTimedCached(mc, img, 0, cpu.NewBlockCache(img))
+				if err != nil {
+					t.Fatalf("block engine: %v", err)
+				}
+				if base != block {
+					t.Errorf("profile base diverged from the block engine:\n  profile: %+v\n  block:   %+v", base, block)
+				}
+			})
+		}
+	}
+}

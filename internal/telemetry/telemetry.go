@@ -20,9 +20,16 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
+
+// ReadHeaderTimeout bounds how long a client may take to send request
+// headers, on this server and on vpackd's. There is deliberately no idle
+// or write timeout: keep-alive clients are not expected to retry a POST
+// on a closed connection, and /debug/pprof/profile streams for 30 s.
+const ReadHeaderTimeout = 10 * time.Second
 
 // Source supplies trace snapshots; *obs.Recorder satisfies it.
 type Source interface {
@@ -55,7 +62,7 @@ func NewServer(src Source) *Server {
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.http = &http.Server{Handler: s.mux}
+	s.http = &http.Server{Handler: s.mux, ReadHeaderTimeout: ReadHeaderTimeout}
 	return s
 }
 

@@ -24,6 +24,10 @@ go test ./...
 # input that panics the assembler, or that it accepts but cannot round
 # trip through the disassembler, fails verification here.
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm
+# Package-set decoder fuzzing, seeded from internal/core/testdata/fuzz/
+# FuzzDecodePackageSet: the decoder must never panic, and any set it
+# accepts must re-encode to a fixed point.
+go test -run='^$' -fuzz=FuzzDecodePackageSet -fuzztime=10s ./internal/core
 go test -race ./internal/report/...
 go test -race ./internal/obs/...
 go test -race ./internal/telemetry/...
@@ -65,18 +69,16 @@ go run ./cmd/vpverify -q -equiv -bench m88ksim -input A -scale 1
 # so this diff bites exactly on the deterministic pipeline counters —
 # phases detected, regions grown, packages built/linked, simulated
 # cycles. A counter regressing >10% fails verification. The gate runs
-# three times — superblocks on (the default), superblocks off (tier 0
-# only), and block cache off entirely (the legacy path) — because all
-# three timed paths must be bit-identical: one golden serves them all.
+# twice — superblocks on (the default) and superblocks off (tier 0
+# only) — because both timed tiers must be bit-identical: one golden
+# serves them both.
 trace_tmp="$(mktemp)"
 trap 'rm -f "$trace_tmp"' EXIT
 go run ./cmd/vpack -bench gzip -input A -scale 1 -q -log off -trace "$trace_tmp" >/dev/null
 go run ./cmd/vptrace diff -threshold 0.10 testdata/trace_golden.json "$trace_tmp"
 go run ./cmd/vpack -bench gzip -input A -scale 1 -q -log off -superblock=off -trace "$trace_tmp" >/dev/null
 go run ./cmd/vptrace diff -threshold 0.10 testdata/trace_golden.json "$trace_tmp"
-go run ./cmd/vpack -bench gzip -input A -scale 1 -q -log off -blockcache=off -trace "$trace_tmp" >/dev/null
-go run ./cmd/vptrace diff -threshold 0.10 testdata/trace_golden.json "$trace_tmp"
-# Fourth pass: -store enabled against a fresh directory. The store-aware
+# Third pass: -store enabled against a fresh directory. The store-aware
 # pipeline path must emit a byte-identical trace (profile write-through
 # happens outside the observed spans), so the same golden gates it.
 store_tmp="$(mktemp -d)"

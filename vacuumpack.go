@@ -151,8 +151,7 @@ var (
 
 // Observability. The pipeline reports stage-scoped spans, a typed event
 // stream and counter/gauge metrics to an Observer; a Recorder collects
-// them and exports a JSON Trace. The disabled path (Run, or RunObserved
-// with NopObserver) costs nothing.
+// them and exports a JSON Trace. The disabled path (Run) costs nothing.
 type (
 	// Observer receives spans, events and metrics from a pipeline run.
 	Observer = obs.Observer
@@ -182,9 +181,6 @@ type (
 
 // NewRecorder returns an empty collecting observer.
 func NewRecorder() *Recorder { return obs.NewRecorder() }
-
-// NopObserver returns the zero-cost disabled observer.
-func NopObserver() Observer { return obs.Nop{} }
 
 // DiffTraces compares two traces' per-stage wall-time totals and
 // counters, flagging rows that regress past the threshold.

@@ -172,7 +172,7 @@ func NewDaemon(cfg core.Config, benches []string, scale int64, workers, queueCap
 			tracker: drift.NewTracker(driftCfg, b.Name, rec),
 		}
 		if n := d.recoverVersions(st); n > 0 {
-			rec.Count(obs.DaemonRecoveredCounter, int64(n))
+			rec.Count(obs.DaemonRecovered.Name, int64(n))
 			logger.Info("recovered versions", "program", b.Name, "versions", n)
 		}
 		d.programs[b.Name] = st
@@ -186,12 +186,12 @@ func NewDaemon(cfg core.Config, benches []string, scale int64, workers, queueCap
 		defer d.poolWG.Done()
 		report.ForEachN(workers, workers, func(int) {
 			for st := range d.queue {
-				d.rec.Gauge(obs.DaemonQueueDepthGauge, float64(len(d.queue)))
+				d.rec.Gauge(obs.DaemonQueueDepth.Name, float64(len(d.queue)))
 				d.repack(st)
 			}
 		})
 	}()
-	d.rec.Gauge(obs.DaemonQueueDepthGauge, 0)
+	d.rec.Gauge(obs.DaemonQueueDepth.Name, 0)
 	if d.store != nil {
 		d.publishStoreGauges()
 	}
@@ -330,8 +330,8 @@ func (d *Daemon) record(st *programState, spots []hotSpotWire, trace string) {
 		N:       int64(len(spots)),
 	})
 
-	d.rec.Count(obs.DaemonRecordsCounter, int64(len(spots)))
-	d.rec.Count(obs.DaemonRecordsCounter+"."+st.name, int64(len(spots)))
+	d.rec.Count(obs.DaemonRecords.Name, int64(len(spots)))
+	d.rec.Count(obs.DaemonRecords.For(st.name), int64(len(spots)))
 }
 
 // publishDriftAggregate refreshes the unsuffixed vp_drift_* gauges as the
@@ -348,11 +348,11 @@ func (d *Daemon) publishDriftAggregate() {
 		flips = max(flips, float64(s.BiasFlips))
 		cross = max(cross, s.FilterCrossings)
 	}
-	d.rec.Gauge(obs.DriftScoreGauge, score)
-	d.rec.Gauge(obs.DriftPeakGauge, peak)
-	d.rec.Gauge(obs.DriftDivergenceGauge, div)
-	d.rec.Gauge(obs.DriftBiasFlipsGauge, flips)
-	d.rec.Gauge(obs.DriftCrossingsGauge, cross)
+	d.rec.Gauge(obs.DriftScore.Name, score)
+	d.rec.Gauge(obs.DriftPeak.Name, peak)
+	d.rec.Gauge(obs.DriftHotSetDivergence.Name, div)
+	d.rec.Gauge(obs.DriftBiasFlips.Name, flips)
+	d.rec.Gauge(obs.DriftFilterCrossings.Name, cross)
 }
 
 // enqueue offers st to the bounded queue without blocking the ingest
@@ -365,10 +365,10 @@ func (d *Daemon) enqueue(st *programState) bool {
 	}
 	select {
 	case d.queue <- st:
-		d.rec.Gauge(obs.DaemonQueueDepthGauge, float64(len(d.queue)))
+		d.rec.Gauge(obs.DaemonQueueDepth.Name, float64(len(d.queue)))
 		return true
 	default:
-		d.rec.Count(obs.DaemonQueueRejectedCounter, 1)
+		d.rec.Count(obs.DaemonQueueRejected.Name, 1)
 		return false
 	}
 }
@@ -394,7 +394,7 @@ func (d *Daemon) repack(st *programState) {
 	records := st.records
 	st.mu.Unlock()
 
-	d.rec.Observe(obs.DaemonQueueWaitHist, float64(queueWait.Microseconds()))
+	d.rec.Observe(obs.DaemonQueueWait.Name, float64(queueWait.Microseconds()))
 	d.events.Append(drift.StreamEvent{
 		UnixUS: start.UnixMicro(), Kind: drift.EventRepackStart,
 		Program: st.name, Trace: trace,
@@ -443,8 +443,8 @@ func (d *Daemon) repack(st *programState) {
 	// once they cross the batch threshold again; nothing to do here.
 	st.mu.Unlock()
 
-	d.rec.Observe(obs.DaemonRepackLatencyHist, float64(time.Since(start).Microseconds()))
-	d.rec.Count(obs.DaemonRepacksCounter, 1)
+	d.rec.Observe(obs.DaemonRepackLatency.Name, float64(time.Since(start).Microseconds()))
+	d.rec.Count(obs.DaemonRepacks.Name, 1)
 	if err != nil {
 		d.events.Append(drift.StreamEvent{
 			UnixUS: time.Now().UnixMicro(), Kind: drift.EventRepackDone,
@@ -458,8 +458,8 @@ func (d *Daemon) repack(st *programState) {
 			if n == 0 {
 				n = 1
 			}
-			d.rec.Count(obs.DaemonEquivRejectedCounter, 1)
-			d.rec.Count(obs.EquivViolationsCounter, int64(n))
+			d.rec.Count(obs.DaemonEquivRejected.Name, 1)
+			d.rec.Count(obs.EquivViolations.Name, int64(n))
 		}
 		// ErrNoPhases just means the stream is still too thin to package.
 		if !errors.Is(err, core.ErrNoPhases) {
@@ -491,7 +491,7 @@ func (d *Daemon) repack(st *programState) {
 		Program: st.name, Trace: trace, N: int64(version),
 	})
 
-	d.rec.Count(obs.DaemonVersionsCounter, 1)
+	d.rec.Count(obs.DaemonVersions.Name, 1)
 	d.logger.Info("repacked", "program", st.name,
 		"version", version, "trace", trace,
 		"queue_wait", queueWait.Round(time.Microsecond),
@@ -520,8 +520,8 @@ func (d *Daemon) persistVersion(name string, version int, encoded []byte, prov *
 // store's live stats.
 func (d *Daemon) publishStoreGauges() {
 	sst := d.store.Stats()
-	d.rec.Gauge(obs.StoreBytesGauge, float64(sst.DiskBytes))
-	d.rec.Gauge(obs.StoreSegmentsGauge, float64(sst.Segments))
+	d.rec.Gauge(obs.StoreBytes.Name, float64(sst.DiskBytes))
+	d.rec.Gauge(obs.StoreSegments.Name, float64(sst.Segments))
 }
 
 // buildVersion resumes the staged pipeline from pa, filling prov's
@@ -554,9 +554,9 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 	}
 	set.Program = st.name
 	for _, c := range set.Equiv {
-		d.rec.Count(obs.EquivPackagesCounter, 1)
-		d.rec.Count(obs.EquivPathsProvedCounter, int64(c.PathsProved))
-		d.rec.Count(obs.EquivPathsFuzzedCounter, int64(c.PathsFuzzed))
+		d.rec.Count(obs.EquivPackages.Name, 1)
+		d.rec.Count(obs.EquivPathsProved.Name, int64(c.PathsProved))
+		d.rec.Count(obs.EquivPathsFuzzed.Name, int64(c.PathsFuzzed))
 	}
 
 	stage = time.Now()

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -172,17 +173,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// /metrics exports the daemon series.
-	w = get(h, "/metrics")
-	body := w.Body.String()
-	for _, series := range []string{
-		telemetry.MetricName(obs.DaemonQueueDepthGauge),
-		telemetry.MetricName(obs.DaemonRepackLatencyHist),
-		telemetry.MetricName(obs.DaemonRecordsCounter),
-		telemetry.MetricName(obs.DaemonQueueRejectedCounter),
-	} {
-		if !strings.Contains(body, series) {
-			t.Errorf("/metrics is missing %s", series)
-		}
+	if missing := telemetry.MissingSeries(get(h, "/metrics").Body.String(), obs.DaemonSurface); len(missing) > 0 {
+		t.Errorf("/metrics is missing %v", missing)
 	}
 }
 
@@ -245,15 +237,15 @@ func TestDaemonOversizedProfile(t *testing.T) {
 	if w := postSpots(t, h, "m88ksim", hash, big); w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized POST: %d, want 413: %s", w.Code, w.Body.String())
 	}
-	if got := rec.Export().Metrics.Counters[obs.DaemonRecordsCounter]; got != 0 {
+	if got := rec.Export().Metrics.Counters[obs.DaemonRecords.Name]; got != 0 {
 		t.Fatalf("oversized POST ingested %d records", got)
 	}
 
 	if w := postSpots(t, h, "m88ksim", hash, spots[:1]); w.Code != http.StatusOK {
 		t.Fatalf("POST after the oversized one: %d: %s", w.Code, w.Body.String())
 	}
-	if got := rec.Export().Metrics.Counters[obs.DaemonRecordsCounter]; got != 1 {
-		t.Fatalf("%s = %d after one accepted record, want 1", obs.DaemonRecordsCounter, got)
+	if got := rec.Export().Metrics.Counters[obs.DaemonRecords.Name]; got != 1 {
+		t.Fatalf("%s = %d after one accepted record, want 1", obs.DaemonRecords.Name, got)
 	}
 }
 
@@ -344,8 +336,8 @@ func TestDaemonConcurrentStreams(t *testing.T) {
 	if records != streams {
 		t.Fatalf("accepted %d records, want %d", records, streams)
 	}
-	if got := rec.Export().Metrics.Counters[obs.DaemonRecordsCounter]; got != streams {
-		t.Fatalf("%s = %d, want %d", obs.DaemonRecordsCounter, got, streams)
+	if got := rec.Export().Metrics.Counters[obs.DaemonRecords.Name]; got != streams {
+		t.Fatalf("%s = %d, want %d", obs.DaemonRecords.Name, got, streams)
 	}
 
 	// The load crossed the batch threshold many times over; the daemon
@@ -365,7 +357,7 @@ func TestDaemonCloseStopsQueue(t *testing.T) {
 	if d.enqueue(d.programs["m88ksim"]) {
 		t.Fatal("enqueue succeeded after Close")
 	}
-	if got := rec.Export().Metrics.Counters[obs.DaemonQueueRejectedCounter]; got != 0 {
+	if got := rec.Export().Metrics.Counters[obs.DaemonQueueRejected.Name]; got != 0 {
 		t.Fatalf("closed enqueue counted as queue rejection (%d)", got)
 	}
 }
@@ -442,15 +434,10 @@ func TestDaemonDriftEndpoints(t *testing.T) {
 	h := d.Handler()
 	spots := captureSpots(t, d, "m88ksim")
 
-	// The drift series exist before any traffic — the no-gaps contract.
-	body := get(h, "/metrics").Body.String()
-	for _, name := range append(append(obs.DriftCounters(), obs.DriftGauges()...), obs.DriftHistograms()...) {
-		if !strings.Contains(body, telemetry.MetricName(name)) {
-			t.Errorf("/metrics missing %s before traffic", telemetry.MetricName(name))
-		}
-	}
-	if !strings.Contains(body, telemetry.MetricName(obs.DaemonQueueWaitHist)) {
-		t.Errorf("/metrics missing %s before traffic", telemetry.MetricName(obs.DaemonQueueWaitHist))
+	// The drift and queue-wait series exist before any traffic — the
+	// no-gaps contract, matched on exact TYPE lines.
+	if missing := telemetry.MissingSeries(get(h, "/metrics").Body.String(), obs.DaemonSurface); len(missing) > 0 {
+		t.Errorf("/metrics before traffic is missing %v", missing)
 	}
 
 	for i := 0; i < 3; i++ {
@@ -533,12 +520,15 @@ func TestDaemonDriftEndpoints(t *testing.T) {
 
 	// After traffic the queue-wait histogram has samples and the
 	// per-program drift series exist.
-	body = get(h, "/metrics").Body.String()
-	if !strings.Contains(body, telemetry.MetricName(obs.DaemonQueueWaitHist)+"_count") {
-		t.Error("queue-wait histogram not rendered")
+	body := get(h, "/metrics").Body.String()
+	if missing := telemetry.MissingSeries(body, obs.DaemonSurface); len(missing) > 0 {
+		t.Errorf("/metrics after traffic is missing %v", missing)
 	}
-	if !strings.Contains(body, telemetry.MetricName(obs.DriftScoreGauge+".m88ksim")) {
-		t.Error("per-program drift score series missing")
+	if strings.Contains(body, telemetry.MetricName(obs.DaemonQueueWait.Name)+"_count 0\n") {
+		t.Error("queue-wait histogram has no samples after a repack")
+	}
+	if series := "# TYPE " + telemetry.MetricName(obs.DriftScore.For("m88ksim")) + " gauge\n"; !strings.Contains(body, series) {
+		t.Errorf("per-program drift score series missing: want %q", series)
 	}
 }
 
@@ -629,10 +619,18 @@ func TestDaemonProvenanceChain(t *testing.T) {
 	}
 }
 
-// TestDaemonDriftScoreRises is the tentpole's acceptance check at unit
-// scale: a phase shift in the stream demonstrably moves the score.
+// TestDaemonDriftScoreRises is the drift layer's acceptance check at
+// unit scale: a phase shift in the stream demonstrably moves the score.
 func TestDaemonDriftScoreRises(t *testing.T) {
-	d, _ := newTestDaemon(t, 3)
+	streamPhaseShift(t)
+}
+
+// streamPhaseShift streams a stable phase, publishes a baseline, then
+// shifts the phase, asserting the drift score rises; it returns the
+// daemon's recorder.
+func streamPhaseShift(t *testing.T) *obs.Recorder {
+	t.Helper()
+	d, rec := newTestDaemon(t, 3)
 	h := d.Handler()
 	spots := captureSpots(t, d, "m88ksim")
 
@@ -672,6 +670,51 @@ func TestDaemonDriftScoreRises(t *testing.T) {
 	}
 	if after.Score.BiasFlips == 0 {
 		t.Fatal("flipped stream reported no bias flips")
+	}
+	return rec
+}
+
+// TestEveryEmittedMetricDeclared checks every counter, gauge and
+// histogram the pipeline (the committed golden trace) and the daemon
+// (after a drift phase shift) record against the obs declaration table,
+// kind included, so an undeclared metric fails here instead of silently
+// missing from dashboards. Per-program and span_us.<span> series resolve
+// to their declared family.
+func TestEveryEmittedMetricDeclared(t *testing.T) {
+	f, err := os.Open("../../testdata/trace_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	golden, err := obs.ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for source, tr := range map[string]*obs.Trace{
+		"golden": golden,
+		"daemon": streamPhaseShift(t).Export(),
+	} {
+		n := 0
+		check := func(name string, kind obs.MetricKind) {
+			n++
+			if m, ok := obs.LookupMetric(name); !ok {
+				t.Errorf("%s: %s %q is not declared in obs", source, kind, name)
+			} else if m.Kind != kind {
+				t.Errorf("%s: %q recorded as a %s, declared as %s %q", source, name, kind, m.Kind, m.Name)
+			}
+		}
+		for name := range tr.Metrics.Counters {
+			check(name, obs.Counter)
+		}
+		for name := range tr.Metrics.Gauges {
+			check(name, obs.Gauge)
+		}
+		for name := range tr.Metrics.Histograms {
+			check(name, obs.Histogram)
+		}
+		if n == 0 {
+			t.Errorf("%s trace recorded no metrics", source)
+		}
 	}
 }
 
@@ -726,23 +769,23 @@ func TestDaemonEquivGate(t *testing.T) {
 	}
 
 	counters := rec.Export().Metrics.Counters
-	if counters[obs.EquivPackagesCounter] == 0 {
+	if counters[obs.EquivPackages.Name] == 0 {
 		t.Fatal("equiv-gated repack recorded no proved packages")
 	}
-	if counters[obs.EquivViolationsCounter] != 0 {
-		t.Fatalf("clean repack recorded %d equiv violations", counters[obs.EquivViolationsCounter])
+	if counters[obs.EquivViolations.Name] != 0 {
+		t.Fatalf("clean repack recorded %d equiv violations", counters[obs.EquivViolations.Name])
 	}
-	if counters[obs.DaemonEquivRejectedCounter] != 0 {
-		t.Fatalf("clean repack recorded %d equiv rejections", counters[obs.DaemonEquivRejectedCounter])
+	if counters[obs.DaemonEquivRejected.Name] != 0 {
+		t.Fatalf("clean repack recorded %d equiv rejections", counters[obs.DaemonEquivRejected.Name])
 	}
 
 	// The equiv series are always-on for the serving tier: present on
 	// /metrics even before any violation.
 	body := get(h, "/metrics").Body.String()
 	for _, series := range []string{
-		telemetry.MetricName(obs.EquivPackagesCounter),
-		telemetry.MetricName(obs.EquivViolationsCounter),
-		telemetry.MetricName(obs.DaemonEquivRejectedCounter),
+		telemetry.MetricName(obs.EquivPackages.Name),
+		telemetry.MetricName(obs.EquivViolations.Name),
+		telemetry.MetricName(obs.DaemonEquivRejected.Name),
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics is missing %s", series)

@@ -119,17 +119,9 @@ type eventsReply struct {
 }
 
 // Handler builds the daemon's full route table: the /v1 API plus the
-// telemetry tier, whose /metrics always exposes the daemon series.
+// telemetry tier, whose /metrics always exposes the daemon surface.
 func (d *Daemon) Handler() http.Handler {
-	tsrv := telemetry.NewServer(d.rec)
-	tsrv.AlwaysCounters(obs.DaemonCounters()...)
-	tsrv.AlwaysCounters(obs.DriftCounters()...)
-	tsrv.AlwaysCounters(obs.StoreCounters()...)
-	tsrv.AlwaysCounters(obs.EquivCounters()...)
-	tsrv.AlwaysGauges(obs.DriftGauges()...)
-	tsrv.AlwaysGauges(obs.StoreGauges()...)
-	tsrv.AlwaysHistograms(obs.DaemonHistograms()...)
-	tsrv.AlwaysHistograms(obs.DriftHistograms()...)
+	tsrv := telemetry.NewServer(d.rec, obs.DaemonSurface)
 	tsrv.SetReady(true)
 
 	mux := http.NewServeMux()

@@ -86,19 +86,19 @@ func TestDaemonStoreRestart(t *testing.T) {
 	}
 
 	tr := rec2.Export()
-	if n := tr.Metrics.Counters[obs.DaemonRepacksCounter]; n != 0 {
+	if n := tr.Metrics.Counters[obs.DaemonRepacks.Name]; n != 0 {
 		t.Fatalf("restart ran %d repacks; recovery must serve without repacking", n)
 	}
-	if n := tr.Metrics.Counters[obs.DaemonRecoveredCounter]; n == 0 {
+	if n := tr.Metrics.Counters[obs.DaemonRecovered.Name]; n == 0 {
 		t.Fatal("recovery counter not incremented")
 	}
 
 	// The store series render on /metrics with a real footprint.
 	body := get(h2, "/metrics").Body.String()
-	if !strings.Contains(body, telemetry.MetricName(obs.StoreBytesGauge)) {
+	if !strings.Contains(body, telemetry.MetricName(obs.StoreBytes.Name)) {
 		t.Error("/metrics missing the store bytes gauge")
 	}
-	if !strings.Contains(body, telemetry.MetricName(obs.DaemonRecoveredCounter)) {
+	if !strings.Contains(body, telemetry.MetricName(obs.DaemonRecovered.Name)) {
 		t.Error("/metrics missing the recovered-versions counter")
 	}
 }
@@ -183,7 +183,7 @@ func TestDaemonStoreStaleProgram(t *testing.T) {
 	if w := get(d2.Handler(), "/v1/packages/m88ksim/latest"); w.Code == http.StatusOK {
 		t.Fatal("daemon served a version for a different program build")
 	}
-	if n := rec2.Export().Metrics.Counters[obs.DaemonRecoveredCounter]; n != 0 {
+	if n := rec2.Export().Metrics.Counters[obs.DaemonRecovered.Name]; n != 0 {
 		t.Fatalf("stale store counted %d recovered versions", n)
 	}
 }

@@ -376,14 +376,14 @@ func awaitPackage(client *http.Client, url string, p wireProgram) (*core.Package
 	}
 }
 
-// checkMetrics scrapes /metrics and asserts every daemon series the
-// serving contract promises: queue depth/wait, repack latency, record
-// counters, and (when drift tracking is on) the vp_drift_* series. All
-// failures are collected into one error naming each missing series, so a
-// failing run says exactly what broke instead of the first thing it
-// noticed; the caller exits nonzero on it. The drift series are part of
-// the always-present contract, so they must exist even when the daemon
-// runs with drift tracking disabled.
+// checkMetrics scrapes /metrics and asserts the daemon surface's serving
+// contract: every family obs declares always present on vpackd — queue
+// depth/wait, repack latency, record counters, the vp_drift_* series —
+// must have its exact # TYPE line with the declared kind. The drift
+// series are part of that contract, so they must exist even when the
+// daemon runs with drift tracking disabled. All failures are collected
+// into one error naming each missing series; the caller exits nonzero on
+// it.
 func checkMetrics(client *http.Client, url string) error {
 	resp, err := client.Get(url + "/metrics")
 	if err != nil {
@@ -394,23 +394,7 @@ func checkMetrics(client *http.Client, url string) error {
 	if err != nil {
 		return err
 	}
-	want := []string{
-		obs.DaemonQueueDepthGauge,
-		obs.DaemonRepackLatencyHist,
-		obs.DaemonQueueWaitHist,
-		obs.DaemonRecordsCounter,
-		obs.DaemonQueueRejectedCounter,
-	}
-	want = append(want, obs.DriftCounters()...)
-	want = append(want, obs.DriftGauges()...)
-	want = append(want, obs.DriftHistograms()...)
-	var missing []string
-	for _, name := range want {
-		if series := telemetry.MetricName(name); !strings.Contains(string(body), series) {
-			missing = append(missing, series)
-		}
-	}
-	if len(missing) > 0 {
+	if missing := telemetry.MissingSeries(string(body), obs.DaemonSurface); len(missing) > 0 {
 		return fmt.Errorf("metrics assertion failed: /metrics is missing %d series: %s",
 			len(missing), strings.Join(missing, ", "))
 	}

@@ -253,12 +253,7 @@ func main() {
 	}
 
 	if *serve != "" {
-		srv := telemetry.NewServer(rec)
-		// Store series are always present (zero without a -store), so
-		// dashboards never see gaps.
-		srv.AlwaysCounters(obs.StoreCounters()...)
-		srv.AlwaysCounters(obs.EquivCounters()...)
-		srv.AlwaysGauges(obs.StoreGauges()...)
+		srv := telemetry.NewServer(rec, obs.PipelineSurface)
 		addr, err := srv.Listen(*serve)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "vpbench: serve:", err)

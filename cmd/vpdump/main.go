@@ -83,10 +83,13 @@ func logStageStats(t *obs.Trace) {
 	logger.Info("stages", attrs...)
 	// Execution-engine counters (block cache + superblock tier) from the
 	// timed evaluation runs, when the run recorded any.
-	engine := make([]any, 0, 2*7)
-	for _, name := range obs.EngineCounters() {
-		if v, ok := t.Metrics.Counters[name]; ok {
-			engine = append(engine, name, v)
+	var engine []any
+	for _, m := range obs.Declared() {
+		if !strings.HasPrefix(m.Name, "blockcache.") && !strings.HasPrefix(m.Name, "superblock.") {
+			continue
+		}
+		if v, ok := t.Metrics.Counters[m.Name]; ok {
+			engine = append(engine, m.Name, v)
 		}
 	}
 	if len(engine) > 0 {

@@ -164,7 +164,7 @@ func cmdDrift(args []string) {
 	// Programs are discovered from the per-program series suffixes and
 	// the drift events' Name labels.
 	progs := map[string]bool{}
-	prefix := obs.DriftScoreGauge + "."
+	prefix := obs.DriftScore.For("")
 	for name := range t.Metrics.Gauges {
 		if len(name) > len(prefix) && name[:len(prefix)] == prefix {
 			progs[name[len(prefix):]] = true
@@ -206,14 +206,14 @@ func cmdDrift(args []string) {
 	for _, p := range names {
 		fmt.Printf("%-16s %8d %8d %7.3f %7.3f %7.3f %6.0f %7.3f %9.0f\n",
 			p,
-			t.Metrics.Counters[obs.DriftSamplesCounter+"."+p],
-			t.Metrics.Counters[obs.DriftWindowsCounter+"."+p],
-			t.Metrics.Gauges[obs.DriftScoreGauge+"."+p],
-			t.Metrics.Gauges[obs.DriftPeakGauge+"."+p],
-			t.Metrics.Gauges[obs.DriftDivergenceGauge+"."+p],
-			t.Metrics.Gauges[obs.DriftBiasFlipsGauge+"."+p],
-			t.Metrics.Gauges[obs.DriftCrossingsGauge+"."+p],
-			t.Metrics.Gauges[obs.DriftBaselineVersionGauge+"."+p])
+			t.Metrics.Counters[obs.DriftSamples.For(p)],
+			t.Metrics.Counters[obs.DriftWindows.For(p)],
+			t.Metrics.Gauges[obs.DriftScore.For(p)],
+			t.Metrics.Gauges[obs.DriftPeak.For(p)],
+			t.Metrics.Gauges[obs.DriftHotSetDivergence.For(p)],
+			t.Metrics.Gauges[obs.DriftBiasFlips.For(p)],
+			t.Metrics.Gauges[obs.DriftFilterCrossings.For(p)],
+			t.Metrics.Gauges[obs.DriftBaselineVersion.For(p)])
 	}
 
 	fmt.Println("\nevents:")
@@ -221,7 +221,7 @@ func cmdDrift(args []string) {
 		fmt.Printf("  %-16s %d window events, last scored %.3f, baselines %v\n",
 			p, windowEvents[p], lastScored[p], baselines[p])
 	}
-	if h, ok := t.Metrics.Histograms[obs.DriftScoreHist]; ok && h.Count > 0 {
+	if h, ok := t.Metrics.Histograms[obs.DriftScorePct.Name]; ok && h.Count > 0 {
 		fmt.Printf("\nscore histogram (%%): %d observations, mean %.1f\n", h.Count, h.Sum/float64(h.Count))
 	}
 }

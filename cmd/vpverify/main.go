@@ -124,7 +124,7 @@ func main() {
 			}
 			rec := obs.NewRecorder()
 			out, err := core.RunObserved(cfg, p, rec)
-			checked := rec.Export().Metrics.Counters["verify.checked"]
+			checked := rec.Export().Metrics.Counters[obs.VerifyChecked.Name]
 			label := fmt.Sprintf("%s [%s]", tgt.name, v.Name())
 			switch {
 			case err == nil:

@@ -322,11 +322,11 @@ func ProfileObserved(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo), o o
 		Detections: det.Stats.Detections,
 	}
 	st.DataHash, st.DataStores = m.DataHash()
-	o.Count("profile.insts", int64(st.Insts))
-	o.Count("profile.branches", int64(st.Branches))
-	o.Count("profile.detections", int64(st.Detections))
-	o.Count("profile.phases", int64(len(db.Phases)))
-	o.Count("profile.redundant", int64(db.Redundant))
+	o.Count(obs.ProfileInsts.Name, int64(st.Insts))
+	o.Count(obs.ProfileBranches.Name, int64(st.Branches))
+	o.Count(obs.ProfileDetections.Name, int64(st.Detections))
+	o.Count(obs.ProfilePhases.Name, int64(len(db.Phases)))
+	o.Count(obs.ProfileRedundant.Name, int64(db.Redundant))
 	if err != nil {
 		return nil, st, fmt.Errorf("core: profiling run: %w", err)
 	}
@@ -414,11 +414,11 @@ func PackageObserved(cfg Config, out *Outcome, p *prog.Program, img *prog.Image,
 // its error through: verify.checked counts invocations, verify.violations
 // counts individual diagnostics.
 func verifyCheck(o obs.Observer, err error) error {
-	o.Count("verify.checked", 1)
+	o.Count(obs.VerifyChecked.Name, 1)
 	if err == nil {
 		return nil
 	}
-	o.Count("verify.violations", int64(len(verify.Diagnostics(err))))
+	o.Count(obs.VerifyViolations.Name, int64(len(verify.Diagnostics(err))))
 	return err
 }
 
@@ -478,25 +478,26 @@ func (o *Outcome) EvaluateObserved(mc cpu.Config, limit uint64, ob obs.Observer)
 	if packedStats.Cycles > 0 {
 		ev.Speedup = float64(baseStats.Cycles) / float64(packedStats.Cycles)
 	}
-	ob.Count("eval.base_cycles", int64(baseStats.Cycles))
-	ob.Count("eval.packed_cycles", int64(packedStats.Cycles))
+	ob.Count(obs.EvalBaseCycles.Name, int64(baseStats.Cycles))
+	ob.Count(obs.EvalPackedCycles.Name, int64(packedStats.Cycles))
 	if bc != nil {
 		CountEngine(ob, bc)
 	}
-	ob.Gauge("eval.speedup", ev.Speedup)
-	ob.Gauge("eval.coverage", ev.Coverage)
-	ob.Observe("eval.cycles", float64(packedStats.Cycles))
+	ob.Gauge(obs.EvalSpeedup.Name, ev.Speedup)
+	ob.Gauge(obs.EvalCoverage.Name, ev.Coverage)
+	ob.Observe(obs.EvalCycles.Name, float64(packedStats.Cycles))
 	return ev, nil
 }
 
 // CountEngine records the block cache's and superblock tier's engine
-// counters (obs.EngineCounters) for one timed run through bc.
+// counters (the blockcache.* and superblock.* families) for one timed
+// run through bc.
 func CountEngine(ob obs.Observer, bc *cpu.BlockCache) {
-	ob.Count(obs.BlockCacheHitsCounter, int64(bc.Stats.Hits+bc.Stats.Chained))
-	ob.Count(obs.BlockCacheMissesCounter, int64(bc.Stats.Misses))
-	ob.Count(obs.BlockCacheEvictionsCounter, int64(bc.Stats.Evicted))
-	ob.Count(obs.SuperblockPromotedCounter, int64(bc.SB.Promoted))
-	ob.Count(obs.SuperblockDemotedCounter, int64(bc.SB.Demoted))
-	ob.Count(obs.SuperblockSideExitsCounter, int64(bc.SB.SideExits))
-	ob.Count(obs.SuperblockChainedCounter, int64(bc.SB.ChainedInsts))
+	ob.Count(obs.BlockCacheHits.Name, int64(bc.Stats.Hits+bc.Stats.Chained))
+	ob.Count(obs.BlockCacheMisses.Name, int64(bc.Stats.Misses))
+	ob.Count(obs.BlockCacheEvictions.Name, int64(bc.Stats.Evicted))
+	ob.Count(obs.SuperblockPromoted.Name, int64(bc.SB.Promoted))
+	ob.Count(obs.SuperblockDemoted.Name, int64(bc.SB.Demoted))
+	ob.Count(obs.SuperblockSideExits.Name, int64(bc.SB.SideExits))
+	ob.Count(obs.SuperblockChained.Name, int64(bc.SB.ChainedInsts))
 }

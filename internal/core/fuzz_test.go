@@ -2,25 +2,24 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
-// FuzzDecodePackageSet feeds DecodePackageSet arbitrary bytes. It must
-// never panic, and any set it accepts must reach a fixed point: its
-// EncodeJSON output decodes again and re-encodes to the same bytes. The
-// seed corpus (testdata/fuzz/FuzzDecodePackageSet) holds the package set
-// the pipeline builds, with -equiv certificates, for testdata/twophase.vpasm.
-func FuzzDecodePackageSet(f *testing.F) {
+// fuzzFixedPoint feeds decode arbitrary bytes. It must never panic, and
+// any value it accepts must reach a fixed point: its EncodeJSON output
+// decodes again and re-encodes to the same bytes.
+func fuzzFixedPoint[T interface{ EncodeJSON(io.Writer) error }](f *testing.F, decode func(io.Reader) (T, error)) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ps, err := DecodePackageSet(bytes.NewReader(data))
+		v, err := decode(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var first bytes.Buffer
-		if err := ps.EncodeJSON(&first); err != nil {
-			t.Fatalf("encode accepted set: %v", err)
+		if err := v.EncodeJSON(&first); err != nil {
+			t.Fatalf("encode accepted value: %v", err)
 		}
-		again, err := DecodePackageSet(bytes.NewReader(first.Bytes()))
+		again, err := decode(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("decode own encoding: %v\n%s", err, first.Bytes())
 		}
@@ -33,3 +32,18 @@ func FuzzDecodePackageSet(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodePackageSet fuzzes DecodePackageSet. The seed corpus
+// (testdata/fuzz/FuzzDecodePackageSet) holds the package set the pipeline
+// builds, with -equiv certificates, for testdata/twophase.vpasm.
+func FuzzDecodePackageSet(f *testing.F) { fuzzFixedPoint(f, DecodePackageSet) }
+
+// FuzzDecodeProfileArtifact fuzzes DecodeProfileArtifact. The seed
+// corpus holds the profile artifact of testdata/twophase.vpasm, its
+// detection timeline collapsed to the three phase changes.
+func FuzzDecodeProfileArtifact(f *testing.F) { fuzzFixedPoint(f, DecodeProfileArtifact) }
+
+// FuzzDecodeProvenance fuzzes DecodeProvenance. The seed corpus holds a
+// provenance record chaining testdata/twophase.vpasm's profile, region
+// and package-set hashes.
+func FuzzDecodeProvenance(f *testing.F) { fuzzFixedPoint(f, DecodeProvenance) }

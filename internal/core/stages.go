@@ -80,10 +80,10 @@ func RegionStageObserved(cfg Config, img *prog.Image, pa *ProfileArtifact, o obs
 		return phases[i].Detections > phases[j].Detections
 	})
 	if cfg.MaxPhases > 0 && len(phases) > cfg.MaxPhases {
-		o.Count("filter.capped_phases", int64(len(phases)-cfg.MaxPhases))
+		o.Count(obs.FilterCappedPhases.Name, int64(len(phases)-cfg.MaxPhases))
 		phases = phases[:cfg.MaxPhases]
 	}
-	o.Count("filter.selected_phases", int64(len(phases)))
+	o.Count(obs.FilterSelectedPhases.Name, int64(len(phases)))
 	fsp.End()
 
 	ra := &RegionArtifact{
@@ -103,7 +103,7 @@ func RegionStageObserved(cfg Config, img *prog.Image, pa *ProfileArtifact, o obs
 		if err != nil {
 			ra.SkippedPhases++
 			o.Emit(obs.Event{Kind: obs.PhaseSkipped, Phase: ph.ID, Name: err.Error()})
-			o.Count("region.skipped_phases", 1)
+			o.Count(obs.RegionSkippedPhases.Name, 1)
 			continue
 		}
 		if cfg.Verify {
@@ -152,7 +152,7 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 		if err != nil {
 			skipped++
 			o.Emit(obs.Event{Kind: obs.PhaseSkipped, Phase: r.PhaseID, Name: err.Error()})
-			o.Count("pack.skipped_phases", 1)
+			o.Count(obs.PackSkippedPhases.Name, 1)
 			continue
 		}
 		pkgs = append(pkgs, ps...)
@@ -242,16 +242,16 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 			if cert != nil {
 				certs = append(certs, cert)
 				rec.Equiv = certs
-				o.Count(obs.EquivPackagesCounter, 1)
-				o.Count(obs.EquivPathsProvedCounter, int64(cert.PathsProved))
-				o.Count(obs.EquivPathsFuzzedCounter, int64(cert.PathsFuzzed))
+				o.Count(obs.EquivPackages.Name, 1)
+				o.Count(obs.EquivPathsProved.Name, int64(cert.PathsProved))
+				o.Count(obs.EquivPathsFuzzed.Name, int64(cert.PathsFuzzed))
 			}
 			if eerr != nil {
 				n := len(equiv.Counterexamples(eerr))
 				if n == 0 {
 					n = 1
 				}
-				o.Count(obs.EquivViolationsCounter, int64(n))
+				o.Count(obs.EquivViolations.Name, int64(n))
 				osp.End()
 				return partial(fmt.Errorf("core: translation validation (%s): %w", pk.Fn.Name, eerr))
 			}

@@ -121,23 +121,3 @@ func (c *Cache) Access(addr int64) bool {
 	c.lastWay = int32(base + victim)
 	return false
 }
-
-// MissRate returns misses/accesses, or 0 if the cache was never accessed.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.entries {
-		c.entries[i] = cacheWay{tag: -1}
-	}
-	c.lastLine = -1
-	c.lastWay = 0
-	c.tick = 0
-	c.Accesses = 0
-	c.Misses = 0
-}

@@ -490,15 +490,9 @@ func TestCacheModel(t *testing.T) {
 	if hit := c.Access(0); hit {
 		t.Error("line 0 should have been evicted")
 	}
-	if c.MissRate() <= 0 || c.MissRate() > 1 {
-		t.Errorf("miss rate = %v", c.MissRate())
-	}
-	c.Reset()
-	if c.Accesses != 0 || c.Misses != 0 {
-		t.Error("reset did not clear stats")
-	}
-	if hit := c.Access(0); hit {
-		t.Error("reset did not clear contents")
+	// Misses: 0, 2, 4, 6, 8 (cold) and 0 again (evicted); hit: 0 once.
+	if c.Accesses != 7 || c.Misses != 6 {
+		t.Errorf("accesses/misses = %d/%d, want 7/6", c.Accesses, c.Misses)
 	}
 }
 
@@ -576,9 +570,6 @@ func TestMemorySnapshotAndErrors(t *testing.T) {
 	}
 	if len(snap) != 3 || snap[1] != 7 {
 		t.Errorf("snapshot = %v", snap)
-	}
-	if m.PagesTouched() == 0 {
-		t.Error("pages touched should be > 0")
 	}
 }
 

@@ -193,17 +193,3 @@ func (m *Memory) Snapshot(start int64, words int) ([]int64, error) {
 	}
 	return out, nil
 }
-
-// PagesTouched reports how many backing allocations have been materialized:
-// sparse pages plus the dense data and stack segments (one each when
-// present).
-func (m *Memory) PagesTouched() int {
-	n := len(m.pages)
-	if len(m.data) > 0 {
-		n++
-	}
-	if len(m.stack) > 0 {
-		n++
-	}
-	return n
-}

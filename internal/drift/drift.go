@@ -254,8 +254,8 @@ func (t *Tracker) Observe(hs hsd.HotSpot, phaseID int) bool {
 	}
 	t.mu.Unlock()
 
-	t.o.Count(obs.DriftSamplesCounter, 1)
-	t.o.Count(obs.DriftSamplesCounter+"."+t.program, 1)
+	t.o.Count(obs.DriftSamples.Name, 1)
+	t.o.Count(obs.DriftSamples.For(t.program), 1)
 	return closed
 }
 
@@ -306,16 +306,15 @@ func (t *Tracker) closeWindowLocked() {
 // holds t.mu; the observer has its own synchronization and never calls
 // back into the tracker.
 func (t *Tracker) publishLocked(ws WindowSummary) {
-	p := "." + t.program
-	t.o.Count(obs.DriftWindowsCounter, 1)
-	t.o.Count(obs.DriftWindowsCounter+p, 1)
-	t.o.Gauge(obs.DriftScoreGauge+p, t.last.Composite)
-	t.o.Gauge(obs.DriftPeakGauge+p, t.peak)
-	t.o.Gauge(obs.DriftDivergenceGauge+p, t.last.HotSetDivergence)
-	t.o.Gauge(obs.DriftBiasFlipsGauge+p, float64(t.last.BiasFlips))
-	t.o.Gauge(obs.DriftCrossingsGauge+p, t.last.FilterCrossings)
-	t.o.Observe(obs.DriftScoreHist, t.last.Composite*100)
-	t.o.Observe(obs.DriftScoreHist+p, t.last.Composite*100)
+	t.o.Count(obs.DriftWindows.Name, 1)
+	t.o.Count(obs.DriftWindows.For(t.program), 1)
+	t.o.Gauge(obs.DriftScore.For(t.program), t.last.Composite)
+	t.o.Gauge(obs.DriftPeak.For(t.program), t.peak)
+	t.o.Gauge(obs.DriftHotSetDivergence.For(t.program), t.last.HotSetDivergence)
+	t.o.Gauge(obs.DriftBiasFlips.For(t.program), float64(t.last.BiasFlips))
+	t.o.Gauge(obs.DriftFilterCrossings.For(t.program), t.last.FilterCrossings)
+	t.o.Observe(obs.DriftScorePct.Name, t.last.Composite*100)
+	t.o.Observe(obs.DriftScorePct.For(t.program), t.last.Composite*100)
 	t.o.Emit(obs.Event{Kind: obs.DriftWindow, Phase: -1, Name: t.program, N: int64(ws.Records)})
 	t.o.Emit(obs.Event{Kind: obs.DriftScored, Phase: -1, Name: t.program, N: int64(t.last.Composite * 10000)})
 }
@@ -334,8 +333,7 @@ func (t *Tracker) SetBaseline(snap *phasedb.Snapshot, version int) {
 	t.last.Peak = t.peak
 	t.mu.Unlock()
 
-	p := "." + t.program
-	t.o.Gauge(obs.DriftBaselineVersionGauge+p, float64(version))
+	t.o.Gauge(obs.DriftBaselineVersion.For(t.program), float64(version))
 	t.o.Emit(obs.Event{Kind: obs.DriftBaseline, Phase: -1, Name: t.program, N: int64(version)})
 }
 

@@ -276,20 +276,20 @@ func TestTrackerMetricsAndEvents(t *testing.T) {
 	}
 
 	tx := rec.Export()
-	if got := tx.Metrics.Counters[obs.DriftSamplesCounter]; got != 4 {
-		t.Errorf("%s = %d, want 4", obs.DriftSamplesCounter, got)
+	if got := tx.Metrics.Counters[obs.DriftSamples.Name]; got != 4 {
+		t.Errorf("%s = %d, want 4", obs.DriftSamples.Name, got)
 	}
-	if got := tx.Metrics.Counters[obs.DriftWindowsCounter+".gzip"]; got != 2 {
-		t.Errorf("%s.gzip = %d, want 2", obs.DriftWindowsCounter, got)
+	if got := tx.Metrics.Counters[obs.DriftWindows.For("gzip")]; got != 2 {
+		t.Errorf("%s.gzip = %d, want 2", obs.DriftWindows.Name, got)
 	}
-	if got := tx.Metrics.Gauges[obs.DriftScoreGauge+".gzip"]; got < 0.9 {
-		t.Errorf("%s.gzip = %.4f, want ~1", obs.DriftScoreGauge, got)
+	if got := tx.Metrics.Gauges[obs.DriftScore.For("gzip")]; got < 0.9 {
+		t.Errorf("%s.gzip = %.4f, want ~1", obs.DriftScore.Name, got)
 	}
-	if got := tx.Metrics.Gauges[obs.DriftBaselineVersionGauge+".gzip"]; got != 3 {
-		t.Errorf("%s.gzip = %v, want 3", obs.DriftBaselineVersionGauge, got)
+	if got := tx.Metrics.Gauges[obs.DriftBaselineVersion.For("gzip")]; got != 3 {
+		t.Errorf("%s.gzip = %v, want 3", obs.DriftBaselineVersion.Name, got)
 	}
-	if h, ok := tx.Metrics.Histograms[obs.DriftScoreHist]; !ok || h.Count != 2 {
-		t.Errorf("%s count = %+v, want 2 observations", obs.DriftScoreHist, h)
+	if h, ok := tx.Metrics.Histograms[obs.DriftScorePct.Name]; !ok || h.Count != 2 {
+		t.Errorf("%s count = %+v, want 2 observations", obs.DriftScorePct.Name, h)
 	}
 	kinds := make(map[string]int)
 	for _, e := range tx.Events {

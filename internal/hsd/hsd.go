@@ -317,14 +317,3 @@ func (d *Detector) detect() {
 
 // HDC exposes the current counter value (for tests and introspection).
 func (d *Detector) HDC() uint32 { return d.hdc }
-
-// TrackedBranches returns how many valid entries the BBB currently holds.
-func (d *Detector) TrackedBranches() int {
-	n := 0
-	for i := range d.table {
-		if d.table[i].valid {
-			n++
-		}
-	}
-	return n
-}

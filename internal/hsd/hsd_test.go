@@ -128,6 +128,17 @@ func TestCounterSaturationPreservesFraction(t *testing.T) {
 	}
 }
 
+// trackedBranches counts the valid entries the BBB currently holds.
+func trackedBranches(d *Detector) int {
+	n := 0
+	for i := range d.table {
+		if d.table[i].valid {
+			n++
+		}
+	}
+	return n
+}
+
 func TestContentionDropsUntrackableBranches(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Sets = 1
@@ -139,8 +150,8 @@ func TestContentionDropsUntrackableBranches(t *testing.T) {
 		d.Branch(1, true)
 		d.Branch(2, true)
 	}
-	if d.TrackedBranches() != 2 {
-		t.Fatalf("tracked = %d, want 2", d.TrackedBranches())
+	if trackedBranches(d) != 2 {
+		t.Fatalf("tracked = %d, want 2", trackedBranches(d))
 	}
 	before := d.Stats.ContentionDrop
 	d.Branch(3, true) // no free way, both ways are candidates
@@ -158,8 +169,8 @@ func TestRefreshEvictsNonCandidates(t *testing.T) {
 		d.Branch(1, true)
 	}
 	d.Branch(999, true)
-	if d.TrackedBranches() != 2 {
-		t.Fatalf("tracked = %d, want 2", d.TrackedBranches())
+	if trackedBranches(d) != 2 {
+		t.Fatalf("tracked = %d, want 2", trackedBranches(d))
 	}
 	for i := 0; i < 64; i++ {
 		d.Branch(1, true)
@@ -167,8 +178,8 @@ func TestRefreshEvictsNonCandidates(t *testing.T) {
 	if d.Stats.Refreshes == 0 {
 		t.Fatal("refresh should have fired")
 	}
-	if d.TrackedBranches() != 1 {
-		t.Errorf("tracked after refresh = %d, want 1 (non-candidate evicted)", d.TrackedBranches())
+	if trackedBranches(d) != 1 {
+		t.Errorf("tracked after refresh = %d, want 1 (non-candidate evicted)", trackedBranches(d))
 	}
 }
 

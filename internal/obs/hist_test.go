@@ -109,16 +109,12 @@ func TestRecorderCapsDropAndCount(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Emit(Event{Kind: PhaseDetected, Phase: i})
 	}
-	ds, de := r.Dropped()
-	if ds != 3 || de != 2 {
-		t.Fatalf("dropped = %d spans / %d events, want 3/2", ds, de)
-	}
 	tr := r.Export()
 	if len(tr.Spans) != 2 || len(tr.Events) != 3 {
 		t.Errorf("retained %d spans / %d events, want 2/3", len(tr.Spans), len(tr.Events))
 	}
-	if tr.Metrics.Counters[DroppedSpansCounter] != 3 || tr.Metrics.Counters[DroppedEventsCounter] != 2 {
-		t.Errorf("dropped counters = %+v", tr.Metrics.Counters)
+	if tr.Metrics.Counters[DroppedSpans.Name] != 3 || tr.Metrics.Counters[DroppedEvents.Name] != 2 {
+		t.Fatalf("dropped counters = %+v, want 3 spans / 2 events", tr.Metrics.Counters)
 	}
 
 	// Absorb honors the caps too, and the child's dropped counters merge.
@@ -129,7 +125,7 @@ func TestRecorderCapsDropAndCount(t *testing.T) {
 	if len(pt.Spans) != 1 || len(pt.Events) != 1 {
 		t.Errorf("absorbed %d spans / %d events past caps", len(pt.Spans), len(pt.Events))
 	}
-	if pt.Metrics.Counters[DroppedSpansCounter] != 3+1 || pt.Metrics.Counters[DroppedEventsCounter] != 2+2 {
+	if pt.Metrics.Counters[DroppedSpans.Name] != 3+1 || pt.Metrics.Counters[DroppedEvents.Name] != 2+2 {
 		t.Errorf("merged dropped counters = %+v", pt.Metrics.Counters)
 	}
 }
@@ -138,7 +134,7 @@ func TestUncappedTraceOmitsDroppedCounters(t *testing.T) {
 	r := NewRecorder()
 	r.StartSpan("a").End()
 	tr := r.Export()
-	if _, ok := tr.Metrics.Counters[DroppedSpansCounter]; ok {
+	if _, ok := tr.Metrics.Counters[DroppedSpans.Name]; ok {
 		t.Error("obs.dropped_spans present with no drops (would churn goldens)")
 	}
 }

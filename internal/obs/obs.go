@@ -148,15 +148,6 @@ func (s Span) End() {
 	}
 }
 
-// Child opens a span explicitly parented under s, bypassing the
-// recorder's open-span stack.
-func (s Span) Child(name string) Span {
-	if s.rec == nil {
-		return Span{}
-	}
-	return s.rec.startSpan(name, s.id)
-}
-
 // Default span/event caps. A long-lived -serve process records every
 // span and event of every suite iteration; the caps bound its memory.
 // They are generous — a full suite run at default scale stays well under
@@ -215,13 +206,6 @@ func (r *Recorder) SetCaps(maxSpans, maxEvents int) {
 	r.mu.Unlock()
 }
 
-// Dropped reports how many spans and events the caps have discarded.
-func (r *Recorder) Dropped() (spans, events int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.droppedSpans, r.droppedEvents
-}
-
 func capOrDefault(set, def int) int {
 	if set == 0 {
 		return def
@@ -243,22 +227,15 @@ func (r *Recorder) eventCapReached() bool {
 
 // StartSpan opens a span under the innermost open span.
 func (r *Recorder) StartSpan(name string) Span {
-	return r.startSpan(name, -2)
-}
-
-// startSpan opens a span; parent -2 means "top of the open stack".
-func (r *Recorder) startSpan(name string, parent int32) Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.spanCapReached() {
 		r.droppedSpans++
 		return Span{} // inert: End is harmless, children re-parent upward
 	}
-	if parent == -2 {
-		parent = -1
-		if n := len(r.stack); n > 0 {
-			parent = r.stack[n-1]
-		}
+	parent := int32(-1)
+	if n := len(r.stack); n > 0 {
+		parent = r.stack[n-1]
 	}
 	id := int32(len(r.spans))
 	r.spans = append(r.spans, spanRec{
@@ -288,7 +265,7 @@ func (r *Recorder) endSpan(id int32) {
 	}
 	// Every finished span feeds the per-name wall-time distribution; the
 	// span_us. prefix marks these as time-valued for Normalize.
-	r.observeLocked("span_us."+s.name, float64(s.dur.Microseconds()))
+	r.observeLocked(SpanUS.For(s.name), float64(s.dur.Microseconds()))
 }
 
 // ActiveSpan returns the innermost open span's name.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,10 +36,10 @@ func TestNopZeroAlloc(t *testing.T) {
 func TestRecorderSpansNestAndParent(t *testing.T) {
 	r := NewRecorder()
 	root := r.StartSpan("pipeline")
-	inner := r.StartSpan("profile") // implicit child of pipeline
+	inner := r.StartSpan("profile") // child of pipeline
 	inner.End()
-	child := root.Child("region") // explicit child
-	child.End()
+	sibling := r.StartSpan("region") // profile ended: also under pipeline
+	sibling.End()
 	root.End()
 
 	tr := r.Export()
@@ -199,5 +200,31 @@ func BenchmarkRecorderObserver(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		instrument(NewRecorder())
+	}
+}
+
+func TestLookupMetric(t *testing.T) {
+	for name, want := range map[string]string{
+		"store.hits":              "store.hits",
+		"drift.score.m88ksim":     "drift.score",
+		"drift.score_pct.gzip":    "drift.score_pct",
+		"span_us.input:gzip/A":    "span_us",
+		"span_us.variant:a.b":     "span_us",
+		"vpackd.records.li":       "vpackd.records",
+		"store.hitsx":             "",
+		"drift":                   "",
+		"drifty.score.m88ksim":    "",
+		"profile_memo":            "",
+		"eval.cycles_us.anything": "",
+	} {
+		m, ok := LookupMetric(name)
+		if ok != (want != "") || m.Name != want {
+			t.Errorf("LookupMetric(%q) = %q, %v; want %q", name, m.Name, ok, want)
+		}
+	}
+	for _, m := range Declared() {
+		if m.Kind == 0 || m.Help == "" || strings.ContainsAny(m.Help, "\n\\") {
+			t.Errorf("declaration %+v: want a kind and a one-line help without backslashes", m)
+		}
 	}
 }

@@ -63,7 +63,7 @@ type HistogramRecord struct {
 // carry the span_us. prefix, and any explicitly recorded time histogram
 // must use the _us suffix. Normalize zeroes exactly these.
 func timeValuedMetric(name string) bool {
-	return strings.HasPrefix(name, "span_us.") || strings.HasSuffix(name, "_us")
+	return strings.HasPrefix(name, SpanUS.Name+".") || strings.HasSuffix(name, "_us")
 }
 
 func kindFromString(s string) EventKind {
@@ -127,197 +127,13 @@ func (r *Recorder) Export() *Trace {
 			t.Metrics.Counters = make(map[string]int64, 2)
 		}
 		if r.droppedSpans > 0 {
-			t.Metrics.Counters[DroppedSpansCounter] += r.droppedSpans
+			t.Metrics.Counters[DroppedSpans.Name] += r.droppedSpans
 		}
 		if r.droppedEvents > 0 {
-			t.Metrics.Counters[DroppedEventsCounter] += r.droppedEvents
+			t.Metrics.Counters[DroppedEvents.Name] += r.droppedEvents
 		}
 	}
 	return t
-}
-
-// Counter names under which Export surfaces records discarded by the
-// recorder's span/event caps.
-const (
-	DroppedSpansCounter  = "obs.dropped_spans"
-	DroppedEventsCounter = "obs.dropped_events"
-)
-
-// Canonical counter names for the two-tier timed execution engine:
-// basic-block cache traffic and superblock (tier 1) trace activity.
-// Evaluation stages emit these; telemetry always exposes them.
-const (
-	BlockCacheHitsCounter      = "blockcache.hits"
-	BlockCacheMissesCounter    = "blockcache.misses"
-	BlockCacheEvictionsCounter = "blockcache.evictions"
-	SuperblockPromotedCounter  = "superblock.promoted"
-	SuperblockDemotedCounter   = "superblock.demoted"
-	SuperblockSideExitsCounter = "superblock.side_exits"
-	SuperblockChainedCounter   = "superblock.chained_insts"
-)
-
-// EngineCounters lists the execution-engine counter names in render
-// order, for layers that expose or print the whole group.
-func EngineCounters() []string {
-	return []string{
-		BlockCacheHitsCounter, BlockCacheMissesCounter, BlockCacheEvictionsCounter,
-		SuperblockPromotedCounter, SuperblockDemotedCounter,
-		SuperblockSideExitsCounter, SuperblockChainedCounter,
-	}
-}
-
-// Canonical metric names for the persistent artifact store
-// (internal/cas): hit/miss traffic against the (kind, key) index, the
-// on-disk footprint, and GC reclamation. The suite additionally splits
-// traffic by artifact class (store.profile_* / store.package_*) for its
-// own assertions; the unsuffixed pair aggregates.
-const (
-	StoreHitsCounter          = "store.hits"
-	StoreMissesCounter        = "store.misses"
-	StoreGCReclaimedCounter   = "store.gc_reclaimed"
-	StoreProfileHitsCounter   = "store.profile_hits"
-	StoreProfileMissesCounter = "store.profile_misses"
-	StorePackageHitsCounter   = "store.package_hits"
-	StorePackageMissesCounter = "store.package_misses"
-	StoreBytesGauge           = "store.bytes"
-	StoreSegmentsGauge        = "store.segments"
-)
-
-// StoreCounters lists the store counter names the serving tier always
-// exposes (zero without a -store), so cache hit rates can be dashboarded
-// without series gaps.
-func StoreCounters() []string {
-	return []string{StoreHitsCounter, StoreMissesCounter, StoreGCReclaimedCounter}
-}
-
-// StoreGauges lists the store gauge names the serving tier always
-// exposes.
-func StoreGauges() []string {
-	return []string{StoreBytesGauge, StoreSegmentsGauge}
-}
-
-// Canonical metric names for the translation-validation engine
-// (internal/equiv, gated by the -equiv config knob): packages checked,
-// paths proved symbolically, differential trials run past the path
-// budget, and refutations.
-const (
-	EquivPackagesCounter    = "equiv.packages"
-	EquivPathsProvedCounter = "equiv.paths_proved"
-	EquivPathsFuzzedCounter = "equiv.paths_fuzzed"
-	EquivViolationsCounter  = "equiv.violations"
-)
-
-// EquivCounters lists the translation-validation counter names the
-// serving tier always exposes (zero without -equiv), so proof coverage
-// and refutation rates can be dashboarded without series gaps.
-func EquivCounters() []string {
-	return []string{
-		EquivPackagesCounter, EquivPathsProvedCounter,
-		EquivPathsFuzzedCounter, EquivViolationsCounter,
-	}
-}
-
-// Canonical metric names for the continuous-optimization daemon
-// (cmd/vpackd): stream and repack counters, the bounded-queue depth
-// gauge, and the repack wall-time histogram. Per-program stream counters
-// derive from DaemonRecordsCounter by suffixing ".<program>".
-const (
-	DaemonRecordsCounter       = "vpackd.records"
-	DaemonRepacksCounter       = "vpackd.repacks"
-	DaemonQueueRejectedCounter = "vpackd.queue_rejected"
-	DaemonVersionsCounter      = "vpackd.versions"
-	// DaemonRecoveredCounter counts versions reloaded from the artifact
-	// store at boot — served immediately without a repack.
-	DaemonRecoveredCounter = "vpackd.versions_recovered"
-	// DaemonEquivRejectedCounter counts repacks whose publication the
-	// daemon refused because translation validation refuted a package.
-	DaemonEquivRejectedCounter = "vpackd.equiv_rejected"
-	DaemonQueueDepthGauge      = "vpackd.queue_depth"
-	DaemonRepackLatencyHist    = "vpackd.repack_latency_us"
-	// DaemonQueueWaitHist measures enqueue-to-worker-pickup latency: how
-	// long a shard sat in the bounded repack queue before a worker drained
-	// it. Together with DaemonRepackLatencyHist (pickup to publish) it
-	// decomposes end-to-end repack latency into queueing and service time.
-	DaemonQueueWaitHist = "vpackd.queue_wait_us"
-)
-
-// DaemonCounters lists the daemon counter names the serving tier always
-// exposes (zero when idle), so queue-rejection and repack rates can be
-// alerted on without series gaps.
-func DaemonCounters() []string {
-	return []string{
-		DaemonRecordsCounter, DaemonRepacksCounter,
-		DaemonQueueRejectedCounter, DaemonVersionsCounter,
-		DaemonRecoveredCounter, DaemonEquivRejectedCounter,
-	}
-}
-
-// DaemonHistograms lists the daemon histogram names the serving tier
-// always exposes (empty when idle), so queue-wait and repack-latency
-// quantiles render from the first scrape on.
-func DaemonHistograms() []string {
-	return []string{DaemonQueueWaitHist, DaemonRepackLatencyHist}
-}
-
-// Canonical metric names for the drift-observability layer
-// (internal/drift): per-program windowed timelines of incoming profile
-// shards scored against the phase snapshot backing the latest published
-// PackageSet. Per-program series derive by suffixing ".<program>"; the
-// unsuffixed gauges aggregate (max) across programs.
-const (
-	// DriftScoreGauge is the composite drift score in [0,1]: 0 means the
-	// recent windows look exactly like the baseline profile, 1 means they
-	// share nothing with it.
-	DriftScoreGauge = "drift.score"
-	// DriftPeakGauge is the maximum composite score ever observed (never
-	// reset, not even by a new baseline), so a transient phase shift stays
-	// visible to later scrapes.
-	DriftPeakGauge = "drift.peak"
-	// DriftDivergenceGauge is the weighted hot-set divergence component:
-	// total-variation distance between the recent windows' and the
-	// baseline's normalized branch-weight distributions.
-	DriftDivergenceGauge = "drift.hot_set_divergence"
-	// DriftBiasFlipsGauge counts branches common to the recent windows and
-	// the baseline whose bias (taken/not-taken under the phasedb
-	// thresholds) flipped direction.
-	DriftBiasFlipsGauge = "drift.bias_flips"
-	// DriftCrossingsGauge is the fraction of recent windows whose branch
-	// set fails the paper's 30% filter rule against every baseline phase —
-	// windows that would have founded a new phase.
-	DriftCrossingsGauge = "drift.filter_crossings"
-	// DriftBaselineVersionGauge is the published PackageSet version the
-	// current baseline snapshot came from (0 = no baseline yet).
-	DriftBaselineVersionGauge = "drift.baseline_version"
-	// DriftWindowsCounter counts closed analysis windows;
-	// DriftSamplesCounter counts hot-spot records observed.
-	DriftWindowsCounter = "drift.windows"
-	DriftSamplesCounter = "drift.samples"
-	// DriftScoreHist distributes the per-window composite score as a
-	// percentage (score x 100), so the shared power-of-two buckets resolve
-	// it: <=1%, <=2%, <=4%, ... <=64%, overflow.
-	DriftScoreHist = "drift.score_pct"
-)
-
-// DriftGauges lists the drift gauge names the serving tier always exposes
-// (zero before the first window closes), so dashboards can plot drift from
-// the first scrape without series gaps.
-func DriftGauges() []string {
-	return []string{
-		DriftScoreGauge, DriftPeakGauge, DriftDivergenceGauge,
-		DriftBiasFlipsGauge, DriftCrossingsGauge, DriftBaselineVersionGauge,
-	}
-}
-
-// DriftCounters lists the drift counter names the serving tier always
-// exposes.
-func DriftCounters() []string {
-	return []string{DriftWindowsCounter, DriftSamplesCounter}
-}
-
-// DriftHistograms lists the drift histogram names the serving tier always
-// exposes.
-func DriftHistograms() []string {
-	return []string{DriftScoreHist}
 }
 
 // ReadTrace decodes one JSON trace and validates its schema marker.

@@ -46,7 +46,7 @@ func ApplyPasses(ps Passes, p *prog.Program, fn *prog.Func, entries []*prog.Bloc
 	if ps.Merge {
 		n := mergeBlocks(p, fn, ps.Record)
 		o.Emit(obs.Event{Kind: obs.PassApplied, Phase: r.PhaseID, Name: "merge", N: int64(n)})
-		o.Count("opt.merged_blocks", int64(n))
+		o.Count(obs.OptMergedBlocks.Name, int64(n))
 		if err := check("merge"); err != nil {
 			return err
 		}
@@ -54,7 +54,7 @@ func ApplyPasses(ps Passes, p *prog.Program, fn *prog.Func, entries []*prog.Bloc
 	if ps.Sink {
 		n := sinkColdCode(fn, ps.Record)
 		o.Emit(obs.Event{Kind: obs.PassApplied, Phase: r.PhaseID, Name: "sink", N: int64(n)})
-		o.Count("opt.sunk_insts", int64(n))
+		o.Count(obs.OptSunkInsts.Name, int64(n))
 		if err := check("sink"); err != nil {
 			return err
 		}
@@ -70,7 +70,7 @@ func ApplyPasses(ps Passes, p *prog.Program, fn *prog.Func, entries []*prog.Bloc
 		w := WeightsFor(ps.Approx, fn, prob, seed)
 		Layout(fn, w, prob)
 		o.Emit(obs.Event{Kind: obs.PassApplied, Phase: r.PhaseID, Name: "layout", N: int64(len(fn.Blocks))})
-		o.Count("opt.laid_out_blocks", int64(len(fn.Blocks)))
+		o.Count(obs.OptLaidOutBlocks.Name, int64(len(fn.Blocks)))
 		if err := check("layout"); err != nil {
 			return err
 		}
@@ -78,7 +78,7 @@ func ApplyPasses(ps Passes, p *prog.Program, fn *prog.Func, entries []*prog.Bloc
 	if ps.Schedule {
 		schedule(fn, ps.Sched, ps.Record)
 		o.Emit(obs.Event{Kind: obs.PassApplied, Phase: r.PhaseID, Name: "schedule", N: int64(len(fn.Blocks))})
-		o.Count("opt.scheduled_blocks", int64(len(fn.Blocks)))
+		o.Count(obs.OptScheduledBlocks.Name, int64(len(fn.Blocks)))
 		if err := check("schedule"); err != nil {
 			return err
 		}

@@ -72,9 +72,9 @@ func BuildPhaseObserved(cfg Config, p *prog.Program, reg *region.Region, o obs.O
 	}
 	for _, pk := range pkgs {
 		o.Emit(obs.Event{Kind: obs.PackageBuilt, Phase: pk.PhaseID, Name: pk.Fn.Name, N: int64(len(pk.Fn.Blocks))})
-		o.Count("pack.packages", 1)
-		o.Count("pack.package_blocks", int64(len(pk.Fn.Blocks)))
-		o.Count("pack.inlined_calls", int64(pk.InlinedCalls))
+		o.Count(obs.PackPackages.Name, 1)
+		o.Count(obs.PackPackageBlocks.Name, int64(len(pk.Fn.Blocks)))
+		o.Count(obs.PackInlinedCalls.Name, int64(pk.InlinedCalls))
 	}
 	return pkgs, nil
 }

@@ -90,9 +90,9 @@ func InstallObserved(cfg Config, p *prog.Program, pkgs []*Package, o obs.Observe
 			return nil, fmt.Errorf("pack: install verification: %w", err)
 		}
 	}
-	o.Count("pack.links", int64(res.Links))
-	o.Count("pack.launch_points", int64(res.LaunchPoints))
-	o.Count("pack.monitors", int64(res.Monitors))
+	o.Count(obs.PackLinks.Name, int64(res.Links))
+	o.Count(obs.PackLaunchPoints.Name, int64(res.LaunchPoints))
+	o.Count(obs.PackMonitors.Name, int64(res.Monitors))
 	if o.Enabled() {
 		for _, pk := range pkgs {
 			linked := 0
@@ -101,7 +101,7 @@ func InstallObserved(cfg Config, p *prog.Program, pkgs []*Package, o obs.Observe
 					linked++
 				}
 			}
-			o.Observe("pack.links_per_package", float64(linked))
+			o.Observe(obs.PackLinksPerPackage.Name, float64(linked))
 		}
 	}
 	return res, nil

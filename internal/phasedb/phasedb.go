@@ -296,19 +296,6 @@ func (db *DB) similar(ph *Phase, hs hsd.HotSpot) bool {
 	return true
 }
 
-// PhaseAt returns the ID of the phase live at the given instruction stamp,
-// or -1 before the first detection.
-func (db *DB) PhaseAt(inst uint64) int {
-	id := -1
-	for _, tr := range db.Timeline {
-		if tr.AtInst > inst {
-			break
-		}
-		id = tr.PhaseID
-	}
-	return id
-}
-
 // String summarizes the database.
 func (db *DB) String() string {
 	return fmt.Sprintf("phasedb: %d phases, %d redundant detections filtered", len(db.Phases), db.Redundant)

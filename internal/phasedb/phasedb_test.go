@@ -119,22 +119,24 @@ func TestEmptyHotSpots(t *testing.T) {
 	}
 }
 
-func TestPhaseAt(t *testing.T) {
+func TestTimelineRecordsPhaseChanges(t *testing.T) {
 	db := New(DefaultConfig())
 	db.Record(mkSpot(0, 10, br(1, 100, 90)))              // inst 100
 	db.Record(mkSpot(1, 20, br(50, 100, 90)))             // inst 200
 	db.Record(mkSpot(2, 30, br(1, 100, 90), br(1, 1, 1))) // inst 300, phase 0 again
-	if got := db.PhaseAt(50); got != -1 {
-		t.Errorf("PhaseAt(50) = %d, want -1", got)
+	// The timeline records which phase went live at each detection stamp,
+	// re-detections of an existing phase included.
+	want := []struct {
+		inst  uint64
+		phase int
+	}{{100, 0}, {200, 1}, {300, 0}}
+	if len(db.Timeline) != len(want) {
+		t.Fatalf("timeline = %+v, want %d transitions", db.Timeline, len(want))
 	}
-	if got := db.PhaseAt(150); got != 0 {
-		t.Errorf("PhaseAt(150) = %d, want 0", got)
-	}
-	if got := db.PhaseAt(250); got != 1 {
-		t.Errorf("PhaseAt(250) = %d, want 1", got)
-	}
-	if got := db.PhaseAt(10000); got != 0 {
-		t.Errorf("PhaseAt(10000) = %d, want 0 (re-detected)", got)
+	for i, w := range want {
+		if tr := db.Timeline[i]; tr.AtInst != w.inst || tr.PhaseID != w.phase {
+			t.Errorf("timeline[%d] = %+v, want phase %d at inst %d", i, tr, w.phase, w.inst)
+		}
 	}
 }
 

@@ -220,11 +220,11 @@ func IdentifyObserved(cfg Config, img *prog.Image, ph *phasedb.Phase, o obs.Obse
 	r.infer(cfg)
 	r.grow(cfg)
 	o.Emit(obs.Event{Kind: obs.RegionGrown, Phase: ph.ID, N: int64(r.GrownBlocks)})
-	o.Count("region.profiled_branches", int64(r.ProfiledBranches))
-	o.Count("region.inferred_hot", int64(r.InferredHot))
-	o.Count("region.inferred_cold", int64(r.InferredCold))
-	o.Count("region.grown_blocks", int64(r.GrownBlocks))
-	o.Observe("region.hot_blocks", float64(r.NumHot()))
+	o.Count(obs.RegionProfiledBranches.Name, int64(r.ProfiledBranches))
+	o.Count(obs.RegionInferredHot.Name, int64(r.InferredHot))
+	o.Count(obs.RegionInferredCold.Name, int64(r.InferredCold))
+	o.Count(obs.RegionGrownBlocks.Name, int64(r.GrownBlocks))
+	o.Observe(obs.RegionHotBlocks.Name, float64(r.NumHot()))
 	return r, nil
 }
 

@@ -215,9 +215,9 @@ func (pm *profileMemo) profile(cfg core.Config, mc cpu.Config, img *prog.Image, 
 	}
 	pm.mu.Unlock()
 	if ok {
-		o.Count("profile_memo.hits", 1)
+		o.Count(obs.ProfileMemoHits.Name, 1)
 	} else {
-		o.Count("profile_memo.misses", 1)
+		o.Count(obs.ProfileMemoMisses.Name, 1)
 	}
 	e.once.Do(func() {
 		// One pass: HSD profile + baseline timing.
@@ -329,7 +329,7 @@ func RunSuite(opts Options) (*Suite, error) {
 		// /metrics scrape sees progress mid-suite; histogram merge is
 		// commutative and the _us name is time-valued, so completion order
 		// never leaks into a Normalize()d trace.
-		o.Observe("suite.input_elapsed_us", float64(ir.Elapsed.Microseconds()))
+		o.Observe(obs.SuiteInputElapsed.Name, float64(ir.Elapsed.Microseconds()))
 		full := ir.Full()
 		if opts.Logger != nil {
 			opts.Logger.Info("input complete",
@@ -398,8 +398,8 @@ func RunSuite(opts Options) (*Suite, error) {
 		// Gauges after the single end-of-suite flush: segment contents are
 		// written in sorted chunk order, so these values are deterministic
 		// at every Jobs setting.
-		o.Gauge(obs.StoreBytesGauge, float64(sst.DiskBytes))
-		o.Gauge(obs.StoreSegmentsGauge, float64(sst.Segments))
+		o.Gauge(obs.StoreBytes.Name, float64(sst.DiskBytes))
+		o.Gauge(obs.StoreSegments.Name, float64(sst.Segments))
 	}
 	if opts.Logger != nil {
 		opts.Logger.Info("suite complete", "items", len(items), "jobs", jobs,
@@ -448,12 +448,12 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 			}
 		}
 		if storedProfile {
-			o.Count(obs.StoreHitsCounter, 1)
-			o.Count(obs.StoreProfileHitsCounter, 1)
+			o.Count(obs.StoreHits.Name, 1)
+			o.Count(obs.StoreProfileHits.Name, 1)
 			tally.profileHits.Add(1)
 		} else {
-			o.Count(obs.StoreMissesCounter, 1)
-			o.Count(obs.StoreProfileMissesCounter, 1)
+			o.Count(obs.StoreMisses.Name, 1)
+			o.Count(obs.StoreProfileMisses.Name, 1)
 			tally.profileMisses.Add(1)
 		}
 	}
@@ -551,13 +551,13 @@ func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, 
 	if opts.Store != nil {
 		cfgHash = cfg.Hash()
 		if vr, ok := storedVariant(opts, imgHash, cfgHash, v, base, st, o); ok {
-			o.Count(obs.StoreHitsCounter, 1)
-			o.Count(obs.StorePackageHitsCounter, 1)
+			o.Count(obs.StoreHits.Name, 1)
+			o.Count(obs.StorePackageHits.Name, 1)
 			tally.packageHits.Add(1)
 			return vr, nil
 		}
-		o.Count(obs.StoreMissesCounter, 1)
-		o.Count(obs.StorePackageMissesCounter, 1)
+		o.Count(obs.StoreMisses.Name, 1)
+		o.Count(obs.StorePackageMisses.Name, 1)
 		tally.packageMisses.Add(1)
 	}
 	clone := p.Clone()
@@ -665,7 +665,7 @@ func timePacked(opts Options, packedImg *prog.Image, o obs.Observer) (cpu.Timing
 	if err != nil {
 		return cpu.TimingStats{}, nil, 0, 0, err
 	}
-	o.Observe("eval.cycles", float64(stats.Cycles))
+	o.Observe(obs.EvalCycles.Name, float64(stats.Cycles))
 	core.CountEngine(o, bc)
 	h, n := m.DataHash()
 	return stats, bc, h, n, nil

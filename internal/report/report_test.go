@@ -410,13 +410,13 @@ func TestRunSuiteEquivDeterministic(t *testing.T) {
 	seq := observedEquivTrace(t, 1)
 	par := observedEquivTrace(t, 4)
 
-	if got := seq.Metrics.Counters[obs.EquivViolationsCounter]; got != 0 {
+	if got := seq.Metrics.Counters[obs.EquivViolations.Name]; got != 0 {
 		t.Fatalf("clean suite recorded %d equiv violations", got)
 	}
-	if got := seq.Metrics.Counters[obs.EquivPackagesCounter]; got <= 0 {
+	if got := seq.Metrics.Counters[obs.EquivPackages.Name]; got <= 0 {
 		t.Fatalf("equiv-on suite proved no packages (counter %d)", got)
 	}
-	if seq.Metrics.Counters[obs.EquivPathsProvedCounter] <= 0 {
+	if seq.Metrics.Counters[obs.EquivPathsProved.Name] <= 0 {
 		t.Error("equiv-on suite recorded no proved paths")
 	}
 	if !reflect.DeepEqual(seq.Events, par.Events) {

@@ -96,10 +96,10 @@ func TestRunSuiteStoreWarm(t *testing.T) {
 	if n := warmTrace.Metrics.Counters["profile_memo.misses"]; n != 0 {
 		t.Errorf("warm run recorded %d profile_memo.misses, want 0", n)
 	}
-	if n := warmTrace.Metrics.Counters[obs.StoreMissesCounter]; n != 0 {
+	if n := warmTrace.Metrics.Counters[obs.StoreMisses.Name]; n != 0 {
 		t.Errorf("warm run recorded %d store.misses, want 0", n)
 	}
-	if n := warmTrace.Metrics.Counters[obs.StoreHitsCounter]; n != 5 {
+	if n := warmTrace.Metrics.Counters[obs.StoreHits.Name]; n != 5 {
 		t.Errorf("warm run recorded %d store.hits, want 5", n)
 	}
 

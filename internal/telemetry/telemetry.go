@@ -38,21 +38,18 @@ type Source interface {
 
 // Server serves a Source over HTTP.
 type Server struct {
-	src   Source
-	ready atomic.Bool
-	mux   *http.ServeMux
-	http  *http.Server
-	// extra counter/gauge/histogram names /metrics always renders (see
-	// AlwaysCounters, AlwaysGauges, AlwaysHistograms).
-	extra      []string
-	extraGauge []string
-	extraHist  []string
+	src     Source
+	surface obs.Surface
+	ready   atomic.Bool
+	mux     *http.ServeMux
+	http    *http.Server
 }
 
-// NewServer builds a server over src. It starts not-ready; call SetReady
-// once the instrumented work is actually running.
-func NewServer(src Source) *Server {
-	s := &Server{src: src, mux: http.NewServeMux()}
+// NewServer builds a server over src whose /metrics always exposes the
+// declared families of surface. It starts not-ready; call SetReady once
+// the instrumented work is actually running.
+func NewServer(src Source, surface obs.Surface) *Server {
+	s := &Server{src: src, surface: surface, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/trace", s.handleTrace)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -69,28 +66,6 @@ func NewServer(src Source) *Server {
 // Handler returns the server's route table, for mounting under httptest
 // or an existing mux.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// AlwaysCounters registers additional counter names that /metrics renders
-// even when the snapshot has no sample yet (value 0) — the same
-// no-series-gaps contract the engine counters get by default. Call before
-// Listen; names are not synchronized after serving starts.
-func (s *Server) AlwaysCounters(names ...string) {
-	s.extra = append(s.extra, names...)
-}
-
-// AlwaysGauges registers gauge names that /metrics renders even before the
-// instrumented code first sets them (value 0). Call before Listen.
-func (s *Server) AlwaysGauges(names ...string) {
-	s.extraGauge = append(s.extraGauge, names...)
-}
-
-// AlwaysHistograms registers histogram names that /metrics renders even
-// before the first observation (all-zero buckets, zero sum and count), so
-// latency quantiles have no series gap to their first sample. Call before
-// Listen.
-func (s *Server) AlwaysHistograms(names ...string) {
-	s.extraHist = append(s.extraHist, names...)
-}
 
 // SetReady flips the /readyz state.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
@@ -111,11 +86,7 @@ func (s *Server) Close() error { return s.http.Close() }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	WriteMetricsAlways(w, s.src.Export(), Always{
-		Counters:   s.extra,
-		Gauges:     s.extraGauge,
-		Histograms: s.extraHist,
-	})
+	WriteMetrics(w, s.src.Export(), s.surface)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
@@ -158,97 +129,40 @@ func MetricName(name string) string {
 
 // WriteMetrics renders a trace snapshot in Prometheus text exposition
 // format (version 0.0.4): counters, gauges, and histograms with
-// cumulative le-labeled buckets over the shared log-spaced layout. Output
-// is sorted by metric name, so identical traces render identical bytes —
-// which is what makes /metrics diffable and, after Normalize, goldenable.
-func WriteMetrics(w io.Writer, t *obs.Trace) {
-	WriteMetricsExtra(w, t)
-}
-
-// WriteMetricsExtra is WriteMetrics with additional always-exposed
-// counter names (rendered as 0 when the snapshot has none) — the daemon
-// uses it to keep its queue/repack series gap-free from the first scrape.
-func WriteMetricsExtra(w io.Writer, t *obs.Trace, extra ...string) {
-	WriteMetricsAlways(w, t, Always{Counters: extra})
-}
-
-// Always names metric series /metrics renders even when the snapshot has
-// no sample for them: counters as 0, gauges as 0, histograms with all-zero
-// buckets. The daemon registers its queue/repack and drift series here so
-// every series exists from the first scrape.
-type Always struct {
-	Counters   []string
-	Gauges     []string
-	Histograms []string
-}
-
-// WriteMetricsAlways is WriteMetrics with per-kind always-exposed series.
-func WriteMetricsAlways(w io.Writer, t *obs.Trace, always Always) {
+// cumulative le-labeled buckets over the shared log-spaced layout. Every
+// family that surface always exposes renders even without a sample (zero
+// values, all-zero buckets), and every declared family carries its
+// # HELP line. Output is sorted by metric name, so identical traces
+// render identical bytes — which is what makes /metrics diffable and,
+// after Normalize, goldenable.
+func WriteMetrics(w io.Writer, t *obs.Trace, surface obs.Surface) {
 	fmtFloat := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-	counters := make(map[string]int64, len(t.Metrics.Counters)+2)
-	for k, v := range t.Metrics.Counters {
-		counters[k] = v
-	}
-	// The drop counters and the execution-engine counters are part of the
-	// serving contract: always exposed, zero when nothing happened, so
-	// alerts and dashboards can rate() them without series gaps.
-	wellKnown := append([]string{obs.DroppedSpansCounter, obs.DroppedEventsCounter},
-		obs.EngineCounters()...)
-	wellKnown = append(wellKnown, always.Counters...)
-	for _, k := range wellKnown {
-		if _, ok := counters[k]; !ok {
-			counters[k] = 0
+	header := func(name string, kind obs.MetricKind) string {
+		m := MetricName(name)
+		if d, ok := obs.LookupMetric(name); ok {
+			fmt.Fprintf(w, "# HELP %s %s\n", m, d.Help)
 		}
-	}
-	names := make([]string, 0, len(counters))
-	for k := range counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		m := MetricName(k)
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m, m, counters[k])
+		fmt.Fprintf(w, "# TYPE %s %s\n", m, kind)
+		return m
 	}
 
-	gauges := make(map[string]float64, len(t.Metrics.Gauges)+len(always.Gauges))
-	for k, v := range t.Metrics.Gauges {
-		gauges[k] = v
-	}
-	for _, k := range always.Gauges {
-		if _, ok := gauges[k]; !ok {
-			gauges[k] = 0
-		}
-	}
-	names = names[:0]
-	for k := range gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
+	names, counters := withAlways(t.Metrics.Counters, obs.Counter, surface)
 	for _, k := range names {
-		m := MetricName(k)
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", m, m, fmtFloat(gauges[k]))
+		m := header(k, obs.Counter)
+		fmt.Fprintf(w, "%s %d\n", m, counters[k])
+	}
+
+	names, gauges := withAlways(t.Metrics.Gauges, obs.Gauge, surface)
+	for _, k := range names {
+		m := header(k, obs.Gauge)
+		fmt.Fprintf(w, "%s %s\n", m, fmtFloat(gauges[k]))
 	}
 
 	bounds := obs.HistogramBounds()
-	hists := make(map[string]obs.HistogramRecord, len(t.Metrics.Histograms)+len(always.Histograms))
-	for k, h := range t.Metrics.Histograms {
-		hists[k] = h
-	}
-	for _, k := range always.Histograms {
-		if _, ok := hists[k]; !ok {
-			hists[k] = obs.HistogramRecord{}
-		}
-	}
-	names = names[:0]
-	for k := range hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
+	names, hists := withAlways(t.Metrics.Histograms, obs.Histogram, surface)
 	for _, k := range names {
 		h := hists[k]
-		m := MetricName(k)
-		fmt.Fprintf(w, "# TYPE %s histogram\n", m)
+		m := header(k, obs.Histogram)
 		var cum uint64
 		for i, b := range bounds {
 			if i < len(h.Buckets) {
@@ -260,6 +174,51 @@ func WriteMetricsAlways(w io.Writer, t *obs.Trace, always Always) {
 		fmt.Fprintf(w, "%s_sum %s\n", m, fmtFloat(h.Sum))
 		fmt.Fprintf(w, "%s_count %d\n", m, h.Count)
 	}
+}
+
+// withAlways returns a snapshot's series of one kind plus a zero value for
+// every family of that kind that surface always exposes, with the names
+// sorted.
+func withAlways[V any](got map[string]V, kind obs.MetricKind, surface obs.Surface) ([]string, map[string]V) {
+	all := make(map[string]V, len(got))
+	for k, v := range got {
+		all[k] = v
+	}
+	for _, m := range obs.Declared() {
+		if _, ok := all[m.Name]; !ok && m.Kind == kind && m.AlwaysOn(surface) {
+			var zero V
+			all[m.Name] = zero
+		}
+	}
+	names := make([]string, 0, len(all))
+	for k := range all {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names, all
+}
+
+// MissingSeries checks a /metrics body against the serving contract: it
+// names every family that surface always exposes and the body does not
+// declare with an exact "# TYPE <name> <kind>" line of the declared kind.
+// Matching whole TYPE lines keeps a family from being "found" inside a
+// longer name (vp_drift_score inside vp_drift_score_pct).
+func MissingSeries(body string, surface obs.Surface) []string {
+	types := make(map[string]string)
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if name, kind, ok := strings.Cut(rest, " "); ok {
+				types[name] = kind
+			}
+		}
+	}
+	var missing []string
+	for _, m := range obs.Declared() {
+		if name := MetricName(m.Name); m.AlwaysOn(surface) && types[name] != m.Kind.String() {
+			missing = append(missing, name+" "+m.Kind.String())
+		}
+	}
+	return missing
 }
 
 // LogModes documents the shared -log flag values.

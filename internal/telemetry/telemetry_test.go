@@ -38,11 +38,13 @@ var (
 
 // parsePromText is a hand-rolled validator for the Prometheus text
 // exposition format as WriteMetrics emits it: every sample line must
-// parse, every metric must be preceded by its # TYPE line, histogram
-// buckets must be cumulative and end at _count == +Inf.
+// parse, every metric must be preceded by its # TYPE line (and a declared
+// one by its # HELP line), histogram buckets must be cumulative and end
+// at _count == +Inf.
 func parsePromText(t *testing.T, text string) map[string]string {
 	t.Helper()
 	types := make(map[string]string)  // metric family -> type
+	helps := make(map[string]string)  // metric family -> help text
 	values := make(map[string]string) // full sample (with labels) -> value
 
 	family := func(name string) string {
@@ -57,6 +59,17 @@ func parsePromText(t *testing.T, text string) map[string]string {
 	var lastCum uint64
 	var curHist string
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, help, _ := strings.Cut(rest, " ")
+			if !nameRe.MatchString(name) || help == "" {
+				t.Fatalf("malformed HELP line: %q", line)
+			}
+			if _, dup := helps[name]; dup {
+				t.Fatalf("duplicate HELP for %s", name)
+			}
+			helps[name] = help
+			continue
+		}
 		if strings.HasPrefix(line, "# TYPE ") {
 			parts := strings.Fields(line)
 			if len(parts) != 4 || !nameRe.MatchString(parts[2]) {
@@ -66,6 +79,11 @@ func parsePromText(t *testing.T, text string) map[string]string {
 				t.Fatalf("duplicate TYPE for %s", parts[2])
 			}
 			types[parts[2]] = parts[3]
+			for _, m := range obs.Declared() {
+				if MetricName(m.Name) == parts[2] && helps[parts[2]] != m.Help {
+					t.Fatalf("%s: HELP %q, want the declared %q", parts[2], helps[parts[2]], m.Help)
+				}
+			}
 			if parts[3] == "histogram" {
 				curHist, lastCum = parts[2], 0
 			}
@@ -106,7 +124,7 @@ func parsePromText(t *testing.T, text string) map[string]string {
 
 func TestWriteMetricsValidPrometheusText(t *testing.T) {
 	var buf bytes.Buffer
-	WriteMetrics(&buf, sampleRecorder().Export())
+	WriteMetrics(&buf, sampleRecorder().Export(), obs.PipelineSurface)
 	values := parsePromText(t, buf.String())
 
 	if values["vp_profile_insts"] != "12345" {
@@ -144,7 +162,7 @@ func TestWriteMetricsDeterministicAfterNormalize(t *testing.T) {
 	render := func() []byte {
 		tr := sampleRecorder().Export().Normalize()
 		var buf bytes.Buffer
-		WriteMetrics(&buf, tr)
+		WriteMetrics(&buf, tr, obs.PipelineSurface)
 		return buf.Bytes()
 	}
 	a, b := render(), render()
@@ -171,7 +189,7 @@ func TestMetricName(t *testing.T) {
 
 func TestServerEndpoints(t *testing.T) {
 	rec := sampleRecorder()
-	srv := NewServer(rec)
+	srv := NewServer(rec, obs.PipelineSurface)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -224,7 +242,7 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 func TestListenAndClose(t *testing.T) {
-	srv := NewServer(sampleRecorder())
+	srv := NewServer(sampleRecorder(), obs.PipelineSurface)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +310,7 @@ func TestServeLiveSuite(t *testing.T) {
 		t.Skip("runs a real suite input")
 	}
 	rec := obs.NewRecorder()
-	srv := NewServer(rec)
+	srv := NewServer(rec, obs.PipelineSurface)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	srv.SetReady(true)
@@ -360,26 +378,38 @@ poll:
 	}
 }
 
-// The execution-engine counters (block cache + superblock tier) are part
-// of the serving contract: every /metrics render carries all seven series
-// even when no timed run happened, and populated counters pass through.
+// Each surface's always-present families are part of the serving
+// contract: an empty trace renders every one of them, zero-valued, with
+// its declared kind — on the pipeline server that includes the seven
+// execution-engine counters (block cache + superblock tier) — and
+// populated counters pass through.
 func TestWriteMetricsEngineCounters(t *testing.T) {
-	var buf bytes.Buffer
-	WriteMetrics(&buf, obs.NewRecorder().Export())
-	values := parsePromText(t, buf.String())
-	for _, name := range obs.EngineCounters() {
-		if got := values[MetricName(name)]; got != "0" {
-			t.Errorf("empty trace: %s = %q, want 0", MetricName(name), got)
+	for _, surface := range []obs.Surface{obs.PipelineSurface, obs.DaemonSurface} {
+		var buf bytes.Buffer
+		WriteMetrics(&buf, obs.NewRecorder().Export(), surface)
+		values := parsePromText(t, buf.String())
+		if missing := MissingSeries(buf.String(), surface); len(missing) > 0 {
+			t.Errorf("surface %d: empty trace is missing %v", surface, missing)
+		}
+		for _, m := range obs.Declared() {
+			name := MetricName(m.Name)
+			if m.Kind == obs.Histogram {
+				name += "_count"
+			}
+			if got, ok := values[name]; ok != m.AlwaysOn(surface) || ok && got != "0" {
+				t.Errorf("surface %d: empty trace: %s = %q (rendered %v), always-on %v",
+					surface, name, got, ok, m.AlwaysOn(surface))
+			}
 		}
 	}
 
 	rec := obs.NewRecorder()
-	rec.Count(obs.BlockCacheHitsCounter, 41)
-	rec.Count(obs.SuperblockPromotedCounter, 3)
-	rec.Count(obs.SuperblockChainedCounter, 9001)
-	buf.Reset()
-	WriteMetrics(&buf, rec.Export())
-	values = parsePromText(t, buf.String())
+	rec.Count(obs.BlockCacheHits.Name, 41)
+	rec.Count(obs.SuperblockPromoted.Name, 3)
+	rec.Count(obs.SuperblockChained.Name, 9001)
+	var buf bytes.Buffer
+	WriteMetrics(&buf, rec.Export(), obs.PipelineSurface)
+	values := parsePromText(t, buf.String())
 	want := map[string]string{
 		"vp_blockcache_hits":          "41",
 		"vp_blockcache_misses":        "0",

@@ -24,10 +24,13 @@ go test ./...
 # input that panics the assembler, or that it accepts but cannot round
 # trip through the disassembler, fails verification here.
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm
-# Package-set decoder fuzzing, seeded from internal/core/testdata/fuzz/
-# FuzzDecodePackageSet: the decoder must never panic, and any set it
-# accepts must re-encode to a fixed point.
+# Artifact decoder fuzzing (package set, profile artifact, provenance
+# record), each seeded from internal/core/testdata/fuzz/<target>: a
+# decoder must never panic, and any value it accepts must re-encode to a
+# fixed point.
 go test -run='^$' -fuzz=FuzzDecodePackageSet -fuzztime=10s ./internal/core
+go test -run='^$' -fuzz=FuzzDecodeProfileArtifact -fuzztime=10s ./internal/core
+go test -run='^$' -fuzz=FuzzDecodeProvenance -fuzztime=10s ./internal/core
 go test -race ./internal/report/...
 go test -race ./internal/obs/...
 go test -race ./internal/telemetry/...
@@ -104,9 +107,10 @@ bin/vpcache verify -store "$store_tmp/suite" >/dev/null
 
 # Daemon smoke test: boot vpackd on a free port, stream 100 hot-spot
 # records from 8 concurrent clients (vpbench's load-generator mode,
-# which also fetches the published package and asserts every expected
-# /metrics series — queue, repack, queue-wait and vp_drift_* — naming
-# any that are missing), then induce a phase shift (-phaseshift) and
+# which also fetches the published package and checks every family the
+# obs metric table declares always present on vpackd — queue, repack,
+# queue-wait, vp_drift_* — by its exact TYPE line and kind, naming any
+# that are missing), then induce a phase shift (-phaseshift) and
 # confirm the drift score demonstrably rises: a nonzero vp_drift_peak
 # must appear on /metrics and the vptrace drift view must report the
 # program. Finally verify SIGTERM shuts the daemon down cleanly
@@ -130,16 +134,15 @@ done
 daemon_addr="$(cat "$daemon_dir/addr")"
 bin/vpbench -daemon "http://$daemon_addr" -streams 8 -records 100 -phaseshift -driftwindow 4 -log off
 curl -sf "http://$daemon_addr/v1/packages/m88ksim/latest" >/dev/null
-curl -sf "http://$daemon_addr/v1/provenance/m88ksim/latest" | grep -q '"trace"'
-curl -sf "http://$daemon_addr/v1/drift/m88ksim" | grep -q '"enabled": *true'
-metrics="$(curl -sf "http://$daemon_addr/metrics")"
-echo "$metrics" | grep -q '^vp_vpackd_queue_depth'
-echo "$metrics" | grep -q '^vp_vpackd_repack_latency_us'
-echo "$metrics" | grep -q '^vp_vpackd_queue_wait_us_count'
-echo "$metrics" | awk '$1=="vp_drift_peak"{found=1; exit !($2>0)} END{if(!found) exit 1}' \
+# Captured output is grepped through a here-string, never a pipe: grep
+# -q exits at its first match, and under pipefail the writer's broken
+# pipe would fail the step.
+grep -q '"trace"' <<<"$(curl -sf "http://$daemon_addr/v1/provenance/m88ksim/latest")"
+grep -q '"enabled": *true' <<<"$(curl -sf "http://$daemon_addr/v1/drift/m88ksim")"
+awk '$1=="vp_drift_peak"{found=1; exit !($2>0)} END{if(!found) exit 1}' <<<"$(curl -sf "http://$daemon_addr/metrics")" \
     || { echo "phase shift left vp_drift_peak at zero" >&2; exit 1; }
 curl -sf "http://$daemon_addr/trace" > "$daemon_dir/trace.json"
-bin/vptrace drift "$daemon_dir/trace.json" | grep -q '^m88ksim' \
+grep -q '^m88ksim' <<<"$(bin/vptrace drift "$daemon_dir/trace.json")" \
     || { echo "vptrace drift view missing m88ksim row" >&2; exit 1; }
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" || { echo "vpackd did not exit cleanly" >&2; exit 1; }
@@ -174,9 +177,9 @@ done
 daemon_addr="$(cat "$daemon_dir/addr3")"
 curl -sf "http://$daemon_addr/v1/packages/m88ksim/latest" >/dev/null \
     || { echo "restarted vpackd lost the published package" >&2; exit 1; }
-curl -sf "http://$daemon_addr/v1/provenance/m88ksim/latest" | grep -q '"trace"' \
+grep -q '"trace"' <<<"$(curl -sf "http://$daemon_addr/v1/provenance/m88ksim/latest")" \
     || { echo "restarted vpackd lost the provenance record" >&2; exit 1; }
-curl -sf "http://$daemon_addr/metrics" | grep -q '^vp_vpackd_versions_recovered [1-9]' \
+grep -q '^vp_vpackd_versions_recovered [1-9]' <<<"$(curl -sf "http://$daemon_addr/metrics")" \
     || { echo "restarted vpackd recovered no versions" >&2; exit 1; }
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" || { echo "vpackd (restart) did not exit cleanly" >&2; exit 1; }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/hsd"
+	"repro/internal/obs"
 	"repro/internal/phasedb"
 	"repro/internal/prog"
 	"repro/internal/report"
@@ -336,6 +337,45 @@ func BenchmarkHSDThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		det.Branch(int64(i%97)*4, i%3 == 0)
 	}
+}
+
+// BenchmarkProfileTimed measures the suite's profiling pass on one fixed
+// input (vpr, scale 1): the Hot Spot Detector plus the baseline timing.
+// "steploop" is the per-instruction reference (Machine.Run with
+// Timing.Observe); "timed" is core.ProfileTimed on the block engine.
+func BenchmarkProfileTimed(b *testing.B) {
+	img, err := buildInput(b, "vpr").Linearize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, mc := core.ScaledConfig(), cpu.DefaultConfig()
+	rate := func(b *testing.B, insts uint64) {
+		b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
+	}
+	b.Run("steploop", func(b *testing.B) {
+		var insts uint64
+		for i := 0; i < b.N; i++ {
+			timing := cpu.NewTiming(mc, img)
+			pa, err := core.ProfileStage(cfg, img, timing.Observe)
+			if err != nil {
+				b.Fatal(err)
+			}
+			timing.Finish()
+			insts = pa.Stats.Insts
+		}
+		rate(b, insts)
+	})
+	b.Run("timed", func(b *testing.B) {
+		var insts uint64
+		for i := 0; i < b.N; i++ {
+			pa, _, err := core.ProfileTimed(cfg, mc, img, obs.Nop{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts = pa.Stats.Insts
+		}
+		rate(b, insts)
+	})
 }
 
 // BenchmarkPipelineEndToEnd is the headline macro-bench: the entire

@@ -31,6 +31,12 @@ import (
 // it with errors.Is.
 var ErrUnknownProgram = errors.New("unknown program")
 
+// ErrBadProfile reports a streamed hot-spot record that no run of the
+// program's image could have produced: a branch PC that is not one of the
+// image's conditional-branch terminators, or a branch taken more often
+// than it executed. It is always wrapped with the offending record.
+var ErrBadProfile = errors.New("bad profile record")
+
 // programState is one benchmark's shard: its pristine program and image
 // (read-only after registration), the mutexed profile accumulator
 // streamed records merge into, and the versioned package history.
@@ -257,6 +263,38 @@ func (d *Daemon) ingestTrace(client string) string {
 		return client
 	}
 	return fmt.Sprintf("ing-%08d", d.ingestSeq.Add(1))
+}
+
+// checkHotSpots validates every record of one profile POST against img,
+// so a malformed record is refused before any of the POST reaches the
+// phase database (where Taken > Exec would underflow region weights).
+func checkHotSpots(img *prog.Image, spots []hotSpotWire) error {
+	for i := range spots {
+		for _, b := range spots[i].Branches {
+			if img.BranchBlock(b.PC) == nil {
+				return fmt.Errorf("vpackd: hot spot %d: pc %d is not a conditional branch of the image: %w", i, b.PC, ErrBadProfile)
+			}
+			if b.Taken > b.Exec {
+				return fmt.Errorf("vpackd: hot spot %d: branch at pc %d taken %d times in %d executions: %w",
+					i, b.PC, b.Taken, b.Exec, ErrBadProfile)
+			}
+		}
+	}
+	return nil
+}
+
+// reject accounts for a profile POST refused at ingest: one
+// profile_rejected event carrying the reason, and the counter.
+func (d *Daemon) reject(st *programState, trace string, records int, err error) {
+	d.rec.Count(obs.DaemonProfileRejected.Name, 1)
+	d.events.Append(drift.StreamEvent{
+		UnixUS:  time.Now().UnixMicro(),
+		Kind:    drift.EventRejected,
+		Program: st.name,
+		Trace:   trace,
+		N:       int64(records),
+		Detail:  err.Error(),
+	})
 }
 
 // record merges n decoded hot spots into the shard's accumulator and

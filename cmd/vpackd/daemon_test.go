@@ -16,9 +16,7 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/drift"
-	"repro/internal/hsd"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
@@ -54,18 +52,13 @@ func newTestDaemonStore(t *testing.T, batch int, store *cas.Store) (*Daemon, *ob
 // detector output in wire form — genuine hot-spot records, not mocks.
 func captureSpots(t *testing.T, d *Daemon, name string) []hotSpotWire {
 	t.Helper()
-	st := d.programs[name]
-	var spots []hotSpotWire
-	det := hsd.New(d.cfg.Detector, func(h hsd.HotSpot) { spots = append(spots, fromHSD(h)) })
-	m := cpu.NewMachine(st.img)
-	err := m.Run(d.cfg.ProfileLimit, func(si *cpu.StepInfo) {
-		if si.Inst.Op.IsCondBranch() {
-			det.SetInstCount(m.InstCount)
-			det.Branch(si.PC, si.Taken)
-		}
-	})
+	hss, err := core.HotSpots(d.cfg, d.programs[name].img)
 	if err != nil {
 		t.Fatal(err)
+	}
+	spots := make([]hotSpotWire, len(hss))
+	for i, h := range hss {
+		spots[i] = fromHSD(h)
 	}
 	if len(spots) == 0 {
 		t.Fatal("profiling detected no hot spots")
@@ -246,6 +239,82 @@ func TestDaemonOversizedProfile(t *testing.T) {
 	}
 	if got := rec.Export().Metrics.Counters[obs.DaemonRecords.Name]; got != 1 {
 		t.Fatalf("%s = %d after one accepted record, want 1", obs.DaemonRecords.Name, got)
+	}
+}
+
+// TestDaemonBadProfile: a POST carrying a hot-spot record no run of the
+// image could produce is refused whole with 422 (ErrBadProfile), before
+// any of its records reach the phase database, and the refusal shows as
+// one profile_rejected event and one vpackd.profile_rejected count. A
+// genuine detector stream is still accepted afterwards.
+func TestDaemonBadProfile(t *testing.T) {
+	d, rec := newTestDaemon(t, 1000)
+	h := d.Handler()
+	st := d.programs["m88ksim"]
+	spots := captureSpots(t, d, "m88ksim")
+	var nonBranch int64 // an instruction that is not a conditional branch
+	for st.img.Code[nonBranch].Op.IsCondBranch() {
+		nonBranch++
+	}
+	bad := map[string]func(*branchWire){
+		"taken_over_exec":  func(b *branchWire) { b.Taken = b.Exec + 1 },
+		"pc_not_a_branch":  func(b *branchWire) { b.PC = nonBranch },
+		"pc_negative":      func(b *branchWire) { b.PC = -1 },
+		"pc_past_the_code": func(b *branchWire) { b.PC = int64(len(st.img.Code)) },
+	}
+	for name, corrupt := range bad {
+		t.Run(name, func(t *testing.T) {
+			post := make([]hotSpotWire, 2)
+			for i := range post {
+				post[i] = spots[i]
+				post[i].Branches = append([]branchWire(nil), spots[i].Branches...)
+			}
+			corrupt(&post[1].Branches[len(post[1].Branches)-1])
+			before := rec.Export().Metrics.Counters
+			w := postSpotsTrace(t, h, "m88ksim", st.hash, post, "bad-"+name)
+			if w.Code != http.StatusUnprocessableEntity {
+				t.Fatalf("POST: %d, want 422: %s", w.Code, w.Body.String())
+			}
+			if !strings.Contains(w.Body.String(), ErrBadProfile.Error()) {
+				t.Errorf("refusal does not name %v: %s", ErrBadProfile, w.Body.String())
+			}
+			after := rec.Export().Metrics.Counters
+			if got := after[obs.DaemonProfileRejected.Name] - before[obs.DaemonProfileRejected.Name]; got != 1 {
+				t.Errorf("%s rose by %d, want 1", obs.DaemonProfileRejected.Name, got)
+			}
+			if got := after[obs.DaemonRecords.Name] - before[obs.DaemonRecords.Name]; got != 0 {
+				t.Errorf("refused POST ingested %d records", got)
+			}
+			events, _, _ := d.events.Since(0, 0)
+			var found int
+			for _, e := range events {
+				if e.Trace == "bad-"+name {
+					found++
+					if e.Kind != drift.EventRejected || e.N != 2 || e.Detail == "" {
+						t.Errorf("event %+v, want one %s with N 2 and a reason", e, drift.EventRejected)
+					}
+				}
+			}
+			if found != 1 {
+				t.Errorf("%d events for the refused POST, want 1", found)
+			}
+		})
+	}
+	st.mu.Lock()
+	records, phases := st.records, len(st.db.Phases)
+	st.mu.Unlock()
+	if records != 0 || phases != 0 {
+		t.Fatalf("refused POSTs reached the phase database: %d records, %d phases", records, phases)
+	}
+
+	if w := postSpots(t, h, "m88ksim", st.hash, spots); w.Code != http.StatusOK {
+		t.Fatalf("genuine detector stream: %d: %s", w.Code, w.Body.String())
+	}
+	st.mu.Lock()
+	records = st.records
+	st.mu.Unlock()
+	if records != int64(len(spots)) {
+		t.Fatalf("genuine stream: %d records accepted, want %d", records, len(spots))
 	}
 }
 

@@ -181,11 +181,16 @@ func (d *Daemon) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	trace := d.ingestTrace(r.Header.Get(TraceHeader))
+	w.Header().Set(TraceHeader, trace)
+	if err := checkHotSpots(st.img, post.HotSpots); err != nil {
+		d.reject(st, trace, len(post.HotSpots), err)
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return
+	}
 	d.record(st, post.HotSpots, trace)
 	st.mu.Lock()
 	ack := profileAck{Records: st.records, Queued: st.pending, Trace: trace}
 	st.mu.Unlock()
-	w.Header().Set(TraceHeader, trace)
 	writeJSON(w, ack)
 }
 

@@ -25,9 +25,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/drift"
-	"repro/internal/hsd"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -251,29 +249,21 @@ func captureSpots(p wireProgram) ([]wireHotSpot, error) {
 			p.Program, h, p.ProgramHash, core.ErrStaleArtifact)
 	}
 
-	cfg := core.ScaledConfig()
-	var spots []wireHotSpot
-	det := hsd.New(cfg.Detector, func(h hsd.HotSpot) {
-		w := wireHotSpot{
+	hss, err := core.HotSpots(core.ScaledConfig(), img)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", p.Program, err)
+	}
+	spots := make([]wireHotSpot, len(hss))
+	for i, h := range hss {
+		spots[i] = wireHotSpot{
 			Seq:      h.Seq,
 			AtBranch: h.DetectedAtBranch,
 			AtInst:   h.DetectedAtInst,
 			Branches: make([]wireBranch, len(h.Branches)),
 		}
-		for i, br := range h.Branches {
-			w.Branches[i] = wireBranch{PC: br.PC, Exec: br.Exec, Taken: br.Taken}
+		for j, br := range h.Branches {
+			spots[i].Branches[j] = wireBranch{PC: br.PC, Exec: br.Exec, Taken: br.Taken}
 		}
-		spots = append(spots, w)
-	})
-	m := cpu.NewMachine(img)
-	err = m.Run(cfg.ProfileLimit, func(si *cpu.StepInfo) {
-		if si.Inst.Op.IsCondBranch() {
-			det.SetInstCount(m.InstCount)
-			det.Branch(si.PC, si.Taken)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s: profile: %w", p.Program, err)
 	}
 	if len(spots) == 0 {
 		return nil, fmt.Errorf("%s: no hot spots detected; raise the daemon's -scale", p.Program)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/drift"
 	"repro/internal/hsd"
 	"repro/internal/phasedb"
@@ -29,17 +28,9 @@ func driftReport(w io.Writer, cfg core.Config, p *prog.Program, name string, dcf
 		return err
 	}
 
-	var spots []hsd.HotSpot
-	det := hsd.New(cfg.Detector, func(h hsd.HotSpot) { spots = append(spots, h) })
-	m := cpu.NewMachine(img)
-	err = m.Run(cfg.ProfileLimit, func(si *cpu.StepInfo) {
-		if si.Inst.Op.IsCondBranch() {
-			det.SetInstCount(m.InstCount)
-			det.Branch(si.PC, si.Taken)
-		}
-	})
+	spots, err := core.HotSpots(cfg, img)
 	if err != nil {
-		return fmt.Errorf("profile: %w", err)
+		return err
 	}
 	if len(spots) < 2 {
 		return fmt.Errorf("%s: %d hot spots detected; need at least 2 to split baseline/replay", name, len(spots))

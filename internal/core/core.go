@@ -271,18 +271,76 @@ type ProfileStats struct {
 }
 
 // Profile runs the program to completion under the Hot Spot Detector
-// (§3.1) and returns the filtered phase database. obs, when non-nil,
-// receives every retired instruction — the benchmark harness uses it to
-// collect baseline timing in the same pass.
+// (§3.1) on the functional step loop and returns the filtered phase
+// database. obsFn, when non-nil, receives every retired instruction.
 func Profile(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo)) (*phasedb.DB, ProfileStats, error) {
-	return ProfileObserved(cfg, img, obsFn, obs.Nop{})
+	return profile(cfg, stepDriver(img, cfg.ProfileLimit, obsFn), obs.Nop{})
 }
 
-// ProfileObserved is Profile reporting to an observer: the run executes
-// inside a "profile" span, every unique phase emits a PhaseDetected event
-// and every software-filtered (redundant) detection a PhaseFiltered
-// event, and the profile.* counters summarize the run.
-func ProfileObserved(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo), o obs.Observer) (*phasedb.DB, ProfileStats, error) {
+// HotSpots runs img to completion under the Hot Spot Detector and returns
+// every detection in order, unfiltered: the raw stream a hardware
+// monitor would report, and what clients of the daemon post.
+func HotSpots(cfg Config, img *prog.Image) ([]hsd.HotSpot, error) {
+	var spots []hsd.HotSpot
+	_, _, err := detect(cfg, stepDriver(img, cfg.ProfileLimit, nil), func(h hsd.HotSpot) {
+		spots = append(spots, h)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: profiling run: %w", err)
+	}
+	return spots, nil
+}
+
+// driver runs a program to completion, passing every retired conditional
+// branch to branch in retirement order, and returns the machine it ran.
+type driver func(branch cpu.BranchHook) (*cpu.Machine, error)
+
+// stepDriver runs img on the functional step loop, the cheaper driver when
+// no timing is wanted. obsFn, when non-nil, also sees every retired
+// instruction.
+func stepDriver(img *prog.Image, limit uint64, obsFn func(*cpu.StepInfo)) driver {
+	return func(branch cpu.BranchHook) (*cpu.Machine, error) {
+		m := cpu.NewMachine(img)
+		err := m.Run(limit, func(si *cpu.StepInfo) {
+			if si.Inst.Op.IsCondBranch() {
+				branch(si.PC, si.Taken, m.InstCount)
+			}
+			if obsFn != nil {
+				obsFn(si)
+			}
+		})
+		return m, err
+	}
+}
+
+// timedDriver runs img on the timed block engine under mc and stores the
+// run's statistics in *base, so one pass yields the branch stream and
+// the baseline timing.
+func timedDriver(mc cpu.Config, img *prog.Image, limit uint64, base *cpu.TimingStats) driver {
+	return func(branch cpu.BranchHook) (*cpu.Machine, error) {
+		st, m, err := cpu.RunTimedHooked(mc, img, limit, nil, branch)
+		*base = st
+		return m, err
+	}
+}
+
+// detect runs drive under a Hot Spot Detector configured by cfg, handing
+// every detection to record in order.
+func detect(cfg Config, drive driver, record func(hsd.HotSpot)) (*cpu.Machine, hsd.Stats, error) {
+	det := hsd.New(cfg.Detector, record)
+	m, err := drive(func(pc int64, taken bool, insts uint64) {
+		det.SetInstCount(insts)
+		det.Branch(pc, taken)
+	})
+	return m, det.Stats, err
+}
+
+// profile is the profiling pass over either driver, reporting to an
+// observer: the run executes inside a "profile" span, every unique phase
+// emits a PhaseDetected event and every software-filtered (redundant)
+// detection a PhaseFiltered event, and the profile.* counters summarize
+// the run.
+func profile(cfg Config, drive driver, o obs.Observer) (*phasedb.DB, ProfileStats, error) {
 	sp := o.StartSpan(obs.StageProfile)
 	defer sp.End()
 	db := phasedb.New(cfg.Filter)
@@ -305,21 +363,11 @@ func ProfileObserved(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo), o o
 		}
 		record = hsd.NewHistoryFilter(cfg.HistoryDepth, sim).WrapDetector(record)
 	}
-	det := hsd.New(cfg.Detector, record)
-	m := cpu.NewMachine(img)
-	err := m.Run(cfg.ProfileLimit, func(si *cpu.StepInfo) {
-		if si.Inst.Op.IsCondBranch() {
-			det.SetInstCount(m.InstCount)
-			det.Branch(si.PC, si.Taken)
-		}
-		if obsFn != nil {
-			obsFn(si)
-		}
-	})
+	m, ds, err := detect(cfg, drive, record)
 	st := ProfileStats{
 		Insts:      m.InstCount,
-		Branches:   det.Stats.BranchesSeen,
-		Detections: det.Stats.Detections,
+		Branches:   ds.BranchesSeen,
+		Detections: ds.Detections,
 	}
 	st.DataHash, st.DataStores = m.DataHash()
 	o.Count(obs.ProfileInsts.Name, int64(st.Insts))

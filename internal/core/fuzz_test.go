@@ -43,6 +43,11 @@ func FuzzDecodePackageSet(f *testing.F) { fuzzFixedPoint(f, DecodePackageSet) }
 // detection timeline collapsed to the three phase changes.
 func FuzzDecodeProfileArtifact(f *testing.F) { fuzzFixedPoint(f, DecodeProfileArtifact) }
 
+// FuzzDecodeRegionArtifact fuzzes DecodeRegionArtifact. The seed corpus
+// holds the region artifact of testdata/twophase.vpasm: its three phases'
+// regions, whose hash the provenance seed chains.
+func FuzzDecodeRegionArtifact(f *testing.F) { fuzzFixedPoint(f, DecodeRegionArtifact) }
+
 // FuzzDecodeProvenance fuzzes DecodeProvenance. The seed corpus holds a
 // provenance record chaining testdata/twophase.vpasm's profile, region
 // and package-set hashes.

@@ -1,0 +1,158 @@
+package core
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"repro/internal/cpu"
+	"repro/internal/hsd"
+	"repro/internal/obs"
+	"repro/internal/prog"
+	"repro/internal/workload"
+)
+
+// stepStream is the reference profile: the Hot Spot Detector over the
+// functional step loop, with Timing.Observe on every retired instruction
+// for the baseline.
+func stepStream(mc cpu.Config, cfg Config, img *prog.Image, limit uint64) ([]hsd.HotSpot, cpu.TimingStats, *cpu.Machine, error) {
+	var spots []hsd.HotSpot
+	timing := cpu.NewTiming(mc, img)
+	m, _, err := detect(cfg, stepDriver(img, limit, timing.Observe), func(h hsd.HotSpot) { spots = append(spots, h) })
+	if err != nil {
+		return spots, cpu.TimingStats{}, m, err
+	}
+	return spots, timing.Finish(), m, nil
+}
+
+// timedStream is the same profile over the timed block engine's hook.
+func timedStream(mc cpu.Config, cfg Config, img *prog.Image, limit uint64) ([]hsd.HotSpot, cpu.TimingStats, *cpu.Machine, error) {
+	var spots []hsd.HotSpot
+	var base cpu.TimingStats
+	m, _, err := detect(cfg, timedDriver(mc, img, limit, &base), func(h hsd.HotSpot) { spots = append(spots, h) })
+	return spots, base, m, err
+}
+
+// sameStream reports the first record where two hot-spot streams differ.
+func sameStream(t *testing.T, engine string, want, got []hsd.HotSpot) {
+	t.Helper()
+	for i := range min(len(want), len(got)) {
+		w, g := want[i], got[i]
+		if w.Seq != g.Seq || w.DetectedAtBranch != g.DetectedAtBranch || w.DetectedAtInst != g.DetectedAtInst ||
+			!reflect.DeepEqual(w.Branches, g.Branches) {
+			t.Errorf("%s: hot spot %d differs from the step loop:\n  step:  %+v\n  timed: %+v", engine, i, w, g)
+			return
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s: %d hot spots, step loop %d", engine, len(got), len(want))
+	}
+}
+
+// TestProfileTimedMatchesStepLoop pins the profiling pass to its
+// reference. On every workload input at scale 1, the hot-spot stream the
+// timed block engine feeds the detector — with superblocks and with tier
+// 0 only — equals the functional step loop's record for record, and the
+// run's TimingStats equal the step loop's Timing.Observe baseline.
+// ProfileTimed, the entry point the suite profiles through, must then
+// produce ProfileStageObserved's artifact and observer stream.
+func TestProfileTimedMatchesStepLoop(t *testing.T) {
+	cfg := ScaledConfig()
+	mc := cpu.DefaultConfig()
+	tier0 := mc
+	tier0.DisableSuperblocks = true
+	for _, bench := range workload.Ordered() {
+		for _, in := range bench.Inputs {
+			in.Scale = 1
+			t.Run(bench.Name+"/"+in.Name, func(t *testing.T) {
+				img, err := bench.Build(in).Linearize()
+				if err != nil {
+					t.Fatalf("linearize: %v", err)
+				}
+				want, wantBase, wantM, err := stepStream(mc, cfg, img, 0)
+				if err != nil {
+					t.Fatalf("step loop: %v", err)
+				}
+				if len(want) == 0 {
+					t.Fatal("step loop detected no hot spots")
+				}
+				for _, e := range []struct {
+					name string
+					mc   cpu.Config
+				}{{"superblocks", mc}, {"blocks", tier0}} {
+					got, base, m, err := timedStream(e.mc, cfg, img, 0)
+					if err != nil {
+						t.Fatalf("%s: %v", e.name, err)
+					}
+					sameStream(t, e.name, want, got)
+					if base != wantBase {
+						t.Errorf("%s: TimingStats diverged:\n  step:  %+v\n  timed: %+v", e.name, wantBase, base)
+					}
+					if m.InstCount != wantM.InstCount {
+						t.Errorf("%s: retired %d insts, step loop %d", e.name, m.InstCount, wantM.InstCount)
+					}
+				}
+
+				recStep, recTimed := obs.NewRecorder(), obs.NewRecorder()
+				timing := cpu.NewTiming(mc, img)
+				paStep, err := ProfileStageObserved(cfg, img, timing.Observe, recStep)
+				if err != nil {
+					t.Fatalf("ProfileStageObserved: %v", err)
+				}
+				paTimed, base, err := ProfileTimed(cfg, mc, img, recTimed)
+				if err != nil {
+					t.Fatalf("ProfileTimed: %v", err)
+				}
+				if base != timing.Finish() {
+					t.Errorf("ProfileTimed base diverged:\n  step:  %+v\n  timed: %+v", timing.Finish(), base)
+				}
+				if paStep.Stats != paTimed.Stats {
+					t.Errorf("ProfileStats diverged: step %+v, timed %+v", paStep.Stats, paTimed.Stats)
+				}
+				hStep, err := paStep.Hash()
+				if err != nil {
+					t.Fatal(err)
+				}
+				hTimed, err := paTimed.Hash()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hStep != hTimed {
+					t.Errorf("artifact hash diverged: step %016x, timed %016x", hStep, hTimed)
+				}
+				if trStep, trTimed := normalizedTrace(t, recStep), normalizedTrace(t, recTimed); !bytes.Equal(trStep, trTimed) {
+					t.Errorf("observer stream diverged:\n  step:  %s\n  timed: %s", trStep, trTimed)
+				}
+			})
+		}
+	}
+
+	// A run with limit > 0 takes the step loop inside RunTimedHooked; the
+	// hook must still see the reference stream, whether the run completes
+	// under the limit or is cut short by it.
+	t.Run("limited", func(t *testing.T) {
+		b, in := buildInput(t, "m88ksim", "A")
+		img, err := b.Build(in).Linearize()
+		if err != nil {
+			t.Fatalf("linearize: %v", err)
+		}
+		_, _, full, err := stepStream(mc, cfg, img, 0)
+		if err != nil {
+			t.Fatalf("step loop: %v", err)
+		}
+		for _, limit := range []uint64{full.InstCount, full.InstCount / 2} {
+			want, wantBase, _, wantErr := stepStream(mc, cfg, img, limit)
+			got, base, _, err := timedStream(mc, cfg, img, limit)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("limit %d: error %v, step loop %v", limit, err, wantErr)
+			}
+			if limit == full.InstCount && err != nil {
+				t.Fatalf("limit %d: a run of exactly %d insts failed: %v", limit, full.InstCount, err)
+			}
+			sameStream(t, "limited", want, got)
+			if base != wantBase {
+				t.Errorf("limit %d: TimingStats diverged:\n  step:  %+v\n  timed: %+v", limit, wantBase, base)
+			}
+		}
+	})
+}

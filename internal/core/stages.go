@@ -31,22 +31,36 @@ import (
 )
 
 // ProfileStage runs stage 1: the program executes to completion under the
-// Hot Spot Detector and the filtered phase database is wrapped into a
-// ProfileArtifact stamped with the image hash and profile key. obsFn,
-// when non-nil, receives every retired instruction (the suite collects
-// baseline timing in the same pass).
+// Hot Spot Detector on the functional step loop and the filtered phase
+// database is wrapped into a ProfileArtifact stamped with the image hash
+// and profile key. obsFn, when non-nil, receives every retired
+// instruction.
 func ProfileStage(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo)) (*ProfileArtifact, error) {
 	return ProfileStageObserved(cfg, img, obsFn, obs.Nop{})
 }
 
-// ProfileStageObserved is ProfileStage reporting to an observer; its
-// stream is exactly ProfileObserved's.
+// ProfileStageObserved is ProfileStage reporting to an observer: a
+// "profile" span, a PhaseDetected or PhaseFiltered event per detection,
+// and the profile.* counters.
 func ProfileStageObserved(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo), o obs.Observer) (*ProfileArtifact, error) {
-	db, st, err := ProfileObserved(cfg, img, obsFn, o)
+	db, st, err := profile(cfg, stepDriver(img, cfg.ProfileLimit, obsFn), o)
 	if err != nil {
 		return nil, err
 	}
 	return newProfileArtifact(cfg, img, db, st), nil
+}
+
+// ProfileTimed is ProfileStageObserved on the timed block engine: one run
+// under mc yields both the profile artifact and the image's baseline
+// TimingStats. The artifact and the observer stream are exactly
+// ProfileStageObserved's.
+func ProfileTimed(cfg Config, mc cpu.Config, img *prog.Image, o obs.Observer) (*ProfileArtifact, cpu.TimingStats, error) {
+	var base cpu.TimingStats
+	db, st, err := profile(cfg, timedDriver(mc, img, cfg.ProfileLimit, &base), o)
+	if err != nil {
+		return nil, cpu.TimingStats{}, err
+	}
+	return newProfileArtifact(cfg, img, db, st), base, nil
 }
 
 // RegionStage runs stage 2: phase selection (detection-weight order, the

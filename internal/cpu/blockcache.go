@@ -575,6 +575,9 @@ func (t *Timing) execBlock(m *Machine, b *block) (int64, error) {
 			switch {
 			case condBranch:
 				t.Stats.CondBranches++
+				if t.onBranch != nil {
+					t.onBranch(pc, taken, m.InstCount+uint64(n))
+				}
 				if !t.pred.PredictCond(pc, taken) {
 					redirect = true
 				} else if taken && !t.pred.LookupBTB(pc, next) {

@@ -201,6 +201,50 @@ func TestBlockCacheLimitFallsBack(t *testing.T) {
 	}
 }
 
+// TestBranchHookSeesEveryCondBranch: on every engine — superblocks, tier
+// 0 only, and the limit > 0 step loop — the hook fires once per retired
+// conditional branch, at a conditional-branch PC, with a strictly rising
+// retired-instruction count.
+func TestBranchHookSeesEveryCondBranch(t *testing.T) {
+	tier0 := DefaultConfig()
+	tier0.DisableSuperblocks = true
+	for _, bench := range workload.Ordered()[:4] {
+		in := bench.Inputs[0]
+		in.Scale = 1
+		img, err := bench.Build(in).Linearize()
+		if err != nil {
+			t.Fatalf("linearize: %v", err)
+		}
+		for _, e := range []struct {
+			name  string
+			cfg   Config
+			limit uint64
+		}{{"superblocks", DefaultConfig(), 0}, {"blocks", tier0, 0}, {"limited", DefaultConfig(), 1 << 40}} {
+			var calls, last uint64
+			hook := func(pc int64, taken bool, insts uint64) {
+				calls++
+				if !img.Code[pc].Op.IsCondBranch() {
+					t.Fatalf("%s/%s: hook at pc %d, a %v", bench.Name, e.name, pc, img.Code[pc].Op)
+				}
+				if insts <= last {
+					t.Fatalf("%s/%s: hook count %d after %d", bench.Name, e.name, insts, last)
+				}
+				last = insts
+			}
+			st, m, err := RunTimedHooked(e.cfg, img, e.limit, nil, hook)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", bench.Name, e.name, err)
+			}
+			if calls != st.CondBranches || calls == 0 {
+				t.Errorf("%s/%s: %d hook calls, %d conditional branches", bench.Name, e.name, calls, st.CondBranches)
+			}
+			if last > m.InstCount {
+				t.Errorf("%s/%s: last hook count %d past %d retired", bench.Name, e.name, last, m.InstCount)
+			}
+		}
+	}
+}
+
 // TestBlockCacheFaultState: a faulting run must park PC on the faulting
 // instruction and count only retired instructions, matching the step-loop
 // reference's partial state.

@@ -494,6 +494,9 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 			switch {
 			case condBranch:
 				t.Stats.CondBranches++
+				if t.onBranch != nil {
+					t.onBranch(s.pc, taken, m.InstCount+uint64(k+1))
+				}
 				if !t.pred.PredictCond(s.pc, taken) {
 					redirect = true
 				} else if taken && !t.pred.LookupBTB(s.pc, next) {

@@ -149,8 +149,19 @@ type Timing struct {
 
 	inPkg []bool
 
+	// onBranch, when non-nil, sees every retired conditional branch (see
+	// BranchHook); RunTimedHooked sets it.
+	onBranch BranchHook
+
 	Stats TimingStats
 }
+
+// BranchHook observes one retired conditional branch of a timed run: its
+// PC, its direction and the retired-instruction count including the
+// branch itself — the stream a hardware branch monitor such as the Hot
+// Spot Detector sees. Every engine calls it in retirement order with the
+// same arguments, so the stream does not depend on the tier that ran.
+type BranchHook func(pc int64, taken bool, insts uint64)
 
 // NewTiming builds a timing model for an image. Instructions belonging to
 // package functions are identified up front for coverage accounting.
@@ -437,12 +448,30 @@ func RunTimed(cfg Config, img *prog.Image, limit uint64) (TimingStats, *Machine,
 // instead, so the limit is exact per instruction; bc is then unused.
 // Limits only guard runaway runs, never the measured suite path.
 func RunTimedCached(cfg Config, img *prog.Image, limit uint64, bc *BlockCache) (TimingStats, *Machine, error) {
+	return RunTimedHooked(cfg, img, limit, bc, nil)
+}
+
+// RunTimedHooked is RunTimedCached calling hook, when non-nil, at every
+// retired conditional branch, so one timed run also feeds a branch
+// monitor. The hook costs one nil check per conditional branch when it is
+// nil and leaves the statistics unchanged either way.
+func RunTimedHooked(cfg Config, img *prog.Image, limit uint64, bc *BlockCache, hook BranchHook) (TimingStats, *Machine, error) {
 	m := NewMachine(img)
 	t := NewTiming(cfg, img)
+	t.onBranch = hook
 	var err error
 	switch {
 	case limit > 0:
-		err = m.Run(limit, t.Observe)
+		observe := t.Observe
+		if hook != nil {
+			observe = func(info *StepInfo) {
+				if info.Inst.Op.IsCondBranch() {
+					hook(info.PC, info.Taken, m.InstCount)
+				}
+				t.Observe(info)
+			}
+		}
+		err = m.Run(limit, observe)
 	case bc == nil:
 		err = t.runBlocks(m, NewBlockCache(img))
 	default:

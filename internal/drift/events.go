@@ -10,11 +10,12 @@ import "sync"
 
 // Stream event kinds, as the /v1/events JSON reports them.
 const (
-	EventIngest      = "ingest"       // one accepted profile POST (N = records)
-	EventWindow      = "drift_window" // one closed analysis window (N = records, Score = composite)
-	EventRepackStart = "repack_start" // a worker picked a shard off the queue
-	EventRepackDone  = "repack_done"  // a repack finished (N = version; Detail = error)
-	EventBaseline    = "baseline"     // a published version became the drift baseline (N = version)
+	EventIngest      = "ingest"           // one accepted profile POST (N = records)
+	EventRejected    = "profile_rejected" // one profile POST refused at ingest (N = records; Detail = reason)
+	EventWindow      = "drift_window"     // one closed analysis window (N = records, Score = composite)
+	EventRepackStart = "repack_start"     // a worker picked a shard off the queue
+	EventRepackDone  = "repack_done"      // a repack finished (N = version; Detail = error)
+	EventBaseline    = "baseline"         // a published version became the drift baseline (N = version)
 )
 
 // StreamEvent is one daemon occurrence in the /v1/events ring.

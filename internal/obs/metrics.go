@@ -182,15 +182,16 @@ var (
 // The continuous-optimization daemon (cmd/vpackd). DaemonRecords also
 // has one series per program.
 var (
-	DaemonRecords       = declare("vpackd.records", Counter, "Hot-spot records accepted.", DaemonSurface)
-	DaemonRepacks       = declare("vpackd.repacks", Counter, "Repacks completed.", DaemonSurface)
-	DaemonQueueRejected = declare("vpackd.queue_rejected", Counter, "Repack shards rejected because the queue was full.", DaemonSurface)
-	DaemonVersions      = declare("vpackd.versions", Counter, "Package versions published.", DaemonSurface)
-	DaemonRecovered     = declare("vpackd.versions_recovered", Counter, "Versions reloaded from the artifact store at boot, served without a repack.", DaemonSurface)
-	DaemonEquivRejected = declare("vpackd.equiv_rejected", Counter, "Repacks withheld because translation validation refuted a package.", DaemonSurface)
-	DaemonQueueDepth    = declare("vpackd.queue_depth", Gauge, "Shards waiting in the bounded repack queue.", DaemonSurface)
-	DaemonQueueWait     = declare("vpackd.queue_wait_us", Histogram, "Enqueue to worker pickup of a repack shard in microseconds.", DaemonSurface)
-	DaemonRepackLatency = declare("vpackd.repack_latency_us", Histogram, "Worker pickup to publish of a repack in microseconds.", DaemonSurface)
+	DaemonRecords         = declare("vpackd.records", Counter, "Hot-spot records accepted.", DaemonSurface)
+	DaemonRepacks         = declare("vpackd.repacks", Counter, "Repacks completed.", DaemonSurface)
+	DaemonQueueRejected   = declare("vpackd.queue_rejected", Counter, "Repack shards rejected because the queue was full.", DaemonSurface)
+	DaemonProfileRejected = declare("vpackd.profile_rejected", Counter, "Profile POSTs refused at ingest because a hot-spot record does not fit the program's image.", DaemonSurface)
+	DaemonVersions        = declare("vpackd.versions", Counter, "Package versions published.", DaemonSurface)
+	DaemonRecovered       = declare("vpackd.versions_recovered", Counter, "Versions reloaded from the artifact store at boot, served without a repack.", DaemonSurface)
+	DaemonEquivRejected   = declare("vpackd.equiv_rejected", Counter, "Repacks withheld because translation validation refuted a package.", DaemonSurface)
+	DaemonQueueDepth      = declare("vpackd.queue_depth", Gauge, "Shards waiting in the bounded repack queue.", DaemonSurface)
+	DaemonQueueWait       = declare("vpackd.queue_wait_us", Histogram, "Enqueue to worker pickup of a repack shard in microseconds.", DaemonSurface)
+	DaemonRepackLatency   = declare("vpackd.repack_latency_us", Histogram, "Worker pickup to publish of a repack in microseconds.", DaemonSurface)
 )
 
 // Drift observability (internal/drift): incoming profile shards scored

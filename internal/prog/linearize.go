@@ -32,6 +32,17 @@ func (img *Image) BlockAt(addr int64) *Block {
 	return img.AddrBlock[addr]
 }
 
+// BranchBlock returns the block whose conditional-branch terminator sits
+// at addr, or nil when addr holds none: the only addresses a Hot Spot
+// Detector record can name.
+func (img *Image) BranchBlock(addr int64) *Block {
+	b := img.BlockAt(addr)
+	if b == nil || b.Kind != TermBranch || img.TermAddr[b] != addr {
+		return nil
+	}
+	return b
+}
+
 // Linearize lowers the program to a flat code image. Functions are emitted
 // in Program.Funcs order and blocks in Func.Blocks (layout) order, so code
 // layout decisions are visible to the fetch and I-cache models. Fallthrough

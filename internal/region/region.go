@@ -197,8 +197,8 @@ func IdentifyObserved(cfg Config, img *prog.Image, ph *phasedb.Phase, o obs.Obse
 	// HSD-derived thresholds keep their hardware-counter meaning (the
 	// paper instead discards redundant records outright).
 	for _, bs := range ph.SortedBranches() {
-		b := img.BlockAt(bs.PC)
-		if b == nil || b.Kind != prog.TermBranch || img.TermAddr[b] != bs.PC {
+		b := img.BranchBlock(bs.PC)
+		if b == nil {
 			r.UnmappedBranches++
 			continue
 		}

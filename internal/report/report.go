@@ -220,12 +220,7 @@ func (pm *profileMemo) profile(cfg core.Config, mc cpu.Config, img *prog.Image, 
 		o.Count(obs.ProfileMemoMisses.Name, 1)
 	}
 	e.once.Do(func() {
-		// One pass: HSD profile + baseline timing.
-		timing := cpu.NewTiming(mc, img)
-		e.pa, e.err = core.ProfileStageObserved(cfg, img, timing.Observe, o)
-		if e.err == nil {
-			e.base = timing.Finish()
-		}
+		e.pa, e.base, e.err = core.ProfileTimed(cfg, mc, img, o)
 	})
 	return e.pa, e.base, e.err
 }

@@ -432,10 +432,10 @@ func TestRunSuiteEquivDeterministic(t *testing.T) {
 }
 
 // TestProfileBaseMatchesBlockEngine pins the invariant the suite's speedup
-// rests on: base cycles come from the profiling pass (the step loop,
-// Machine.Run + Timing.Observe) and packed cycles from the block engine,
-// so on the same image the two must produce identical TimingStats. It
-// checks every workload input at scale 1.
+// rests on: base cycles come from the profiling pass (core.ProfileTimed on
+// the block engine) and packed cycles from RunTimedCached, so on the same
+// image the two must produce identical TimingStats. It checks every
+// workload input at scale 1.
 func TestProfileBaseMatchesBlockEngine(t *testing.T) {
 	mc := cpu.DefaultConfig()
 	for _, bench := range workload.Ordered() {

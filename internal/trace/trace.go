@@ -74,8 +74,8 @@ func branchStats(img *prog.Image, db *phasedb.DB) map[*prog.Block]phasedb.Branch
 	out := make(map[*prog.Block]phasedb.BranchStat)
 	for _, ph := range db.Phases {
 		for _, bs := range ph.Branches {
-			b := img.BlockAt(bs.PC)
-			if b == nil || b.Kind != prog.TermBranch || img.TermAddr[b] != bs.PC {
+			b := img.BranchBlock(bs.PC)
+			if b == nil {
 				continue
 			}
 			agg := out[b]

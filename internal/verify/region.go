@@ -24,8 +24,8 @@ func Region(stage string, cfg region.Config, img *prog.Image, ph *phasedb.Phase,
 
 func (c *checker) region(cfg region.Config, img *prog.Image, ph *phasedb.Phase, r *region.Region) {
 	for _, bs := range ph.SortedBranches() {
-		b := img.BlockAt(bs.PC)
-		if b == nil || b.Kind != prog.TermBranch || img.TermAddr[b] != bs.PC {
+		b := img.BranchBlock(bs.PC)
+		if b == nil {
 			continue // unmapped record; counted by region.UnmappedBranches
 		}
 		if r.BlockTemp[b] != region.Hot {

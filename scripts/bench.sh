@@ -26,9 +26,9 @@ go test -run '^$' \
   -benchtime "$BENCHTIME" ./internal/obs/
 
 echo
-echo "== detector, timed-run and suite-parallelism benches (repo root) =="
+echo "== detector, profiling-pass, timed-run and suite-parallelism benches (repo root) =="
 go test -run '^$' \
-  -bench 'BenchmarkTable2Machine|BenchmarkHSDThroughput|BenchmarkSuiteJobs' \
+  -bench 'BenchmarkTable2Machine|BenchmarkHSDThroughput|BenchmarkProfileTimed|BenchmarkSuiteJobs' \
   -benchtime "$BENCHTIME" .
 
 echo

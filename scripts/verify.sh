@@ -24,12 +24,13 @@ go test ./...
 # input that panics the assembler, or that it accepts but cannot round
 # trip through the disassembler, fails verification here.
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm
-# Artifact decoder fuzzing (package set, profile artifact, provenance
-# record), each seeded from internal/core/testdata/fuzz/<target>: a
+# Artifact decoder fuzzing (package set, profile artifact, region
+# artifact, provenance record), each seeded from internal/core/testdata/fuzz/<target>: a
 # decoder must never panic, and any value it accepts must re-encode to a
 # fixed point.
 go test -run='^$' -fuzz=FuzzDecodePackageSet -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzDecodeProfileArtifact -fuzztime=10s ./internal/core
+go test -run='^$' -fuzz=FuzzDecodeRegionArtifact -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzDecodeProvenance -fuzztime=10s ./internal/core
 go test -race ./internal/report/...
 go test -race ./internal/obs/...

@@ -31,10 +31,13 @@ import (
 // it with errors.Is.
 var ErrUnknownProgram = errors.New("unknown program")
 
-// ErrBadProfile reports a streamed hot-spot record that no run of the
-// program's image could have produced: a branch PC that is not one of the
-// image's conditional-branch terminators, or a branch taken more often
-// than it executed. It is always wrapped with the offending record.
+// ErrBadProfile reports a profile POST the daemon refuses: more than
+// maxProfileRecords hot spots, or a record that no run of the program's
+// image under the daemon's detector could have produced — more branch
+// records than the detector's branch table holds, a branch PC that is
+// not one of the image's conditional-branch terminators, or a branch
+// taken more often than it executed. It is always wrapped with the
+// reason.
 var ErrBadProfile = errors.New("bad profile record")
 
 // programState is one benchmark's shard: its pristine program and image
@@ -265,11 +268,18 @@ func (d *Daemon) ingestTrace(client string) string {
 	return fmt.Sprintf("ing-%08d", d.ingestSeq.Add(1))
 }
 
-// checkHotSpots validates every record of one profile POST against img,
-// so a malformed record is refused before any of the POST reaches the
-// phase database (where Taken > Exec would underflow region weights).
-func checkHotSpots(img *prog.Image, spots []hotSpotWire) error {
+// checkHotSpots validates one profile POST against img and a detector
+// whose branch table holds bbb entries, so an oversized POST or a
+// malformed record is refused before any of it reaches the phase
+// database (where Taken > Exec would underflow region weights).
+func checkHotSpots(img *prog.Image, bbb int, spots []hotSpotWire) error {
+	if len(spots) > maxProfileRecords {
+		return fmt.Errorf("vpackd: %d hot spots in one POST, limit %d: %w", len(spots), maxProfileRecords, ErrBadProfile)
+	}
 	for i := range spots {
+		if n := len(spots[i].Branches); n > bbb {
+			return fmt.Errorf("vpackd: hot spot %d: %d branch records, the detector holds %d: %w", i, n, bbb, ErrBadProfile)
+		}
 		for _, b := range spots[i].Branches {
 			if img.BranchBlock(b.PC) == nil {
 				return fmt.Errorf("vpackd: hot spot %d: pc %d is not a conditional branch of the image: %w", i, b.PC, ErrBadProfile)

@@ -242,8 +242,9 @@ func TestDaemonOversizedProfile(t *testing.T) {
 	}
 }
 
-// TestDaemonBadProfile: a POST carrying a hot-spot record no run of the
-// image could produce is refused whole with 422 (ErrBadProfile), before
+// TestDaemonBadProfile: a POST carrying more than maxProfileRecords hot
+// spots, or a hot-spot record no run of the image under the daemon's
+// detector could produce, is refused whole with 422 (ErrBadProfile), before
 // any of its records reach the phase database, and the refusal shows as
 // one profile_rejected event and one vpackd.profile_rejected count. A
 // genuine detector stream is still accepted afterwards.
@@ -256,11 +257,34 @@ func TestDaemonBadProfile(t *testing.T) {
 	for st.img.Code[nonBranch].Op.IsCondBranch() {
 		nonBranch++
 	}
-	bad := map[string]func(*branchWire){
-		"taken_over_exec":  func(b *branchWire) { b.Taken = b.Exec + 1 },
-		"pc_not_a_branch":  func(b *branchWire) { b.PC = nonBranch },
-		"pc_negative":      func(b *branchWire) { b.PC = -1 },
-		"pc_past_the_code": func(b *branchWire) { b.PC = int64(len(st.img.Code)) },
+	// Each shape corrupts a POST of two genuine records. The last two keep
+	// every branch record genuine but carry more than one POST, or one
+	// detector report, may hold.
+	lastBranch := func(corrupt func(*branchWire)) func([]hotSpotWire) []hotSpotWire {
+		return func(post []hotSpotWire) []hotSpotWire {
+			corrupt(&post[1].Branches[len(post[1].Branches)-1])
+			return post
+		}
+	}
+	bbb := d.cfg.Detector.Sets * d.cfg.Detector.Ways
+	bad := map[string]func([]hotSpotWire) []hotSpotWire{
+		"taken_over_exec":  lastBranch(func(b *branchWire) { b.Taken = b.Exec + 1 }),
+		"pc_not_a_branch":  lastBranch(func(b *branchWire) { b.PC = nonBranch }),
+		"pc_negative":      lastBranch(func(b *branchWire) { b.PC = -1 }),
+		"pc_past_the_code": lastBranch(func(b *branchWire) { b.PC = int64(len(st.img.Code)) }),
+		"too_many_records": func(post []hotSpotWire) []hotSpotWire {
+			for len(post) <= maxProfileRecords {
+				post = append(post, post[len(post)%2])
+			}
+			return post
+		},
+		"more_branches_than_the_bbb": func(post []hotSpotWire) []hotSpotWire {
+			hs := &post[1]
+			for len(hs.Branches) <= bbb {
+				hs.Branches = append(hs.Branches, hs.Branches[len(hs.Branches)%len(spots[1].Branches)])
+			}
+			return post
+		},
 	}
 	for name, corrupt := range bad {
 		t.Run(name, func(t *testing.T) {
@@ -269,7 +293,7 @@ func TestDaemonBadProfile(t *testing.T) {
 				post[i] = spots[i]
 				post[i].Branches = append([]branchWire(nil), spots[i].Branches...)
 			}
-			corrupt(&post[1].Branches[len(post[1].Branches)-1])
+			post = corrupt(post)
 			before := rec.Export().Metrics.Counters
 			w := postSpotsTrace(t, h, "m88ksim", st.hash, post, "bad-"+name)
 			if w.Code != http.StatusUnprocessableEntity {
@@ -290,8 +314,8 @@ func TestDaemonBadProfile(t *testing.T) {
 			for _, e := range events {
 				if e.Trace == "bad-"+name {
 					found++
-					if e.Kind != drift.EventRejected || e.N != 2 || e.Detail == "" {
-						t.Errorf("event %+v, want one %s with N 2 and a reason", e, drift.EventRejected)
+					if e.Kind != drift.EventRejected || e.N != int64(len(post)) || e.Detail == "" {
+						t.Errorf("event %+v, want one %s with N %d and a reason", e, drift.EventRejected, len(post))
 					}
 				}
 			}

@@ -28,6 +28,13 @@ const TraceHeader = "Vpackd-Trace"
 // clients send (ten hot spots of vpr, ~55 KB) sits ~19x below it.
 const maxProfileBody = 1 << 20
 
+// maxProfileRecords caps the hot spots one profile POST may carry; a POST
+// with more is refused with 422 (ErrBadProfile). Each record is merged
+// under its shard's lock, so without the cap one 1 MiB body of empty
+// records could hold that lock for hundreds of thousands of merges. The
+// repo's own clients send 10 per POST.
+const maxProfileRecords = 256
+
 // branchWire is one branch of a streamed hot-spot record.
 type branchWire struct {
 	PC    int64  `json:"pc"`
@@ -182,7 +189,7 @@ func (d *Daemon) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	trace := d.ingestTrace(r.Header.Get(TraceHeader))
 	w.Header().Set(TraceHeader, trace)
-	if err := checkHotSpots(st.img, post.HotSpots); err != nil {
+	if err := checkHotSpots(st.img, d.cfg.Detector.Sets*d.cfg.Detector.Ways, post.HotSpots); err != nil {
 		d.reject(st, trace, len(post.HotSpots), err)
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return

@@ -203,7 +203,7 @@ func (c *BlockCache) decode(entry int64) *block {
 			f |= slotNewLine
 		}
 		b.slots[j] = slotInfo{fu: meta.FU, lat: meta.Latency, flags: f}
-		if blk := c.img.AddrBlock[entry+int64(j)]; blk != nil && blk.Fn.IsPackage {
+		if inPackage(c.img.AddrBlock[entry+int64(j)]) {
 			b.pkgN++
 		}
 	}

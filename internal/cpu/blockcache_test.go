@@ -270,3 +270,67 @@ func TestBlockCacheFaultState(t *testing.T) {
 			mOn.PC, mOn.InstCount, mOff.PC, mOff.InstCount)
 	}
 }
+
+// TestSameTimedImage pins the key of the suite's cross-variant timed
+// memo: a fresh relinearized clone compares equal (and times identically),
+// and a change to any one thing the timed engine reads — one instruction,
+// the entry point, one data word, one block's package mark — compares
+// unequal.
+func TestSameTimedImage(t *testing.T) {
+	bench, err := workload.ByName("m88ksim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := bench.Inputs[0]
+	in.Scale = 1
+	p := bench.Build(in)
+	img, err := p.Linearize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Prog.Data) == 0 {
+		t.Fatal("workload has no data segment to mutate")
+	}
+	fresh := func() *prog.Image {
+		t.Helper()
+		c, err := p.Clone().Linearize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	same := fresh()
+	if !SameTimedImage(img, same) || !SameTimedImage(same, img) {
+		t.Fatal("a relinearized clone does not compare equal")
+	}
+	a, _, err := RunTimed(DefaultConfig(), img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := RunTimed(DefaultConfig(), same, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Errorf("equal images timed differently:\n  %+v\n  %+v", a, b)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(*prog.Image)
+	}{
+		{"instruction", func(c *prog.Image) { c.Code[len(c.Code)/2].Imm++ }},
+		{"entry", func(c *prog.Image) { c.Entry++ }},
+		{"data", func(c *prog.Image) { c.Prog.Data[len(c.Prog.Data)-1]++ }},
+		{"package mark", func(c *prog.Image) {
+			blk := c.AddrBlock[c.Entry]
+			blk.Fn.IsPackage = !blk.Fn.IsPackage
+		}},
+	} {
+		c := fresh()
+		tc.mutate(c)
+		if SameTimedImage(img, c) || SameTimedImage(c, img) {
+			t.Errorf("%s: a changed image compares equal", tc.name)
+		}
+	}
+}

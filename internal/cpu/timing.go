@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"slices"
+
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
@@ -178,11 +180,32 @@ func NewTiming(cfg Config, img *prog.Image) *Timing {
 	t.freeInit = packIssueInit(cfg)
 	t.free = t.freeInit
 	for addr, b := range img.AddrBlock {
-		if b != nil && b.Fn.IsPackage {
-			t.inPkg[addr] = true
-		}
+		t.inPkg[addr] = inPackage(b)
 	}
 	return t
+}
+
+// inPackage reports whether a code slot's owning block belongs to a
+// package function: the mark behind PackageInsts and coverage.
+func inPackage(b *prog.Block) bool { return b != nil && b.Fn.IsPackage }
+
+// SameTimedImage reports whether a and b agree in everything a timed run
+// reads: the entry point, the code, the initial data segment and the
+// per-slot package mark. Under one Config, two such images yield
+// identical TimingStats, block-cache statistics and data hashes, so one
+// run can stand for both. The comparison is exact; core.ImageHash is not
+// a substitute, because it omits the package mark.
+func SameTimedImage(a, b *prog.Image) bool {
+	if a.Entry != b.Entry || !slices.Equal(a.Code, b.Code) ||
+		!slices.Equal(a.Prog.Data, b.Prog.Data) || len(a.AddrBlock) != len(b.AddrBlock) {
+		return false
+	}
+	for i, blk := range a.AddrBlock {
+		if inPackage(blk) != inPackage(b.AddrBlock[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // issueWidthShift is the bit position of the issue-width byte in the

@@ -246,10 +246,61 @@ func (pm *profileMemo) prime(key uint64, pa *core.ProfileArtifact, base cpu.Timi
 	})
 }
 
+// timedMemo shares timed runs across the variants of one input. The four
+// variants often pack byte-identical programs (inference or linking may
+// change nothing), and the timed engine is deterministic, so each
+// distinct packed image is timed once and its statistics, block cache
+// and data hash are shared read-only. The key is exact equality under
+// cpu.SameTimedImage, found by a linear scan over at most four entries.
+type timedMemo struct {
+	mu      sync.Mutex
+	entries []*timedEntry
+}
+
+// timedEntry is one memoized timed run. once makes concurrent first
+// callers run exactly once; the result fields are written inside once.Do
+// and read-only afterwards. bc keeps only the run's counters: the decoded
+// blocks are dropped, so an entry holds little beyond its image until
+// the input finishes.
+type timedEntry struct {
+	img          *prog.Image
+	once         sync.Once
+	stats        cpu.TimingStats
+	bc           *cpu.BlockCache
+	hash, stores uint64
+	err          error
+}
+
+// entry returns the memo entry for img's timed image, adding one when no
+// earlier image matches.
+func (tm *timedMemo) entry(img *prog.Image) *timedEntry {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	for _, e := range tm.entries {
+		if cpu.SameTimedImage(e.img, img) {
+			return e
+		}
+	}
+	e := &timedEntry{img: img}
+	tm.entries = append(tm.entries, e)
+	return e
+}
+
+// count records the memo's traffic for one input whose variants have all
+// finished: one miss per distinct image, a hit for every other variant.
+// Counting here rather than per lookup keeps the trace independent of
+// which concurrent variant filled an entry first.
+func (tm *timedMemo) count(variants int, o obs.Observer) {
+	misses := len(tm.entries)
+	o.Count(obs.EvalMemoMisses.Name, int64(misses))
+	o.Count(obs.EvalMemoHits.Name, int64(variants-misses))
+}
+
 // RunSuite executes the pipeline for every benchmark input and variant.
 // Each input is profiled once (collecting baseline timing in the same
-// pass); each of the four variants then packages a fresh clone and is
-// timed, concurrently with the other variants when Jobs != 1.
+// pass); each of the four variants then packages a fresh clone,
+// concurrently with the other variants when Jobs != 1. Variants whose
+// packed programs coincide share one timed run (see timedMemo).
 //
 // Work items fan out over a bounded worker pool. Results are assembled in
 // deterministic paper order regardless of completion order, and per-input
@@ -406,7 +457,8 @@ func RunSuite(opts Options) (*Suite, error) {
 // runInput profiles one input once and then evaluates the four variants,
 // concurrently when parallel is set. The profiled program, its image and
 // the phase database are shared read-only across variants; each variant
-// packages and times its own clone.
+// packages its own clone, and the timed run is shared by the variants
+// whose packed images are identical to the timed engine.
 //
 // With a store, the profile (and its companion baseline timing) is
 // looked up under (ImageHash, ProfileKey) first: a hit primes the memo
@@ -475,6 +527,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 	}
 
 	variants := core.Variants()
+	timed := &timedMemo{}
 	ir.Variants = make([]VariantResult, len(variants))
 	verrs := make([]error, len(variants))
 	if parallel {
@@ -492,7 +545,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 					rec = obs.NewRecorder()
 					vo = rec
 				}
-				ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, v, vo, tally)
+				ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, timed, v, vo, tally)
 				if rec != nil {
 					vtraces[i] = rec.Export()
 				}
@@ -504,21 +557,23 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 		}
 	} else {
 		for i, v := range variants {
-			ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, v, o, tally)
+			ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, timed, v, o, tally)
 		}
 	}
 	if err := errors.Join(verrs...); err != nil {
 		return nil, err
 	}
+	timed.count(len(variants), o)
 	ir.Elapsed = time.Since(start)
 	return ir, nil
 }
 
 // runVariant packages a fresh clone of the profiled program under one
-// variant configuration and times it against the shared baseline. The
-// profiling result comes from the input's memo — a hit for every variant
-// that shares the profiling sub-config; p and the memoized artifact/base
-// are read-only here. The variant runs the staged pipeline directly:
+// variant configuration and evaluates it against the shared baseline,
+// through the input's timed memo (timePacked). The profiling result
+// comes from the input's profile memo — a hit for every variant that
+// shares the profiling sub-config; p and the memoized artifact/base are
+// read-only here. The variant runs the staged pipeline directly:
 // RegionStage and PackageStage against the clone's image, whose hash
 // matches the profiled image by the Clone-preserves-linearization
 // property the stages' staleness checks enforce.
@@ -527,10 +582,10 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 // key (ImageHash, Config.Hash): a hit rematerializes the packed program
 // from the stored assembly — verified against the set's PackedHash, so
 // corruption degrades to a recompute — and goes straight to the timed
-// run, skipping clone, region and package stages wholesale. The timed
-// evaluation is deterministic, so warm results equal cold results
+// evaluation, skipping clone, region and package stages wholesale. The
+// timed evaluation is deterministic, so warm results equal cold results
 // exactly.
-func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, memo *profileMemo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
+func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, memo *profileMemo, timed *timedMemo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
 	sp := obs.Span{}
 	if o.Enabled() {
 		sp = o.StartSpan("variant:" + v.Name())
@@ -545,7 +600,7 @@ func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, 
 	var cfgHash uint64
 	if opts.Store != nil {
 		cfgHash = cfg.Hash()
-		if vr, ok := storedVariant(opts, imgHash, cfgHash, v, base, st, o); ok {
+		if vr, ok := storedVariant(opts, timed, imgHash, cfgHash, v, base, st, o); ok {
 			o.Count(obs.StoreHits.Name, 1)
 			o.Count(obs.StorePackageHits.Name, 1)
 			tally.packageHits.Add(1)
@@ -577,7 +632,7 @@ func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, 
 	if err != nil {
 		return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
 	}
-	stats, bc, h, n, err := timePacked(opts, packedImg, o)
+	run, err := timePacked(opts, timed, packedImg, o)
 	if err != nil {
 		return VariantResult{}, fmt.Errorf("variant %s: timed run: %w", v.Name(), err)
 	}
@@ -589,18 +644,16 @@ func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, 
 		_ = opts.Store.PutPackageSet(cfgHash, set)
 	}
 	vr := VariantResult{
-		Variant:    v,
-		Coverage:   stats.PackageCoverage(),
-		Growth:     res.CodeGrowth(),
-		Selected:   res.SelectedFraction(),
-		Repl:       res.Replication(),
-		Packages:   len(res.Packages),
-		Links:      res.Links,
-		Launch:     res.LaunchPoints,
-		Phases:     ra.NumRegions(),
-		Equivalent: h == st.DataHash && n == st.DataStores,
+		Variant:  v,
+		Growth:   res.CodeGrowth(),
+		Selected: res.SelectedFraction(),
+		Repl:     res.Replication(),
+		Packages: len(res.Packages),
+		Links:    res.Links,
+		Launch:   res.LaunchPoints,
+		Phases:   ra.NumRegions(),
 	}
-	fillTimed(&vr, stats, bc, base)
+	run.fill(&vr, base, st)
 	return vr, nil
 }
 
@@ -609,7 +662,7 @@ func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, 
 // image against the set's PackedHash, then run the timed evaluation.
 // Any failure — missing entry, corruption, hash mismatch — returns
 // ok == false and the caller recomputes cold.
-func storedVariant(opts Options, imgHash, cfgHash uint64, v core.Variant, base cpu.TimingStats, st core.ProfileStats, o obs.Observer) (VariantResult, bool) {
+func storedVariant(opts Options, timed *timedMemo, imgHash, cfgHash uint64, v core.Variant, base cpu.TimingStats, st core.ProfileStats, o obs.Observer) (VariantResult, bool) {
 	set, err := opts.Store.GetPackageSet(imgHash, cfgHash)
 	if err != nil {
 		return VariantResult{}, false
@@ -629,46 +682,59 @@ func storedVariant(opts Options, imgHash, cfgHash uint64, v core.Variant, base c
 	if set.PackedHash == 0 || core.ImageHash(packedImg) != set.PackedHash {
 		return VariantResult{}, false
 	}
-	stats, bc, h, n, err := timePacked(opts, packedImg, o)
+	run, err := timePacked(opts, timed, packedImg, o)
 	if err != nil {
 		return VariantResult{}, false
 	}
 	vr := VariantResult{
-		Variant:    v,
-		Coverage:   stats.PackageCoverage(),
-		Growth:     set.CodeGrowth(),
-		Selected:   set.SelectedFraction(),
-		Repl:       set.Replication(),
-		Packages:   set.Stats.Packages,
-		Links:      set.Stats.Links,
-		Launch:     set.Stats.LaunchPoints,
-		Phases:     ra.NumRegions(),
-		Equivalent: h == st.DataHash && n == st.DataStores,
+		Variant:  v,
+		Growth:   set.CodeGrowth(),
+		Selected: set.SelectedFraction(),
+		Repl:     set.Replication(),
+		Packages: set.Stats.Packages,
+		Links:    set.Stats.Links,
+		Launch:   set.Stats.LaunchPoints,
+		Phases:   ra.NumRegions(),
 	}
-	fillTimed(&vr, stats, bc, base)
+	run.fill(&vr, base, st)
 	return vr, true
 }
 
-// timePacked runs the timed evaluation of one packed image inside an
-// evaluate span, emitting the engine counters — the shared tail of the
-// cold and warm variant paths.
-func timePacked(opts Options, packedImg *prog.Image, o obs.Observer) (cpu.TimingStats, *cpu.BlockCache, uint64, uint64, error) {
+// timePacked evaluates one packed image inside an evaluate span, emitting
+// the engine counters — the shared tail of the cold and warm variant
+// paths. The timed run itself comes from the input's memo: the first
+// variant with this image runs it, and the others wait for and share
+// its result. Every caller records the same span and counters, so each
+// variant's trace is the one its own run would have produced.
+func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, o obs.Observer) (*timedEntry, error) {
 	esp := o.StartSpan(obs.StageEvaluate)
-	bc := cpu.NewBlockCache(packedImg)
-	stats, m, err := cpu.RunTimedCached(opts.Machine, packedImg, 0, bc)
+	e := timed.entry(packedImg)
+	e.once.Do(func() {
+		bc := cpu.NewBlockCache(packedImg)
+		stats, m, err := cpu.RunTimedCached(opts.Machine, packedImg, 0, bc)
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.stats, e.bc = stats, &cpu.BlockCache{Stats: bc.Stats, SB: bc.SB}
+		e.hash, e.stores = m.DataHash()
+	})
 	esp.End()
-	if err != nil {
-		return cpu.TimingStats{}, nil, 0, 0, err
+	if e.err != nil {
+		return nil, e.err
 	}
-	o.Observe(obs.EvalCycles.Name, float64(stats.Cycles))
-	core.CountEngine(o, bc)
-	h, n := m.DataHash()
-	return stats, bc, h, n, nil
+	o.Observe(obs.EvalCycles.Name, float64(e.stats.Cycles))
+	core.CountEngine(o, e.bc)
+	return e, nil
 }
 
-// fillTimed copies the timed run's engine fields and speedup into the
-// variant result.
-func fillTimed(vr *VariantResult, stats cpu.TimingStats, bc *cpu.BlockCache, base cpu.TimingStats) {
+// fill copies the timed run's coverage, engine fields and speedup into
+// the variant result, with the equivalence verdict against the profiled
+// run's data-segment effects.
+func (e *timedEntry) fill(vr *VariantResult, base cpu.TimingStats, st core.ProfileStats) {
+	stats, bc := e.stats, e.bc
+	vr.Coverage = stats.PackageCoverage()
+	vr.Equivalent = e.hash == st.DataHash && e.stores == st.DataStores
 	vr.TimedInsts = stats.Insts
 	vr.BlockCacheHits = bc.Stats.Hits + bc.Stats.Chained
 	vr.BlockCacheMisses = bc.Stats.Misses

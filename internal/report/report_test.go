@@ -3,6 +3,7 @@ package report
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/obs"
+	"repro/internal/prog"
 	"repro/internal/workload"
 )
 
@@ -316,6 +318,118 @@ func TestRunSuiteProfileMemo(t *testing.T) {
 						r.Bench, r.Input, v.Variant.Name(), v.BlockCacheHits, v.BlockCacheMisses)
 				}
 			}
+		}
+	}
+}
+
+// TestRunSuiteTimedMemo is the gate for the cross-variant timed memo:
+// every variant of every input is accounted for as a hit or a miss, the
+// misses are exactly the distinct packed images, and every variant —
+// memo hits included — reports what a fresh timed run of its own packed
+// image gives: timed fields, block-cache and superblock stats and the
+// equivalence verdict. At -j 4 the variants race to fill the memo.
+func TestRunSuiteTimedMemo(t *testing.T) {
+	cfg := core.ScaledConfig()
+	mc := cpu.DefaultConfig()
+	jobs := []int{1, 4}
+	suites := make([]*Suite, len(jobs))
+	traces := make([]*obs.Trace, len(jobs))
+	for k, j := range jobs {
+		rec := obs.NewRecorder()
+		s, err := RunSuite(Options{
+			Machine:       mc,
+			Core:          cfg,
+			Benchmarks:    []string{"m88ksim", "perl"},
+			ScaleOverride: 1,
+			Jobs:          j,
+			Observer:      rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		suites[k], traces[k] = s, rec.Export()
+	}
+
+	var distinct int64
+	for ri, r := range suites[0].Results {
+		bench, err := workload.ByName(r.Bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in workload.Input
+		for _, bi := range bench.Inputs {
+			if bi.Name == r.Input {
+				in = bi
+			}
+		}
+		in.Scale = 1
+		p := bench.Build(in)
+		img, err := p.Linearize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, err := core.ProfileStage(cfg, img, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var packed []*prog.Image
+		for i, v := range core.Variants() {
+			vcfg := v.Apply(cfg)
+			clone := p.Clone()
+			cimg, err := clone.Linearize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ra, err := core.RegionStage(vcfg, cimg, pa)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.PackageStage(vcfg, clone, cimg, ra); err != nil {
+				t.Fatal(err)
+			}
+			pimg, err := clone.Linearize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(packed, func(o *prog.Image) bool { return cpu.SameTimedImage(pimg, o) }) {
+				distinct++
+			}
+			packed = append(packed, pimg)
+
+			bc := cpu.NewBlockCache(pimg)
+			stats, m, err := cpu.RunTimedCached(mc, pimg, 0, bc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own := &timedEntry{stats: stats, bc: bc}
+			own.hash, own.stores = m.DataHash()
+			for k, s := range suites {
+				got := s.Results[ri].Variants[i]
+				if got.Variant != v {
+					t.Fatalf("-j %d: variant %d is %s, want %s", jobs[k], i, got.Variant.Name(), v.Name())
+				}
+				want := got
+				own.fill(&want, r.Base, pa.Stats)
+				if got != want {
+					t.Errorf("-j %d: %s/%s %s: timed result differs from a fresh run of its packed image:\n  got:  %+v\n  want: %+v",
+						jobs[k], r.Bench, r.Input, v.Name(), got, want)
+				}
+			}
+		}
+	}
+
+	items := int64(len(suites[0].Results))
+	for k, tr := range traces {
+		hits := tr.Metrics.Counters[obs.EvalMemoHits.Name]
+		misses := tr.Metrics.Counters[obs.EvalMemoMisses.Name]
+		if hits+misses != 4*items {
+			t.Errorf("-j %d: eval_memo hits %d + misses %d != %d variants", jobs[k], hits, misses, 4*items)
+		}
+		if hits <= 0 {
+			t.Errorf("-j %d: eval_memo.hits = %d, want > 0 (m88ksim's inference changes nothing)", jobs[k], hits)
+		}
+		if misses != distinct {
+			t.Errorf("-j %d: eval_memo.misses = %d, want %d distinct packed images", jobs[k], misses, distinct)
 		}
 	}
 }

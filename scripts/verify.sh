@@ -22,16 +22,18 @@ go test ./...
 # Assembler fuzzing: a bounded run of the native fuzz target from its
 # checked-in seed corpus (internal/asm/testdata/fuzz/FuzzAssemble). An
 # input that panics the assembler, or that it accepts but cannot round
-# trip through the disassembler, fails verification here.
-go test -run='^$' -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm
+# trip through the disassembler, fails verification here. Every fuzz step
+# caps minimization of a newly interesting input at 200 execs: with the
+# default 60 s cap a fresh fuzz cache spends the whole 10 s minimizing.
+go test -run='^$' -fuzz=FuzzAssemble -fuzztime=10s -fuzzminimizetime=200x ./internal/asm
 # Artifact decoder fuzzing (package set, profile artifact, region
 # artifact, provenance record), each seeded from internal/core/testdata/fuzz/<target>: a
 # decoder must never panic, and any value it accepts must re-encode to a
 # fixed point.
-go test -run='^$' -fuzz=FuzzDecodePackageSet -fuzztime=10s ./internal/core
-go test -run='^$' -fuzz=FuzzDecodeProfileArtifact -fuzztime=10s ./internal/core
-go test -run='^$' -fuzz=FuzzDecodeRegionArtifact -fuzztime=10s ./internal/core
-go test -run='^$' -fuzz=FuzzDecodeProvenance -fuzztime=10s ./internal/core
+go test -run='^$' -fuzz=FuzzDecodePackageSet -fuzztime=10s -fuzzminimizetime=200x ./internal/core
+go test -run='^$' -fuzz=FuzzDecodeProfileArtifact -fuzztime=10s -fuzzminimizetime=200x ./internal/core
+go test -run='^$' -fuzz=FuzzDecodeRegionArtifact -fuzztime=10s -fuzzminimizetime=200x ./internal/core
+go test -run='^$' -fuzz=FuzzDecodeProvenance -fuzztime=10s -fuzzminimizetime=200x ./internal/core
 go test -race ./internal/report/...
 go test -race ./internal/obs/...
 go test -race ./internal/telemetry/...

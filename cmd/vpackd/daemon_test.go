@@ -28,7 +28,7 @@ var testDriftCfg = drift.Config{Window: 2, Ring: 16, Recent: 2}
 // newTestDaemon builds a one-benchmark daemon at scale 1 (the test
 // scale the rest of the repo uses) with a small batch so a handful of
 // records triggers a repack.
-func newTestDaemon(t *testing.T, batch int) (*Daemon, *obs.Recorder) {
+func newTestDaemon(t testing.TB, batch int) (*Daemon, *obs.Recorder) {
 	t.Helper()
 	return newTestDaemonStore(t, batch, nil)
 }
@@ -36,7 +36,7 @@ func newTestDaemon(t *testing.T, batch int) (*Daemon, *obs.Recorder) {
 // newTestDaemonStore is newTestDaemon with a persistent artifact store;
 // the daemon owns it (Close closes it), so restart tests reopen the
 // directory for the next incarnation.
-func newTestDaemonStore(t *testing.T, batch int, store *cas.Store) (*Daemon, *obs.Recorder) {
+func newTestDaemonStore(t testing.TB, batch int, store *cas.Store) (*Daemon, *obs.Recorder) {
 	t.Helper()
 	rec := obs.NewRecorder()
 	d, err := NewDaemon(core.ScaledConfig(), []string{"m88ksim"}, 1, 2, 4, batch,
@@ -50,7 +50,7 @@ func newTestDaemonStore(t *testing.T, batch int, store *cas.Store) (*Daemon, *ob
 
 // captureSpots profiles the daemon's own image and returns the raw
 // detector output in wire form — genuine hot-spot records, not mocks.
-func captureSpots(t *testing.T, d *Daemon, name string) []hotSpotWire {
+func captureSpots(t testing.TB, d *Daemon, name string) []hotSpotWire {
 	t.Helper()
 	hss, err := core.HotSpots(d.cfg, d.programs[name].img)
 	if err != nil {

@@ -22,7 +22,7 @@ func benchSpots(n int) []hsd.HotSpot {
 
 // BenchmarkTrackerObserve measures the enabled drift path per ingested
 // record: window aggregation plus the amortized close-and-score cost.
-// scripts/bench.sh records it into BENCH_obs_overhead.json.
+// scripts/bench.sh prints it in its microbenchmark section.
 func BenchmarkTrackerObserve(b *testing.B) {
 	tr := NewTracker(Config{Window: DefaultWindow, Ring: DefaultRing}, "bench", obs.Nop{})
 	spots := benchSpots(64)

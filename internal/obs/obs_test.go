@@ -183,8 +183,8 @@ func TestEventKindStrings(t *testing.T) {
 }
 
 // BenchmarkNopObserver measures (and via ReportAllocs documents) the
-// disabled-observer instrumentation path; scripts/bench.sh records its
-// delta next to BENCH_pipeline.json.
+// disabled-observer instrumentation path; scripts/bench.sh prints it in
+// its microbenchmark section.
 func BenchmarkNopObserver(b *testing.B) {
 	var o Observer = Nop{}
 	b.ReportAllocs()

@@ -82,17 +82,6 @@ type VariantResult struct {
 	// (hits include chained dispatches); both zero when the cache is off.
 	BlockCacheHits   uint64
 	BlockCacheMisses uint64
-
-	// Superblock tier activity for the timed run: traces promoted and
-	// demoted, guard misses that left a trace early, and instructions
-	// retired inside traces. TimedInsts is the run's total retirement,
-	// so SuperblockInsts/TimedInsts is the tier-1 coverage fraction.
-	// All zero when superblocks (or the block cache) are off.
-	SuperblocksPromoted uint64
-	SuperblocksDemoted  uint64
-	SuperblockSideExits uint64
-	SuperblockInsts     uint64
-	TimedInsts          uint64
 }
 
 // InputResult aggregates one benchmark input.
@@ -134,10 +123,8 @@ func (ir *InputResult) Full() *VariantResult {
 type Suite struct {
 	Machine cpu.Config
 	Results []InputResult
-	// Elapsed is the whole suite's wall-clock time; Jobs is the worker
-	// count the run actually used.
+	// Elapsed is the whole suite's wall-clock time.
 	Elapsed time.Duration
-	Jobs    int
 
 	// Store traffic for the run, all zero without Options.Store: lookup
 	// hits/misses split by artifact class (a package hit means the
@@ -424,7 +411,7 @@ func RunSuite(opts Options) (*Suite, error) {
 		}
 		return nil, err
 	}
-	suite := &Suite{Machine: opts.Machine, Jobs: jobs, Elapsed: time.Since(start)}
+	suite := &Suite{Machine: opts.Machine, Elapsed: time.Since(start)}
 	for _, ir := range results {
 		suite.Results = append(suite.Results, *ir)
 	}
@@ -735,13 +722,8 @@ func (e *timedEntry) fill(vr *VariantResult, base cpu.TimingStats, st core.Profi
 	stats, bc := e.stats, e.bc
 	vr.Coverage = stats.PackageCoverage()
 	vr.Equivalent = e.hash == st.DataHash && e.stores == st.DataStores
-	vr.TimedInsts = stats.Insts
 	vr.BlockCacheHits = bc.Stats.Hits + bc.Stats.Chained
 	vr.BlockCacheMisses = bc.Stats.Misses
-	vr.SuperblocksPromoted = bc.SB.Promoted
-	vr.SuperblocksDemoted = bc.SB.Demoted
-	vr.SuperblockSideExits = bc.SB.SideExits
-	vr.SuperblockInsts = bc.SB.ChainedInsts
 	if stats.Cycles > 0 {
 		vr.Speedup = float64(base.Cycles) / float64(stats.Cycles)
 	}

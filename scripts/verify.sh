@@ -11,6 +11,8 @@ go build ./...
 go vet ./...
 go vet ./internal/obs/...
 go vet ./internal/telemetry/...
+# The benchmark driver is not run here; at least make sure it parses.
+bash -n scripts/bench.sh
 
 # Repository-specific static checks (insts-mutation, dropped-observer,
 # mutate-after-hash) via the vet unitchecker protocol; vplint needs an
@@ -34,6 +36,11 @@ go test -run='^$' -fuzz=FuzzDecodePackageSet -fuzztime=10s -fuzzminimizetime=200
 go test -run='^$' -fuzz=FuzzDecodeProfileArtifact -fuzztime=10s -fuzzminimizetime=200x ./internal/core
 go test -run='^$' -fuzz=FuzzDecodeRegionArtifact -fuzztime=10s -fuzzminimizetime=200x ./internal/core
 go test -run='^$' -fuzz=FuzzDecodeProvenance -fuzztime=10s -fuzzminimizetime=200x ./internal/core
+# Daemon ingest fuzzing: profile POST bodies against one test daemon,
+# seeded from cmd/vpackd/testdata/fuzz/FuzzHandleProfile. Every answer
+# must be 200, 400, 409, 413 or 422, and a 200 must count exactly the
+# hot spots posted.
+go test -run='^$' -fuzz=FuzzHandleProfile -fuzztime=10s -fuzzminimizetime=200x ./cmd/vpackd
 go test -race ./internal/report/...
 go test -race ./internal/obs/...
 go test -race ./internal/telemetry/...
@@ -92,20 +99,32 @@ trap 'rm -f "$trace_tmp"; rm -rf "$store_tmp"' EXIT
 go run ./cmd/vpack -bench gzip -input A -scale 1 -q -log off -store "$store_tmp/st" -trace "$trace_tmp" >/dev/null
 go run ./cmd/vptrace diff -threshold 0.10 testdata/trace_golden.json "$trace_tmp"
 
-# Store cold→warm→restart smoke. Cold suite populates a fresh store;
-# the warm rerun must serve every profile and package from it (vpbench
-# exits nonzero on any warm miss, and the benchjson records the tally —
-# assert it here too); vpcache must verify the store clean.
+# Store cold→warm→restart smoke. A cold suite populates a fresh store;
+# the warm rerun, a fresh process on the same directory, must serve
+# every profile and package from it: its -metrics counter table may show
+# no nonzero store.*_misses line, and its store.profile_hits and
+# store.package_hits must equal the cold run's misses (4 and 16 today).
+# The gate is also fed the cold run's table, which it must refuse.
+# vpcache must verify the store clean.
 go build -o bin/vpbench ./cmd/vpbench
 go build -o bin/vpcache ./cmd/vpcache
-bin/vpbench -q -bench m88ksim,perl -scale 1 -store "$store_tmp/suite" -storecompare \
-    -benchjson "$store_tmp/bench.json" >/dev/null
-grep -q '"profile_misses": 0' "$store_tmp/bench.json" \
-    || { echo "warm store run recorded profile misses" >&2; exit 1; }
-grep -q '"package_misses": 0' "$store_tmp/bench.json" \
-    || { echo "warm store run recorded package misses" >&2; exit 1; }
-grep -q '"store_warm_wall_seconds"' "$store_tmp/bench.json" \
-    || { echo "benchjson missing store wall times" >&2; exit 1; }
+store_cold="$(bin/vpbench -q -bench m88ksim,perl -scale 1 -store "$store_tmp/suite" -metrics)"
+store_warm="$(bin/vpbench -q -bench m88ksim,perl -scale 1 -store "$store_tmp/suite" -metrics)"
+counter() { awk -v n="$1" '$1==n{v=$2} END{print v+0}' <<<"$2"; }
+cold_profile_misses="$(counter store.profile_misses "$store_cold")"
+cold_package_misses="$(counter store.package_misses "$store_cold")"
+warm_store_ok() {
+    awk -v pm="$cold_profile_misses" -v km="$cold_package_misses" '
+        $1 ~ /^store\.(profile|package)_misses$/ && $2 != 0 {bad=1}
+        $1 == "store.profile_hits" {ph=$2}
+        $1 == "store.package_hits" {kh=$2}
+        END {exit !(!bad && pm > 0 && km > 0 && ph == pm && kh == km)}' <<<"$1"
+}
+warm_store_ok "$store_warm" \
+    || { echo "warm store run did not serve all $cold_profile_misses profiles and $cold_package_misses package sets:" >&2
+         grep '^store\.' <<<"$store_warm" >&2; exit 1; }
+! warm_store_ok "$store_cold" \
+    || { echo "store gate accepted the cold run's counters" >&2; exit 1; }
 bin/vpcache verify -store "$store_tmp/suite" >/dev/null
 
 # Daemon smoke test: boot vpackd on a free port, stream 100 hot-spot

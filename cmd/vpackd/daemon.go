@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +55,11 @@ type programState struct {
 	// tracker is the shard's drift timeline; its own mutex serializes it,
 	// so ingest touches it outside the shard lock.
 	tracker *drift.Tracker
+
+	// proofs memoizes package proofs across repacks. Only one repack of a
+	// shard runs at a time (pending), so it is rotated after each
+	// successful build and keeps just the obligations that build used.
+	proofs equiv.Memo
 
 	mu      sync.Mutex
 	db      *phasedb.DB
@@ -108,6 +114,10 @@ type Daemon struct {
 	closed  bool
 	queue   chan *programState
 	poolWG  sync.WaitGroup
+
+	// build turns a profile artifact into an encoded version; it is
+	// buildVersion except in tests that need a failing build.
+	build func(st *programState, pa *core.ProfileArtifact, prov *core.Provenance) ([]byte, error)
 }
 
 // NewDaemon registers one programState per benchmark (restricted to
@@ -160,6 +170,7 @@ func NewDaemon(cfg core.Config, benches []string, scale int64, workers, queueCap
 		events:   drift.NewEventRing(drift.DefaultEventRing),
 		queue:    make(chan *programState, queueCap),
 	}
+	d.build = d.buildVersion
 	for _, b := range ordered {
 		in := b.Inputs[0]
 		if scale > 0 {
@@ -472,8 +483,16 @@ func (d *Daemon) repack(st *programState) {
 		DriftBaseline: driftAtBuild.BaselineVersion,
 		QueueWaitUS:   queueWait.Microseconds(),
 	}
-	encoded, err := d.buildVersion(st, pa, prov)
+	encoded, err := d.buildRecovered(st, pa, prov)
 	prov.BuildUS = time.Since(start).Microseconds()
+	if d.cfg.Equiv {
+		core.CountProofMemo(d.rec, &st.proofs)
+	}
+	if err != nil {
+		st.proofs.Discard()
+	} else {
+		st.proofs.Rotate()
+	}
 
 	version := 0
 	st.mu.Lock()
@@ -508,6 +527,9 @@ func (d *Daemon) repack(st *programState) {
 			}
 			d.rec.Count(obs.DaemonEquivRejected.Name, 1)
 			d.rec.Count(obs.EquivViolations.Name, int64(n))
+		}
+		if errors.Is(err, errRepackPanic) {
+			d.rec.Count(obs.DaemonRepackPanics.Name, 1)
 		}
 		// ErrNoPhases just means the stream is still too thin to package.
 		if !errors.Is(err, core.ErrNoPhases) {
@@ -572,6 +594,24 @@ func (d *Daemon) publishStoreGauges() {
 	d.rec.Gauge(obs.StoreSegments.Name, float64(sst.Segments))
 }
 
+// errRepackPanic marks a build that panicked; buildRecovered wraps it
+// with the panic value.
+var errRepackPanic = errors.New("repack panicked")
+
+// buildRecovered runs d.build and turns a panic into an error, so a
+// repack that panics costs one failed version, not the daemon: the shard
+// goes on serving its last good version and repacks again on the next
+// batch of records.
+func (d *Daemon) buildRecovered(st *programState, pa *core.ProfileArtifact, prov *core.Provenance) (encoded []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			d.logger.Error("repack panicked", "program", st.name, "panic", r, "stack", string(debug.Stack()))
+			encoded, err = nil, fmt.Errorf("vpackd: %s: %w: %v", st.name, errRepackPanic, r)
+		}
+	}()
+	return d.build(st, pa, prov)
+}
+
 // buildVersion resumes the staged pipeline from pa, filling prov's
 // artifact hashes and stage spans, and returns the encoded PackageSet.
 func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *core.Provenance) ([]byte, error) {
@@ -595,7 +635,7 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 	}
 
 	stage = time.Now()
-	set, err := core.PackageStage(d.cfg, clone, cloneImg, ra)
+	set, err := core.PackageStageObserved(d.cfg, clone, cloneImg, ra, &st.proofs, obs.Nop{})
 	prov.Spans = append(prov.Spans, core.SpanSummary{Name: "package_stage", US: time.Since(stage).Microseconds()})
 	if err != nil {
 		return nil, err

@@ -141,13 +141,16 @@ func RegionStageObserved(cfg Config, img *prog.Image, pa *ProfileArtifact, o obs
 // otherwise) — a Clone of the profiled program qualifies, since cloning
 // preserves block IDs and layout.
 func PackageStage(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact) (*PackageSet, error) {
-	return PackageStageObserved(cfg, p, img, ra, obs.Nop{})
+	return PackageStageObserved(cfg, p, img, ra, nil, obs.Nop{})
 }
 
 // PackageStageObserved is PackageStage reporting to an observer: the
 // package and optimize stage spans, per-package events from construction
 // and linking, and PhaseSkipped events for regions that built no package.
-func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact, o obs.Observer) (*PackageSet, error) {
+// With Config.Equiv each package is proved through the proofs memo (nil
+// proves directly); a hit yields the certificate a fresh proof would, so
+// neither the result nor the observer stream depends on the memo.
+func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact, proofs *equiv.Memo, o obs.Observer) (*PackageSet, error) {
 	if h := ImageHash(img); h != ra.ProgramHash {
 		return nil, fmt.Errorf("core: package stage: regions of image %016x applied to image %016x: %w",
 			ra.ProgramHash, h, ErrStaleArtifact)
@@ -252,7 +255,7 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 			return partial(fmt.Errorf("core: pass verification (%s): %w", pk.Fn.Name, err))
 		}
 		if cfg.Equiv {
-			cert, eerr := equiv.Prove(snaps[pk], equiv.Config{MaxPaths: cfg.EquivMaxPaths})
+			cert, eerr := proofs.Prove(snaps[pk], equiv.Config{MaxPaths: cfg.EquivMaxPaths})
 			if cert != nil {
 				certs = append(certs, cert)
 				rec.Equiv = certs
@@ -311,7 +314,7 @@ func packageStaged(cfg Config, out *Outcome, p *prog.Program, img *prog.Image, p
 	if err != nil {
 		return err
 	}
-	set, err := PackageStageObserved(cfg, p, img, ra, o)
+	set, err := PackageStageObserved(cfg, p, img, ra, nil, o)
 	if set != nil {
 		out.SkippedPhases += set.SkippedPhases
 		out.Pack = set.Result()

@@ -1,0 +1,32 @@
+package equiv
+
+import "repro/internal/prog"
+
+// SetProvedHook makes m report every successful lookup's snapshot and
+// certificate to fn.
+func SetProvedHook(m *Memo, fn func(*Snapshot, *Certificate)) { m.proved = fn }
+
+// Func returns the live package function a snapshot was captured from.
+func (s *Snapshot) Func() *prog.Func { return s.fn }
+
+// Differential runs the bounded differential executor on snap: trials
+// concrete initial states (the first six structured, the rest
+// pseudo-random) from every entry, the reference snapshot against the
+// live function. It returns the first divergence as an *Error, or nil.
+func Differential(snap *Snapshot, trials int) error {
+	pv := &prover{snap: snap, cfg: Config{FuzzTrials: trials}.withDefaults(), cert: &Certificate{}}
+	if ce := pv.fuzz(); ce != nil {
+		return &Error{Package: snap.name, Cert: pv.cert, Counterexamples: []Counterexample{*ce}}
+	}
+	return nil
+}
+
+// ObligationKey is snap's memo key under the default config, or "" when
+// the encoder refuses one.
+func ObligationKey(snap *Snapshot) string {
+	key, ok := obligationKey(snap, Config{}.withDefaults())
+	if !ok {
+		return ""
+	}
+	return key
+}

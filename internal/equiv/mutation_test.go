@@ -446,53 +446,68 @@ func TestMutationCorpus(t *testing.T) {
 	for _, m := range mutations {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
-			const maxSites = 40
-			for siteIdx := 0; siteIdx < maxSites; siteIdx++ {
-				// Fresh build per attempt: a mutated program is spent.
-				targets := buildTargets(t)
-				var tg *target
-				var st site
-				rem := siteIdx
-				for _, cand := range targets {
-					ss := m.sites(cand.fn)
-					if rem < len(ss) {
-						tg, st = cand, ss[rem]
-						break
-					}
-					rem -= len(ss)
-				}
-				if tg == nil {
-					if siteIdx == 0 {
-						t.Fatalf("mutation %s found no applicable site in any package", m.name)
-					}
-					t.Fatalf("mutation %s: exhausted %d sites, none rejected", m.name, siteIdx)
-				}
-				m.apply(st)
-				cert, err := equiv.Prove(tg.snap, equiv.Config{})
-				if err == nil {
-					// The bug landed on provably dead code at this site; a
-					// translation validator must tolerate dead differences, so
-					// try the next site.
-					continue
-				}
-				if !errors.Is(err, equiv.ErrNotEquivalent) {
-					t.Fatalf("mutation %s: error does not match ErrNotEquivalent: %v", m.name, err)
-				}
-				if cert == nil || cert.Equivalent {
-					t.Fatalf("mutation %s: refuting certificate missing or marked equivalent", m.name)
-				}
-				ces := equiv.Counterexamples(err)
-				if len(ces) == 0 {
-					t.Fatalf("mutation %s: refutation carries no counterexample", m.name)
-				}
-				ce := ces[0]
-				if ce.Kind == "" || ce.Package == "" || ce.Entry == "" {
-					t.Errorf("mutation %s: counterexample not usable: %+v", m.name, ce)
-				}
-				t.Logf("%s caught at site %d: %s", m.name, siteIdx, ce.String())
-				return
-			}
-			t.Fatalf("mutation %s survived %d sites undetected", m.name, maxSites)
+			catchMutant(t, m, func([]*target) proveFn {
+				return func(s *equiv.Snapshot) (*equiv.Certificate, error) { return equiv.Prove(s, equiv.Config{}) }
+			})
 		})
 	}
+}
+
+// proveFn proves one snapshot.
+type proveFn func(*equiv.Snapshot) (*equiv.Certificate, error)
+
+// catchMutant injects m at successive sites, each on a fresh build, until
+// the prover that prepare returns for that build refutes the mutated
+// package, and checks the refutation is usable. prepare sees the build's
+// targets before the mutation is applied.
+func catchMutant(t *testing.T, m mutation, prepare func([]*target) proveFn) {
+	t.Helper()
+	const maxSites = 40
+	for siteIdx := 0; siteIdx < maxSites; siteIdx++ {
+		// Fresh build per attempt: a mutated program is spent.
+		targets := buildTargets(t)
+		var tg *target
+		var st site
+		rem := siteIdx
+		for _, cand := range targets {
+			ss := m.sites(cand.fn)
+			if rem < len(ss) {
+				tg, st = cand, ss[rem]
+				break
+			}
+			rem -= len(ss)
+		}
+		if tg == nil {
+			if siteIdx == 0 {
+				t.Fatalf("mutation %s found no applicable site in any package", m.name)
+			}
+			t.Fatalf("mutation %s: exhausted %d sites, none rejected", m.name, siteIdx)
+		}
+		prove := prepare(targets)
+		m.apply(st)
+		cert, err := prove(tg.snap)
+		if err == nil {
+			// The bug landed on provably dead code at this site; a
+			// translation validator must tolerate dead differences, so
+			// try the next site.
+			continue
+		}
+		if !errors.Is(err, equiv.ErrNotEquivalent) {
+			t.Fatalf("mutation %s: error does not match ErrNotEquivalent: %v", m.name, err)
+		}
+		if cert == nil || cert.Equivalent {
+			t.Fatalf("mutation %s: refuting certificate missing or marked equivalent", m.name)
+		}
+		ces := equiv.Counterexamples(err)
+		if len(ces) == 0 {
+			t.Fatalf("mutation %s: refutation carries no counterexample", m.name)
+		}
+		ce := ces[0]
+		if ce.Kind == "" || ce.Package == "" || ce.Entry == "" {
+			t.Errorf("mutation %s: counterexample not usable: %+v", m.name, ce)
+		}
+		t.Logf("%s caught at site %d: %s", m.name, siteIdx, ce.String())
+		return
+	}
+	t.Fatalf("mutation %s survived %d sites undetected", m.name, maxSites)
 }

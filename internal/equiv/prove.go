@@ -3,6 +3,7 @@ package equiv
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -381,10 +382,30 @@ type optWalker struct {
 	pv        *prover
 	entry     *prog.Block
 	onPath    map[*prog.Block]bool
-	trail     []string
+	trail     []trailStep
 	events    []event
 	cons      map[*Term]bool
 	consOrder []*Term
+}
+
+// trailStep is one block of the current path and the branch decision
+// taken there: '+' taken, '-' fallthrough, 0 unconditional. The trail is
+// rendered into Counterexample.Path only when a path fails.
+type trailStep struct {
+	id       int
+	decision byte
+}
+
+// renderTrail formats the trail as Counterexample.Path ("b12+", "b12-", "b7").
+func renderTrail(trail []trailStep) []string {
+	out := make([]string, len(trail))
+	for i, s := range trail {
+		out[i] = "b" + strconv.Itoa(s.id)
+		if s.decision != 0 {
+			out[i] += string(s.decision)
+		}
+	}
+	return out
 }
 
 // walk explores from b with state st; it returns false when exploration
@@ -402,7 +423,7 @@ func (w *optWalker) walk(b *prog.Block, st symState, calls int) bool {
 func (w *optWalker) walkBlock(b *prog.Block, st symState, calls int) bool {
 	pv := w.pv
 	it := pv.it
-	w.trail = append(w.trail, fmt.Sprintf("b%d", b.ID))
+	w.trail = append(w.trail, trailStep{id: b.ID})
 	v := liveView(b)
 	for _, in := range v.insts {
 		stepIns(it, &st, in)
@@ -426,33 +447,32 @@ func (w *optWalker) walkBlock(b *prog.Block, st symState, calls int) bool {
 	case prog.TermBranch:
 		pred, tif := canonBranch(it, &st, v)
 		if pred.kind == kConst {
-			to, suffix := v.next, "-"
+			to, decision := v.next, byte('-')
 			if (pred == it.one) == tif {
-				to, suffix = v.taken, "+"
+				to, decision = v.taken, '+'
 			}
-			w.trail[len(w.trail)-1] += suffix
+			w.trail[len(w.trail)-1].decision = decision
 			return w.transition(to, v, st, calls)
 		}
 		if hold, decided := w.cons[pred]; decided {
-			to, suffix := v.next, "-"
+			to, decision := v.next, byte('-')
 			if hold == tif {
-				to, suffix = v.taken, "+"
+				to, decision = v.taken, '+'
 			}
-			w.trail[len(w.trail)-1] += suffix
+			w.trail[len(w.trail)-1].decision = decision
 			return w.transition(to, v, st, calls)
 		}
 		// Fork: taken side first, then fallthrough.
-		base := w.trail[len(w.trail)-1]
 		w.cons[pred] = tif
 		w.consOrder = append(w.consOrder, pred)
-		w.trail[len(w.trail)-1] = base + "+"
+		w.trail[len(w.trail)-1].decision = '+'
 		if !w.transition(v.taken, v, st, calls) {
 			delete(w.cons, pred)
 			w.consOrder = w.consOrder[:len(w.consOrder)-1]
 			return false
 		}
 		w.cons[pred] = !tif
-		w.trail[len(w.trail)-1] = base + "-"
+		w.trail[len(w.trail)-1].decision = '-'
 		ok := w.transition(v.next, v, st, calls)
 		delete(w.cons, pred)
 		w.consOrder = w.consOrder[:len(w.consOrder)-1]
@@ -496,7 +516,7 @@ func (w *optWalker) finish(terminal event) bool {
 	if ce != nil {
 		ce.Package = pv.snap.name
 		ce.Entry = w.entry.String()
-		ce.Path = append([]string(nil), w.trail...)
+		ce.Path = renderTrail(w.trail)
 		pv.attachWitness(ce, w.consOrder, w.cons)
 		pv.ce = ce
 		return false

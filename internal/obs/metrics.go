@@ -145,6 +145,8 @@ var (
 	EquivPathsProved = declare("equiv.paths_proved", Counter, "Package paths proved equivalent symbolically.", PipelineSurface)
 	EquivPathsFuzzed = declare("equiv.paths_fuzzed", Counter, "Package paths past the path budget checked by differential trials.", PipelineSurface)
 	EquivViolations  = declare("equiv.violations", Counter, "Counterexamples refuting a package's equivalence.", PipelineSurface)
+	EquivMemoHits    = declare("equiv.memo_hits", Counter, "Package proofs served by the proof memo: an identical obligation was already proved for the same suite input or daemon program.", PipelineSurface)
+	EquivMemoMisses  = declare("equiv.memo_misses", Counter, "Distinct proof obligations the proof memo had to prove.", PipelineSurface)
 )
 
 // Timed evaluation and its two-tier execution engine: basic-block cache
@@ -191,6 +193,7 @@ var (
 	DaemonVersions        = declare("vpackd.versions", Counter, "Package versions published.", DaemonSurface)
 	DaemonRecovered       = declare("vpackd.versions_recovered", Counter, "Versions reloaded from the artifact store at boot, served without a repack.", DaemonSurface)
 	DaemonEquivRejected   = declare("vpackd.equiv_rejected", Counter, "Repacks withheld because translation validation refuted a package.", DaemonSurface)
+	DaemonRepackPanics    = declare("vpackd.repack_panics", Counter, "Repacks whose build panicked; the version failed and the last good one keeps serving.", DaemonSurface)
 	DaemonQueueDepth      = declare("vpackd.queue_depth", Gauge, "Shards waiting in the bounded repack queue.", DaemonSurface)
 	DaemonQueueWait       = declare("vpackd.queue_wait_us", Histogram, "Enqueue to worker pickup of a repack shard in microseconds.", DaemonSurface)
 	DaemonRepackLatency   = declare("vpackd.repack_latency_us", Histogram, "Worker pickup to publish of a repack in microseconds.", DaemonSurface)

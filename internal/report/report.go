@@ -17,6 +17,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/equiv"
 	"repro/internal/obs"
 	"repro/internal/phasedb"
 	"repro/internal/prog"
@@ -445,7 +446,8 @@ func RunSuite(opts Options) (*Suite, error) {
 // concurrently when parallel is set. The profiled program, its image and
 // the phase database are shared read-only across variants; each variant
 // packages its own clone, and the timed run is shared by the variants
-// whose packed images are identical to the timed engine.
+// whose packed images are identical to the timed engine, as is each
+// package proof by the variants that pose the same proof obligation.
 //
 // With a store, the profile (and its companion baseline timing) is
 // looked up under (ImageHash, ProfileKey) first: a hit primes the memo
@@ -515,6 +517,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 
 	variants := core.Variants()
 	timed := &timedMemo{}
+	proofs := &equiv.Memo{}
 	ir.Variants = make([]VariantResult, len(variants))
 	verrs := make([]error, len(variants))
 	if parallel {
@@ -532,7 +535,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 					rec = obs.NewRecorder()
 					vo = rec
 				}
-				ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, timed, v, vo, tally)
+				ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, timed, proofs, v, vo, tally)
 				if rec != nil {
 					vtraces[i] = rec.Export()
 				}
@@ -544,20 +547,26 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 		}
 	} else {
 		for i, v := range variants {
-			ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, timed, v, o, tally)
+			ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, timed, proofs, v, o, tally)
 		}
 	}
 	if err := errors.Join(verrs...); err != nil {
 		return nil, err
 	}
 	timed.count(len(variants), o)
+	if opts.Core.Equiv {
+		// Counted once the variants are done, like the timed memo: the
+		// totals do not depend on which variant proved an obligation.
+		core.CountProofMemo(o, proofs)
+	}
 	ir.Elapsed = time.Since(start)
 	return ir, nil
 }
 
 // runVariant packages a fresh clone of the profiled program under one
 // variant configuration and evaluates it against the shared baseline,
-// through the input's timed memo (timePacked). The profiling result
+// through the input's timed memo (timePacked); with Equiv its package
+// proofs go through the input's proof memo. The profiling result
 // comes from the input's profile memo — a hit for every variant that
 // shares the profiling sub-config; p and the memoized artifact/base are
 // read-only here. The variant runs the staged pipeline directly:
@@ -572,7 +581,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 // evaluation, skipping clone, region and package stages wholesale. The
 // timed evaluation is deterministic, so warm results equal cold results
 // exactly.
-func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, memo *profileMemo, timed *timedMemo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
+func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, memo *profileMemo, timed *timedMemo, proofs *equiv.Memo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
 	sp := obs.Span{}
 	if o.Enabled() {
 		sp = o.StartSpan("variant:" + v.Name())
@@ -610,7 +619,7 @@ func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, 
 	if err != nil {
 		return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
 	}
-	set, err := core.PackageStageObserved(cfg, clone, cloneImg, ra, o)
+	set, err := core.PackageStageObserved(cfg, clone, cloneImg, ra, proofs, o)
 	if err != nil {
 		return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
 	}

@@ -77,16 +77,11 @@ func main() {
 		logf      = cliflags.LogFlags(flag.CommandLine, "print only the final coverage/speedup line (same as -log off for diagnostics)")
 		tracePath = flag.String("trace", "", "write a JSON span/event/metric trace of the run to `file`")
 		storeDir  = cliflags.StoreFlag(flag.CommandLine)
-		machine   = cliflags.MachineFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	quiet := logf.Quiet()
 
 	mc := cpu.DefaultConfig()
-	if err := machine.Apply(&mc); err != nil {
-		fmt.Fprintln(os.Stderr, "vpack:", err)
-		os.Exit(2)
-	}
 
 	var o obs.Observer = obs.Nop{}
 	if *tracePath != "" {

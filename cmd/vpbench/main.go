@@ -9,7 +9,6 @@
 //	vpbench -bench perl     # restrict the suite
 //	vpbench -scale 1        # force a smaller iteration scale
 //	vpbench -j 4            # run 4 inputs concurrently (default GOMAXPROCS)
-//	vpbench -superblock off # tier-0 only: block cache without trace chaining
 //	vpbench -cpuprofile f   # write a pprof CPU profile of the run to f
 //	vpbench -metrics        # per-stage wall-time, counter and histogram tables
 //	vpbench -trace f        # write the suite's JSON span/event trace to f
@@ -54,7 +53,6 @@ func main() {
 		benches    = flag.String("bench", "", "comma-separated benchmark subset")
 		scale      = flag.Int64("scale", 0, "override every input's iteration scale")
 		jobs       = flag.Int("j", 0, "concurrent benchmark inputs (0 = GOMAXPROCS, 1 = sequential)")
-		machine    = cliflags.MachineFlags(flag.CommandLine)
 		logf       = cliflags.LogFlags(flag.CommandLine, "suppress progress records (same as -log off)")
 		serve      = flag.String("serve", "", "serve /metrics, /trace, /healthz, /readyz and /debug/pprof on `addr` during the run")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to `file`")
@@ -103,10 +101,6 @@ func main() {
 	}
 	opts.Core.Verify = *verifyOn
 	opts.Core.Equiv = *equivOn
-	if err := machine.Apply(&opts.Machine); err != nil {
-		fmt.Fprintln(os.Stderr, "vpbench:", err)
-		os.Exit(2)
-	}
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
 	}

@@ -15,11 +15,12 @@
 //
 // With -equiv, translation validation proves every optimized package
 // observationally equivalent to its region code and prints one verdict
-// line per package; a refutation counts as a violation and its
-// structured counterexample is printed.
+// line per package; a refuted proof prints its structured
+// counterexamples.
 //
-// Exit status: 0 all checks passed, 3 at least one rule fired or proof
-// was refuted, 1 the pipeline failed before verification could complete.
+// Exit status: 0 all checks passed, 3 at least one rule fired, otherwise
+// 4 at least one proof was refuted, otherwise 1 the pipeline failed
+// before verification could complete.
 package main
 
 import (
@@ -107,7 +108,7 @@ func main() {
 		variants = variants[*variant : *variant+1]
 	}
 
-	violations, failures := 0, 0
+	violations, refuted, failures := 0, 0, 0
 	for _, tgt := range targets {
 		for _, v := range variants {
 			p, err := tgt.build()
@@ -150,7 +151,7 @@ func main() {
 				}
 			case errors.Is(err, core.ErrNotEquivalent):
 				ces := equiv.Counterexamples(err)
-				violations += len(ces)
+				refuted++
 				fmt.Printf("FAIL  %-44s translation validation refuted (%d counterexample(s))\n", label, len(ces))
 				for _, ce := range ces {
 					fmt.Printf("      %s\n", ce.String())
@@ -161,15 +162,28 @@ func main() {
 			}
 		}
 	}
-	switch {
-	case violations > 0:
-		fmt.Printf("vpverify: %d rule violation(s)\n", violations)
-		os.Exit(3)
-	case failures > 0:
-		os.Exit(1)
-	default:
+	if violations > 0 || refuted > 0 {
+		fmt.Printf("vpverify: %d rule violation(s), %d refuted proof(s)\n", violations, refuted)
+	} else if failures == 0 {
 		fmt.Println("vpverify: all checks passed")
 	}
+	os.Exit(exitStatus(violations, refuted, failures))
+}
+
+// exitStatus is the verdict's exit status: 3 when any rule fired,
+// otherwise 4 when any proof was refuted, otherwise 1 when the pipeline
+// failed, otherwise 0: the precedence vpack and vpbench give the two
+// gates.
+func exitStatus(violations, refuted, failures int) int {
+	switch {
+	case violations > 0:
+		return 3
+	case refuted > 0:
+		return 4
+	case failures > 0:
+		return 1
+	}
+	return 0
 }
 
 func fatal(err error) {

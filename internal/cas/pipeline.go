@@ -1,8 +1,8 @@
 // PipelineObserved: the store-aware single-program pipeline entry the
-// CLIs (vpack, vpdump) share. It mirrors core.RunObserved exactly —
-// same spans, same counters, same Outcome — except that the profile
-// stage is served from the store when a matching artifact exists and
-// written through when it does not.
+// CLIs (vpack, vpdump) share. It is core.RunObserved — same spans, same
+// counters, same Outcome — except that the profile stage is served from
+// the store when a matching artifact exists and written through when it
+// does not.
 //
 // Deliberately, no store.* metrics are emitted here: the single-program
 // trace is the golden-trace regression surface, and a cold run with a
@@ -33,8 +33,6 @@ func PipelineObserved(s *Store, cfg core.Config, p *prog.Program, o obs.Observer
 	}
 	sp := o.StartSpan(obs.StagePipeline)
 	defer sp.End()
-	out := &core.Outcome{Original: p.Clone(), Packed: p}
-
 	img, err := p.Linearize()
 	if err != nil {
 		return nil, fmt.Errorf("core: linearize: %w", err)
@@ -51,12 +49,5 @@ func PipelineObserved(s *Store, cfg core.Config, p *prog.Program, o obs.Observer
 			return nil, fmt.Errorf("cas: store profile: %w", err)
 		}
 	}
-	out.DB = pa.DB()
-	out.ProfileInsts = pa.Stats.Insts
-	out.ProfileBranches = pa.Stats.Branches
-	out.Detections = pa.Stats.Detections
-	if err := core.PackageObserved(cfg, out, p, img, pa.DB(), o); err != nil {
-		return out, err
-	}
-	return out, nil
+	return core.PackageObserved(cfg, p, img, pa, o)
 }

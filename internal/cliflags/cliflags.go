@@ -1,46 +1,18 @@
 // Package cliflags centralizes the flag declarations shared by the
-// command-line tools (vpack, vpbench, vpdump, vpackd): the execution
-// engine knob (-superblock), the structured logging pair (-log, -q) and
-// the static verifier gate (-verify). Each tool registers the shared
+// command-line tools (vpack, vpbench, vpdump, vpackd): the structured
+// logging pair (-log, -q), the static verifier and translation-validation
+// gates (-verify, -equiv), the artifact store (-store) and the drift
+// tracker sizing (-driftwindow, -driftring). Each tool registers the shared
 // groups into its own FlagSet so names, defaults and semantics stay
 // identical across the toolbox.
 package cliflags
 
 import (
 	"flag"
-	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/drift"
 	"repro/internal/telemetry"
 )
-
-// Machine carries the engine flag: the superblock tier of the timed
-// simulator's block cache.
-type Machine struct {
-	superblock string
-}
-
-// MachineFlags registers -superblock on fs.
-func MachineFlags(fs *flag.FlagSet) *Machine {
-	m := &Machine{}
-	fs.StringVar(&m.superblock, "superblock", "on", "superblock (tier-1) trace chaining in the block cache: on|off")
-	return m
-}
-
-// Apply validates the parsed value and applies it to mc. The error text
-// names the offending flag, ready for a "tool: error" line and a usage
-// exit (2).
-func (m *Machine) Apply(mc *cpu.Config) error {
-	switch m.superblock {
-	case "on":
-	case "off":
-		mc.DisableSuperblocks = true
-	default:
-		return fmt.Errorf("-superblock must be on or off")
-	}
-	return nil
-}
 
 // Log carries the logging pair: -log selects the structured mode, -q
 // forces it off (each tool phrases its own -q usage line, since what -q

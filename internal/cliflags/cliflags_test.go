@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/drift"
 )
 
@@ -13,48 +12,6 @@ func newFS() *flag.FlagSet {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	return fs
-}
-
-func TestMachineDefaults(t *testing.T) {
-	fs := newFS()
-	m := MachineFlags(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	mc := cpu.DefaultConfig()
-	if err := m.Apply(&mc); err != nil {
-		t.Fatal(err)
-	}
-	if mc != cpu.DefaultConfig() {
-		t.Errorf("defaults changed the machine config: %+v", mc)
-	}
-}
-
-func TestMachineOff(t *testing.T) {
-	fs := newFS()
-	m := MachineFlags(fs)
-	if err := fs.Parse([]string{"-superblock=off"}); err != nil {
-		t.Fatal(err)
-	}
-	mc := cpu.DefaultConfig()
-	if err := m.Apply(&mc); err != nil {
-		t.Fatal(err)
-	}
-	if !mc.DisableSuperblocks {
-		t.Errorf("off value not applied: %+v", mc)
-	}
-}
-
-func TestMachineInvalid(t *testing.T) {
-	fs := newFS()
-	m := MachineFlags(fs)
-	if err := fs.Parse([]string{"-superblock=maybe"}); err != nil {
-		t.Fatal(err)
-	}
-	mc := cpu.DefaultConfig()
-	if err := m.Apply(&mc); err == nil {
-		t.Error("Apply accepted an invalid -superblock value")
-	}
 }
 
 func TestLogMode(t *testing.T) {

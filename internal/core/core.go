@@ -392,15 +392,11 @@ func Run(cfg Config, p *prog.Program) (*Outcome, error) {
 // to an observer. Pass obs.Nop{} (or call Run) when observability is off;
 // the disabled path adds no allocations.
 //
-// It is a thin composition over the staged pipeline API: ProfileStage →
-// RegionStage → PackageStage, with the intermediate artifacts folded into
-// the Outcome. The observer stream is byte-identical to the pre-staged
-// monolithic flow.
+// It is ProfileStage followed by PackageObserved, inside a "pipeline"
+// span.
 func RunObserved(cfg Config, p *prog.Program, o obs.Observer) (*Outcome, error) {
 	sp := o.StartSpan(obs.StagePipeline)
 	defer sp.End()
-	out := &Outcome{Original: p.Clone(), Packed: p}
-
 	img, err := p.Linearize()
 	if err != nil {
 		return nil, fmt.Errorf("core: linearize: %w", err)
@@ -409,22 +405,7 @@ func RunObserved(cfg Config, p *prog.Program, o obs.Observer) (*Outcome, error) 
 	if err != nil {
 		return nil, err
 	}
-	out.DB = pa.DB()
-	out.ProfileInsts = pa.Stats.Insts
-	out.ProfileBranches = pa.Stats.Branches
-	out.Detections = pa.Stats.Detections
-	if err := packageStaged(cfg, out, p, img, pa, o); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-// Package applies region identification, package construction and
-// optimization to p (mutating it) from an existing phase database. The
-// database's PCs must have been gathered on an image that linearizes
-// identically to p — a Clone of the profiled program qualifies.
-func Package(cfg Config, out *Outcome, p *prog.Program, img *prog.Image, db *phasedb.DB) error {
-	return PackageObserved(cfg, out, p, img, db, obs.Nop{})
+	return PackageObserved(cfg, p, img, pa, o)
 }
 
 // passes translates the configuration's optimization knobs into the opt
@@ -439,23 +420,6 @@ func (cfg Config) passes() opt.Passes {
 		Sched:           cfg.Sched,
 		EntrySeedWeight: cfg.EntrySeedWeight,
 	}
-}
-
-// PackageObserved is Package reporting to an observer: the filter, region,
-// package, link and optimize stages each run inside their span, and
-// skipped phases emit PhaseSkipped events carrying the reason.
-//
-// It composes RegionStageObserved and PackageStageObserved over a
-// profile artifact wrapped around db, stamped with img's hash so the
-// stages' staleness checks pass by construction.
-func PackageObserved(cfg Config, out *Outcome, p *prog.Program, img *prog.Image, db *phasedb.DB, o obs.Observer) error {
-	pa := &ProfileArtifact{
-		Schema:      ProfileArtifactSchema,
-		ProgramHash: ImageHash(img),
-		ProfileKey:  cfg.ProfileKey(),
-		db:          db,
-	}
-	return packageStaged(cfg, out, p, img, pa, o)
 }
 
 // verifyCheck accounts one verifier invocation on the observer and passes

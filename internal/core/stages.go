@@ -10,7 +10,7 @@
 // of the vpackd continuous-optimization daemon, which accumulates
 // streamed profiles, re-runs RegionStage+PackageStage in the background
 // and serves the resulting PackageSets back out. Run/RunObserved and
-// Package/PackageObserved are thin compositions over these stages; their
+// PackageObserved are thin compositions over these stages; their
 // observer streams are byte-identical to the pre-staged monolith
 // (TestTraceGoldenSchema locks this).
 package core
@@ -298,12 +298,23 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 	return set, nil
 }
 
-// packageStaged composes RegionStage and PackageStage over an existing
-// profile artifact, accumulating results into out. It preserves the
-// pre-staged monolith's behavior exactly: partial regions survive into
-// out on a region-stage failure, and skip counts from both stages sum
-// into out.SkippedPhases.
-func packageStaged(cfg Config, out *Outcome, p *prog.Program, img *prog.Image, pa *ProfileArtifact, o obs.Observer) error {
+// PackageObserved runs RegionStage and PackageStage on p (mutating it)
+// from an existing profile artifact, reporting to an observer, and builds
+// the whole Outcome: a pristine clone of p, the artifact's phase database
+// and profile stats, the regions, the packing result and the equivalence
+// certificates. img must be p's image and hash to the artifact's origin.
+// On failure the Outcome keeps what was built: the regions identified
+// so far survive a region- or package-stage failure, and the skip counts
+// of both stages sum into SkippedPhases.
+func PackageObserved(cfg Config, p *prog.Program, img *prog.Image, pa *ProfileArtifact, o obs.Observer) (*Outcome, error) {
+	out := &Outcome{
+		Original:        p.Clone(),
+		Packed:          p,
+		DB:              pa.DB(),
+		ProfileInsts:    pa.Stats.Insts,
+		ProfileBranches: pa.Stats.Branches,
+		Detections:      pa.Stats.Detections,
+	}
 	ra, err := RegionStageObserved(cfg, img, pa, o)
 	if ra != nil {
 		out.SkippedPhases += ra.SkippedPhases
@@ -312,7 +323,7 @@ func packageStaged(cfg Config, out *Outcome, p *prog.Program, img *prog.Image, p
 		}
 	}
 	if err != nil {
-		return err
+		return out, err
 	}
 	set, err := PackageStageObserved(cfg, p, img, ra, nil, o)
 	if set != nil {
@@ -320,5 +331,5 @@ func packageStaged(cfg Config, out *Outcome, p *prog.Program, img *prog.Image, p
 		out.Pack = set.Result()
 		out.Equiv = set.Equiv
 	}
-	return err
+	return out, err
 }

@@ -109,8 +109,6 @@ var (
 	ProfileDetections    = declare("profile.detections", Counter, "Hot spots the Hot Spot Detector reported.", 0)
 	ProfilePhases        = declare("profile.phases", Counter, "Distinct phases in the filtered phase database.", 0)
 	ProfileRedundant     = declare("profile.redundant", Counter, "Detections the phase filter merged into an existing phase.", 0)
-	ProfileMemoHits      = declare("profile_memo.hits", Counter, "Suite profiles served by the in-process profile memo.", 0)
-	ProfileMemoMisses    = declare("profile_memo.misses", Counter, "Suite profiles the in-process profile memo had to compute.", 0)
 	FilterSelectedPhases = declare("filter.selected_phases", Counter, "Phases selected for region growth.", 0)
 	FilterCappedPhases   = declare("filter.capped_phases", Counter, "Phases dropped by the max-phases cap.", 0)
 )

@@ -214,7 +214,6 @@ func TestLookupMetric(t *testing.T) {
 		"store.hitsx":             "",
 		"drift":                   "",
 		"drifty.score.m88ksim":    "",
-		"profile_memo":            "",
 		"eval.cycles_us.anything": "",
 	} {
 		m, ok := LookupMetric(name)

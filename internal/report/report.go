@@ -7,7 +7,6 @@ package report
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"sync"
@@ -41,12 +40,8 @@ type Options struct {
 	// it finishes (bench, input, insts, phases, coverage, speedup) plus
 	// suite start/end records. slog handlers serialize their own writes,
 	// so records never interleave; under a parallel run their order
-	// follows completion, not paper order. It supersedes Progress.
+	// follows completion, not paper order.
 	Logger *slog.Logger
-	// Progress, when non-nil and Logger is nil, receives one plain text
-	// line per input as it finishes (the pre-slog format, kept for
-	// callers that scrape it).
-	Progress io.Writer
 	// Observer, when non-nil and enabled, receives spans, events and
 	// metrics for the whole suite. Each work item records into its own
 	// private recorder; the per-item traces are merged into Observer in
@@ -58,9 +53,8 @@ type Options struct {
 	// package sets are looked up before being computed and written
 	// through after. A fully warm store makes the suite skip every
 	// profile, region and package stage — the rerun costs the timed
-	// evaluation plus I/O. Each lookup emits store.* hit/miss counters
-	// alongside the profile_memo.* ones; results are bit-identical with
-	// the store warm, cold or absent. RunSuite flushes the store before
+	// evaluation plus I/O. Each lookup emits store.* hit/miss counters;
+	// results are bit-identical with the store warm, cold or absent. RunSuite flushes the store before
 	// returning.
 	Store *cas.Store
 }
@@ -146,6 +140,21 @@ type storeTally struct {
 	packageHits, packageMisses atomic.Uint64
 }
 
+// lookup records one store lookup as a hit or a miss, in the tally and on
+// o: store.hits or store.misses plus the class counter hitName or
+// missName.
+func lookup(o obs.Observer, hit bool, hits, misses *atomic.Uint64, hitName, missName string) {
+	if hit {
+		hits.Add(1)
+		o.Count(obs.StoreHits.Name, 1)
+		o.Count(hitName, 1)
+		return
+	}
+	misses.Add(1)
+	o.Count(obs.StoreMisses.Name, 1)
+	o.Count(missName, 1)
+}
+
 // TotalInsts sums the profiled dynamic instruction counts of every input.
 func (s *Suite) TotalInsts() uint64 {
 	var n uint64
@@ -159,79 +168,6 @@ func (s *Suite) TotalInsts() uint64 {
 type workItem struct {
 	b  *workload.Benchmark
 	in workload.Input
-}
-
-// profileMemo shares profiling work across the variants of one input.
-// Entries are keyed by core.Config.ProfileKey — the canonical hash of the
-// profiling-relevant sub-config — so variants that only differ in
-// packaging/optimization knobs (all four paper variants) collapse to a
-// single profile pass whose phase database, profile stats and baseline
-// timing are then shared read-only.
-type profileMemo struct {
-	mu      sync.Mutex
-	entries map[uint64]*profileEntry
-}
-
-// profileEntry is one memoized profiling result: the stage-1 profile
-// artifact plus the baseline timing collected in the same pass. once
-// makes concurrent first callers compute exactly once; the other fields
-// are written inside once.Do and read-only afterwards.
-type profileEntry struct {
-	once sync.Once
-	pa   *core.ProfileArtifact
-	base cpu.TimingStats
-	err  error
-}
-
-// profile returns the memoized profile artifact for cfg's profile
-// sub-config, running the pass at most once per distinct key. The pass
-// executes under the observer of whichever caller reaches once.Do first;
-// RunSuite always primes the memo from the input-level eager call, so the
-// profile span lands in the per-item recorder and variant traces stay
-// deterministic at every -j. Each call records a profile_memo.hits or
-// profile_memo.misses counter into its own observer.
-func (pm *profileMemo) profile(cfg core.Config, mc cpu.Config, img *prog.Image, o obs.Observer) (*core.ProfileArtifact, cpu.TimingStats, error) {
-	key := cfg.ProfileKey()
-	pm.mu.Lock()
-	e, ok := pm.entries[key]
-	if !ok {
-		if pm.entries == nil {
-			pm.entries = make(map[uint64]*profileEntry)
-		}
-		e = &profileEntry{}
-		pm.entries[key] = e
-	}
-	pm.mu.Unlock()
-	if ok {
-		o.Count(obs.ProfileMemoHits.Name, 1)
-	} else {
-		o.Count(obs.ProfileMemoMisses.Name, 1)
-	}
-	e.once.Do(func() {
-		e.pa, e.base, e.err = core.ProfileTimed(cfg, mc, img, o)
-	})
-	return e.pa, e.base, e.err
-}
-
-// prime installs a precomputed profiling result (a store hit) under key,
-// so every later profile() call for that key is a memo hit and the pass
-// never runs. A prime racing a compute loses cleanly: whoever fires the
-// entry's once first wins and both see one consistent result.
-func (pm *profileMemo) prime(key uint64, pa *core.ProfileArtifact, base cpu.TimingStats) {
-	pm.mu.Lock()
-	e, ok := pm.entries[key]
-	if !ok {
-		if pm.entries == nil {
-			pm.entries = make(map[uint64]*profileEntry)
-		}
-		e = &profileEntry{}
-		pm.entries[key] = e
-	}
-	pm.mu.Unlock()
-	e.once.Do(func() {
-		e.pa = pa
-		e.base = base
-	})
 }
 
 // timedMemo shares timed runs across the variants of one input. The four
@@ -335,16 +271,6 @@ func RunSuite(opts Options) (*Suite, error) {
 	}
 	suiteSpan := o.StartSpan(obs.StageSuite)
 	defer suiteSpan.End()
-	// Per-item recorders keep the merged stream deterministic: workers
-	// never write the shared observer directly.
-	traces := make([]*obs.Trace, len(items))
-	itemObserver := func() (obs.Observer, *obs.Recorder) {
-		if !o.Enabled() {
-			return obs.Nop{}, nil
-		}
-		rec := obs.NewRecorder()
-		return rec, rec
-	}
 
 	start := time.Now()
 	results := make([]*InputResult, len(items))
@@ -353,58 +279,37 @@ func RunSuite(opts Options) (*Suite, error) {
 	if opts.Logger != nil {
 		opts.Logger.Info("suite start", "items", len(items), "jobs", jobs)
 	}
-	// Progress from concurrent workers: slog handlers serialize their own
-	// writes; the legacy plain-text path funnels through one mutex so
-	// lines never interleave mid-row.
-	var progressMu sync.Mutex
-	report := func(idx int, ir *InputResult) {
+	// The variants of an input run concurrently unless the whole suite is
+	// sequential.
+	variantJobs := len(core.Variants())
+	if jobs == 1 {
+		variantJobs = 1
+	}
+	tally := &storeTally{}
+	// Item traces are absorbed while the suite span is still open, so item
+	// spans re-parent under it deterministically.
+	fanOut(jobs, len(items), o, func(idx int, oi obs.Observer) {
+		it := items[idx]
+		ir, err := runInput(opts, it.b, it.in, variantJobs, oi, tally)
+		if err != nil {
+			errs[idx] = fmt.Errorf("report: %s/%s: %w", it.b.Name, it.in.Name, err)
+			return
+		}
 		results[idx] = ir
 		// Observed directly (not via the per-item recorders) so a live
 		// /metrics scrape sees progress mid-suite; histogram merge is
 		// commutative and the _us name is time-valued, so completion order
 		// never leaks into a Normalize()d trace.
 		o.Observe(obs.SuiteInputElapsed.Name, float64(ir.Elapsed.Microseconds()))
-		full := ir.Full()
 		if opts.Logger != nil {
+			full := ir.Full()
 			opts.Logger.Info("input complete",
 				"bench", ir.Bench, "input", ir.Input,
 				"insts", ir.DynInsts, "phases", ir.Phases,
 				"coverage", full.Coverage, "speedup", full.Speedup,
 				"elapsed", ir.Elapsed)
-			return
 		}
-		if opts.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		fmt.Fprintf(opts.Progress, "%-9s %s  %8d insts  %2d phases  cov %5.1f%%  speedup %.3f\n",
-			ir.Bench, ir.Input, ir.DynInsts, ir.Phases, full.Coverage*100, full.Speedup)
-		progressMu.Unlock()
-	}
-
-	// Fan out over the shared bounded pool (ForEachN); jobs == 1 runs the
-	// same closure inline in paper order.
-	parallel := jobs != 1
-	tally := &storeTally{}
-	ForEachN(jobs, len(items), func(idx int) {
-		it := items[idx]
-		io2, rec := itemObserver()
-		ir, err := runInput(opts, it.b, it.in, parallel, io2, tally)
-		if rec != nil {
-			traces[idx] = rec.Export()
-		}
-		if err != nil {
-			errs[idx] = fmt.Errorf("report: %s/%s: %w", it.b.Name, it.in.Name, err)
-			return
-		}
-		report(idx, ir)
 	})
-
-	// Merge per-item traces in paper order while the suite span is still
-	// open, so item spans re-parent under it deterministically.
-	for _, t := range traces {
-		o.Absorb(t)
-	}
 
 	if err := errors.Join(errs...); err != nil {
 		if opts.Logger != nil {
@@ -442,20 +347,42 @@ func RunSuite(opts Options) (*Suite, error) {
 	return suite, nil
 }
 
+// fanOut runs fn(i, oi) for every i in [0, n) over at most workers
+// concurrent invocations (ForEachN). When o is enabled each index records
+// into a private recorder oi, and the recorders are absorbed into o in
+// index order once all are done, so the merged stream is the same at
+// every worker count; otherwise oi is obs.Nop{}.
+func fanOut(workers, n int, o obs.Observer, fn func(i int, oi obs.Observer)) {
+	if !o.Enabled() {
+		ForEachN(workers, n, func(i int) { fn(i, obs.Nop{}) })
+		return
+	}
+	traces := make([]*obs.Trace, n)
+	ForEachN(workers, n, func(i int) {
+		rec := obs.NewRecorder()
+		fn(i, rec)
+		traces[i] = rec.Export()
+	})
+	for _, t := range traces {
+		o.Absorb(t)
+	}
+}
+
 // runInput profiles one input once and then evaluates the four variants,
-// concurrently when parallel is set. The profiled program, its image and
-// the phase database are shared read-only across variants; each variant
-// packages its own clone, and the timed run is shared by the variants
-// whose packed images are identical to the timed engine, as is each
-// package proof by the variants that pose the same proof obligation.
+// variantJobs of them at a time. The profiled program, its image and
+// the profile artifact are shared read-only across variants; each
+// variant packages its own clone, and the timed run is shared by the
+// variants whose packed images are identical to the timed engine, as is
+// each package proof by the variants that pose the same proof
+// obligation.
 //
 // With a store, the profile (and its companion baseline timing) is
-// looked up under (ImageHash, ProfileKey) first: a hit primes the memo
-// so the profile pass never runs; a miss runs it cold and writes both
-// artifacts through. Store write failures are deliberately non-fatal
-// here — a full disk degrades the cache, not the science — the
-// end-of-suite Flush is where persistence problems surface.
-func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel bool, o obs.Observer, tally *storeTally) (*InputResult, error) {
+// looked up under (ImageHash, ProfileKey) first: a hit skips the profile
+// pass; a miss runs it cold and writes both artifacts through. Store
+// write failures are deliberately non-fatal here — a full disk degrades
+// the cache, not the science — the end-of-suite Flush is where
+// persistence problems surface.
+func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJobs int, o obs.Observer, tally *storeTally) (*InputResult, error) {
 	start := time.Now()
 	sp := obs.Span{}
 	if o.Enabled() {
@@ -468,38 +395,28 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 		return nil, err
 	}
 	imgHash := core.ImageHash(img)
-	// Prime the cross-variant memo eagerly under the item observer: the
-	// single profile pass (HSD profile + baseline timing in one run) lands
-	// ahead of the variant spans in the trace, and every variant whose
-	// profiling sub-config matches — all four paper variants — hits.
-	memo := &profileMemo{}
-	storedProfile := false
+	key := opts.Core.ProfileKey()
+	mkey := cas.MachineKey(opts.Machine)
+	var pa *core.ProfileArtifact
+	var base cpu.TimingStats
+	stored := false
 	if opts.Store != nil {
-		key := opts.Core.ProfileKey()
-		mkey := cas.MachineKey(opts.Machine)
 		if spa, gerr := opts.Store.GetProfileArtifact(imgHash, key); gerr == nil {
 			if sbase, berr := opts.Store.GetBaseline(imgHash, mkey); berr == nil {
-				memo.prime(key, spa, sbase)
-				storedProfile = true
+				pa, base, stored = spa, sbase, true
 			}
 		}
-		if storedProfile {
-			o.Count(obs.StoreHits.Name, 1)
-			o.Count(obs.StoreProfileHits.Name, 1)
-			tally.profileHits.Add(1)
-		} else {
-			o.Count(obs.StoreMisses.Name, 1)
-			o.Count(obs.StoreProfileMisses.Name, 1)
-			tally.profileMisses.Add(1)
+		lookup(o, stored, &tally.profileHits, &tally.profileMisses, obs.StoreProfileHits.Name, obs.StoreProfileMisses.Name)
+	}
+	if !stored {
+		// One pass yields the HSD profile and the baseline timing.
+		if pa, base, err = core.ProfileTimed(opts.Core, opts.Machine, img, o); err != nil {
+			return nil, err
 		}
-	}
-	pa, base, err := memo.profile(opts.Core, opts.Machine, img, o)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Store != nil && !storedProfile {
-		_ = opts.Store.PutProfileArtifact(imgHash, opts.Core.ProfileKey(), pa)
-		_ = opts.Store.PutBaseline(imgHash, cas.MachineKey(opts.Machine), base)
+		if opts.Store != nil {
+			_ = opts.Store.PutProfileArtifact(imgHash, key, pa)
+			_ = opts.Store.PutBaseline(imgHash, mkey, base)
+		}
 	}
 	db := pa.DB()
 
@@ -520,36 +437,9 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 	proofs := &equiv.Memo{}
 	ir.Variants = make([]VariantResult, len(variants))
 	verrs := make([]error, len(variants))
-	if parallel {
-		// Concurrent variants record into private recorders, merged in
-		// variant order below — the same stream a sequential run emits.
-		vtraces := make([]*obs.Trace, len(variants))
-		var wg sync.WaitGroup
-		for i, v := range variants {
-			wg.Add(1)
-			go func(i int, v core.Variant) {
-				defer wg.Done()
-				var vo obs.Observer = obs.Nop{}
-				var rec *obs.Recorder
-				if o.Enabled() {
-					rec = obs.NewRecorder()
-					vo = rec
-				}
-				ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, timed, proofs, v, vo, tally)
-				if rec != nil {
-					vtraces[i] = rec.Export()
-				}
-			}(i, v)
-		}
-		wg.Wait()
-		for _, t := range vtraces {
-			o.Absorb(t)
-		}
-	} else {
-		for i, v := range variants {
-			ir.Variants[i], verrs[i] = runVariant(opts, p, img, imgHash, memo, timed, proofs, v, o, tally)
-		}
-	}
+	fanOut(variantJobs, len(variants), o, func(i int, vo obs.Observer) {
+		ir.Variants[i], verrs[i] = runVariant(opts, p, imgHash, pa, base, timed, proofs, variants[i], vo, tally)
+	})
 	if err := errors.Join(verrs...); err != nil {
 		return nil, err
 	}
@@ -563,124 +453,57 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, parallel b
 	return ir, nil
 }
 
-// runVariant packages a fresh clone of the profiled program under one
-// variant configuration and evaluates it against the shared baseline,
-// through the input's timed memo (timePacked); with Equiv its package
-// proofs go through the input's proof memo. The profiling result
-// comes from the input's profile memo — a hit for every variant that
-// shares the profiling sub-config; p and the memoized artifact/base are
-// read-only here. The variant runs the staged pipeline directly:
-// RegionStage and PackageStage against the clone's image, whose hash
-// matches the profiled image by the Clone-preserves-linearization
-// property the stages' staleness checks enforce.
-// With a store, the variant first looks up its package set (and the
-// region artifact that carries the phase count) under the clone-free
-// key (ImageHash, Config.Hash): a hit rematerializes the packed program
-// from the stored assembly — verified against the set's PackedHash, so
-// corruption degrades to a recompute — and goes straight to the timed
-// evaluation, skipping clone, region and package stages wholesale. The
-// timed evaluation is deterministic, so warm results equal cold results
-// exactly.
-func runVariant(opts Options, p *prog.Program, img *prog.Image, imgHash uint64, memo *profileMemo, timed *timedMemo, proofs *equiv.Memo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
+// runVariant evaluates one variant of the profiled program against the
+// shared baseline base. The region artifact, package set and packed image
+// come from the store when it holds them (storedVariant), otherwise from
+// RegionStage and PackageStage on a fresh clone of p (packVariant), with
+// the package proofs going through the input's proof memo under Equiv.
+// The packed image is then timed through the input's timed memo
+// (timePacked), and the result is read off the package set. A stored
+// program whose timed run fails is rebuilt cold. The timed evaluation is
+// deterministic, so warm results equal cold results exactly. A cold
+// rebuild with a store writes its artifacts through.
+func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileArtifact, base cpu.TimingStats, timed *timedMemo, proofs *equiv.Memo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
 	sp := obs.Span{}
 	if o.Enabled() {
 		sp = o.StartSpan("variant:" + v.Name())
 	}
 	defer sp.End()
 	cfg := v.Apply(opts.Core)
-	pa, base, err := memo.profile(cfg, opts.Machine, img, o)
-	if err != nil {
-		return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
-	}
-	st := pa.Stats
 	var cfgHash uint64
+	var ra *core.RegionArtifact
+	var set *core.PackageSet
+	var packedImg *prog.Image
+	warm := false
 	if opts.Store != nil {
 		cfgHash = cfg.Hash()
-		if vr, ok := storedVariant(opts, timed, imgHash, cfgHash, v, base, st, o); ok {
-			o.Count(obs.StoreHits.Name, 1)
-			o.Count(obs.StorePackageHits.Name, 1)
-			tally.packageHits.Add(1)
-			return vr, nil
+		ra, set, packedImg, warm = storedVariant(opts.Store, imgHash, cfgHash)
+	}
+	var run *timedEntry
+	var err error
+	for {
+		if !warm {
+			if ra, set, packedImg, err = packVariant(cfg, p, pa, proofs, o); err != nil {
+				return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
+			}
 		}
-		o.Count(obs.StoreMisses.Name, 1)
-		o.Count(obs.StorePackageMisses.Name, 1)
-		tally.packageMisses.Add(1)
-	}
-	clone := p.Clone()
-	// The clone linearizes identically to the profiled program (IDs
-	// and layout are preserved), so the phase database's PCs map onto
-	// the clone's own image — and its image hash matches the artifact's
-	// ProgramHash, which RegionStage verifies.
-	cloneImg, err := clone.Linearize()
-	if err != nil {
-		return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
-	}
-	ra, err := core.RegionStageObserved(cfg, cloneImg, pa, o)
-	if err != nil {
-		return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
-	}
-	set, err := core.PackageStageObserved(cfg, clone, cloneImg, ra, proofs, o)
-	if err != nil {
-		return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
-	}
-	res := set.Result()
-	packedImg, err := clone.Linearize()
-	if err != nil {
-		return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
-	}
-	run, err := timePacked(opts, timed, packedImg, o)
-	if err != nil {
-		return VariantResult{}, fmt.Errorf("variant %s: timed run: %w", v.Name(), err)
+		if run, err = timePacked(opts, timed, packedImg, o); err == nil {
+			break
+		}
+		if !warm {
+			return VariantResult{}, fmt.Errorf("variant %s: timed run: %w", v.Name(), err)
+		}
+		warm = false // the stored program failed its timed run: rebuild it cold
 	}
 	if opts.Store != nil {
-		// Write-through (best effort; the end-of-suite Flush surfaces
-		// persistence problems). Encoding disassembles the packed program,
-		// so only store-enabled cold runs pay it.
-		_ = opts.Store.PutRegionArtifact(cfgHash, ra)
-		_ = opts.Store.PutPackageSet(cfgHash, set)
-	}
-	vr := VariantResult{
-		Variant:  v,
-		Growth:   res.CodeGrowth(),
-		Selected: res.SelectedFraction(),
-		Repl:     res.Replication(),
-		Packages: len(res.Packages),
-		Links:    res.Links,
-		Launch:   res.LaunchPoints,
-		Phases:   ra.NumRegions(),
-	}
-	run.fill(&vr, base, st)
-	return vr, nil
-}
-
-// storedVariant attempts the warm path: fetch the variant's package set
-// and region artifact, rematerialize the packed program and verify its
-// image against the set's PackedHash, then run the timed evaluation.
-// Any failure — missing entry, corruption, hash mismatch — returns
-// ok == false and the caller recomputes cold.
-func storedVariant(opts Options, timed *timedMemo, imgHash, cfgHash uint64, v core.Variant, base cpu.TimingStats, st core.ProfileStats, o obs.Observer) (VariantResult, bool) {
-	set, err := opts.Store.GetPackageSet(imgHash, cfgHash)
-	if err != nil {
-		return VariantResult{}, false
-	}
-	ra, err := opts.Store.GetRegionArtifact(imgHash, cfgHash)
-	if err != nil {
-		return VariantResult{}, false
-	}
-	packed, err := set.Materialize()
-	if err != nil {
-		return VariantResult{}, false
-	}
-	packedImg, err := packed.Linearize()
-	if err != nil {
-		return VariantResult{}, false
-	}
-	if set.PackedHash == 0 || core.ImageHash(packedImg) != set.PackedHash {
-		return VariantResult{}, false
-	}
-	run, err := timePacked(opts, timed, packedImg, o)
-	if err != nil {
-		return VariantResult{}, false
+		lookup(o, warm, &tally.packageHits, &tally.packageMisses, obs.StorePackageHits.Name, obs.StorePackageMisses.Name)
+		if !warm {
+			// Best effort; the end-of-suite Flush surfaces persistence
+			// problems. Encoding disassembles the packed program, so only
+			// store-enabled cold runs pay it.
+			_ = opts.Store.PutRegionArtifact(cfgHash, ra)
+			_ = opts.Store.PutPackageSet(cfgHash, set)
+		}
 	}
 	vr := VariantResult{
 		Variant:  v,
@@ -692,16 +515,67 @@ func storedVariant(opts Options, timed *timedMemo, imgHash, cfgHash uint64, v co
 		Launch:   set.Stats.LaunchPoints,
 		Phases:   ra.NumRegions(),
 	}
-	run.fill(&vr, base, st)
-	return vr, true
+	run.fill(&vr, base, pa.Stats)
+	return vr, nil
+}
+
+// storedVariant fetches a variant's package set and region artifact under
+// the clone-free key (ImageHash, Config.Hash) and rematerializes the
+// packed program, checking its image against the set's PackedHash. ok is
+// false when any of that fails — a missing entry, a materialize or
+// linearize error, a hash mismatch — and the variant is then rebuilt
+// cold.
+func storedVariant(s *cas.Store, imgHash, cfgHash uint64) (ra *core.RegionArtifact, set *core.PackageSet, packedImg *prog.Image, ok bool) {
+	set, err := s.GetPackageSet(imgHash, cfgHash)
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	ra, err = s.GetRegionArtifact(imgHash, cfgHash)
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	packed, err := set.Materialize()
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	packedImg, err = packed.Linearize()
+	if err != nil || set.PackedHash == 0 || core.ImageHash(packedImg) != set.PackedHash {
+		return nil, nil, nil, false
+	}
+	return ra, set, packedImg, true
+}
+
+// packVariant packages a fresh clone of the profiled program p under cfg:
+// RegionStage and PackageStage against the clone's image, which
+// linearizes identically to the profiled image (Clone preserves block IDs
+// and layout), so its hash matches the artifact's ProgramHash that the
+// stages check. It returns the artifacts and the packed image.
+func packVariant(cfg core.Config, p *prog.Program, pa *core.ProfileArtifact, proofs *equiv.Memo, o obs.Observer) (*core.RegionArtifact, *core.PackageSet, *prog.Image, error) {
+	clone := p.Clone()
+	cloneImg, err := clone.Linearize()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ra, err := core.RegionStageObserved(cfg, cloneImg, pa, o)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	set, err := core.PackageStageObserved(cfg, clone, cloneImg, ra, proofs, o)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	packedImg, err := clone.Linearize()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return ra, set, packedImg, nil
 }
 
 // timePacked evaluates one packed image inside an evaluate span, emitting
-// the engine counters — the shared tail of the cold and warm variant
-// paths. The timed run itself comes from the input's memo: the first
-// variant with this image runs it, and the others wait for and share
-// its result. Every caller records the same span and counters, so each
-// variant's trace is the one its own run would have produced.
+// the engine counters. The timed run itself comes from the input's memo:
+// the first variant with this image runs it, and the others wait for and
+// share its result. Every caller records the same span and counters, so
+// each variant's trace is the one its own run would have produced.
 func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, o obs.Observer) (*timedEntry, error) {
 	esp := o.StartSpan(obs.StageEvaluate)
 	e := timed.entry(packedImg)

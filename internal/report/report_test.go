@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -150,6 +149,58 @@ func TestRunSuiteParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunSuiteTier0Identical runs the suite on tier 0 alone (superblocks
+// off) and requires the tables and figures to be byte-identical to the
+// default two-tier run, and every result to be equal apart from the
+// block-cache traffic, which differs by construction: the two timed tiers
+// must agree on every packed program the suite evaluates.
+func TestRunSuiteTier0Identical(t *testing.T) {
+	opts := Options{
+		Machine:       cpu.DefaultConfig(),
+		Core:          core.ScaledConfig(),
+		Benchmarks:    []string{"m88ksim", "perl", "li"},
+		ScaleOverride: 1,
+	}
+	tiered, err := RunSuite(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Machine.DisableSuperblocks = true
+	tier0, err := RunSuite(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	renders := []struct {
+		name        string
+		tiered, off string
+	}{
+		{"Table1", tiered.Table1(), tier0.Table1()},
+		{"Table3", tiered.Table3(), tier0.Table3()},
+		{"Figure8", tiered.Figure8(), tier0.Figure8()},
+		{"Figure9", tiered.Figure9(), tier0.Figure9()},
+		{"Figure10", tiered.Figure10(), tier0.Figure10()},
+	}
+	for _, r := range renders {
+		if r.tiered != r.off {
+			t.Errorf("%s differs with superblocks off:\n--- on ---\n%s\n--- off ---\n%s", r.name, r.tiered, r.off)
+		}
+	}
+	strip := func(s *Suite) []InputResult {
+		rs := append([]InputResult(nil), s.Results...)
+		for i := range rs {
+			rs[i].Elapsed = 0
+			rs[i].Variants = append([]VariantResult(nil), rs[i].Variants...)
+			for j := range rs[i].Variants {
+				rs[i].Variants[j].BlockCacheHits, rs[i].Variants[j].BlockCacheMisses = 0, 0
+			}
+		}
+		return rs
+	}
+	if a, b := strip(tiered), strip(tier0); !reflect.DeepEqual(a, b) {
+		t.Errorf("results differ with superblocks off:\n  on:  %+v\n  off: %+v", a, b)
+	}
+}
+
 // TestRunSuiteAggregatesErrors checks that one bad benchmark name fails
 // fast, while per-input pipeline failures would be joined rather than
 // aborting the remaining items (exercised via the error path formatting).
@@ -275,9 +326,8 @@ func TestRunSuiteSentinelErrors(t *testing.T) {
 }
 
 // TestRunSuiteProfileMemo is the acceptance gate for cross-variant profile
-// reuse: with all four variants sharing the profiling sub-config, RunSuite
-// must run exactly one profile pass per (bench, input) — misses equal to
-// the item count, one hit per variant.
+// reuse: the four variants share one profiling sub-config, so RunSuite
+// must run exactly one profile pass per (bench, input), at every -j.
 func TestRunSuiteProfileMemo(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		rec := obs.NewRecorder()
@@ -293,12 +343,14 @@ func TestRunSuiteProfileMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := rec.Export()
-		items := int64(len(s.Results))
-		if got := tr.Metrics.Counters["profile_memo.misses"]; got != items {
-			t.Errorf("-j %d: profile_memo.misses = %d, want %d (one profile pass per input)", jobs, got, items)
+		profiles := 0
+		for _, sp := range tr.SpanTotals() {
+			if sp.Name == obs.StageProfile {
+				profiles = sp.Count
+			}
 		}
-		if got := tr.Metrics.Counters["profile_memo.hits"]; got != 4*items {
-			t.Errorf("-j %d: profile_memo.hits = %d, want %d (one hit per variant)", jobs, got, 4*items)
+		if profiles != len(s.Results) {
+			t.Errorf("-j %d: %d profile spans, want %d (one profile pass per input)", jobs, profiles, len(s.Results))
 		}
 		// The block cache is on by default; every variant's timed run must
 		// report its traffic.
@@ -434,66 +486,6 @@ func TestRunSuiteTimedMemo(t *testing.T) {
 	}
 }
 
-// TestProfileMemoConcurrent hammers one memo from many goroutines with
-// two distinct profiling sub-configs: each key must compute exactly once,
-// every caller must see the same shared entry, and the counters must add
-// up. Run under -race (verify.sh does) this doubles as the data-race gate
-// for the cross-variant sharing.
-func TestProfileMemoConcurrent(t *testing.T) {
-	bench, err := workload.ByName("m88ksim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := bench.Inputs[0]
-	in.Scale = 1
-	img, err := bench.Build(in).Linearize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgA := core.ScaledConfig()
-	cfgB := core.ScaledConfig()
-	cfgB.Detector.CandidateThreshold++ // distinct profiling sub-config
-
-	memo := &profileMemo{}
-	rec := obs.NewRecorder()
-	const workers = 8
-	var wg sync.WaitGroup
-	dbs := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := cfgA
-			if i%2 == 1 {
-				cfg = cfgB
-			}
-			pa, _, err := memo.profile(cfg, cpu.DefaultConfig(), img, rec)
-			if err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-			dbs[i] = pa.DB()
-		}(i)
-	}
-	wg.Wait()
-	for i := 2; i < workers; i++ {
-		if dbs[i] != dbs[i%2] {
-			t.Errorf("worker %d did not share worker %d's phase database", i, i%2)
-		}
-	}
-	if dbs[0] == dbs[1] {
-		t.Error("distinct profiling sub-configs shared one entry")
-	}
-	tr := rec.Export()
-	hits := tr.Metrics.Counters["profile_memo.hits"]
-	misses := tr.Metrics.Counters["profile_memo.misses"]
-	if misses != 2 {
-		t.Errorf("profile_memo.misses = %d, want 2 (one per distinct key)", misses)
-	}
-	if hits+misses != workers {
-		t.Errorf("hits %d + misses %d != %d calls", hits, misses, workers)
-	}
-}
-
 // observedEquivTrace runs the small suite with -equiv on at the given
 // worker count and returns the normalized exported trace.
 func observedEquivTrace(t *testing.T, jobs int) *obs.Trace {
@@ -560,8 +552,7 @@ func TestProfileBaseMatchesBlockEngine(t *testing.T) {
 				if err != nil {
 					t.Fatalf("linearize: %v", err)
 				}
-				memo := &profileMemo{}
-				_, base, err := memo.profile(core.ScaledConfig(), mc, img, obs.Nop{})
+				_, base, err := core.ProfileTimed(core.ScaledConfig(), mc, img, obs.Nop{})
 				if err != nil {
 					t.Fatalf("profile: %v", err)
 				}

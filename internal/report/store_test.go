@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // storeOpts builds a small-suite Options bound to a store.
@@ -91,11 +92,6 @@ func TestRunSuiteStoreWarm(t *testing.T) {
 			t.Errorf("warm run executed stage %q %d times", sp.Name, sp.Count)
 		}
 	}
-	// The memo never computed either: every profile() call was a hit on
-	// the primed entry.
-	if n := warmTrace.Metrics.Counters["profile_memo.misses"]; n != 0 {
-		t.Errorf("warm run recorded %d profile_memo.misses, want 0", n)
-	}
 	if n := warmTrace.Metrics.Counters[obs.StoreMisses.Name]; n != 0 {
 		t.Errorf("warm run recorded %d store.misses, want 0", n)
 	}
@@ -143,6 +139,128 @@ func TestRunSuiteStoreMatchesStoreless(t *testing.T) {
 	b.StoreBytes, b.StoreSegments = 0, 0
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("store-backed cold results differ from storeless results")
+	}
+}
+
+// copyStore copies every entry of the store in srcDir for which keep
+// returns true into a fresh store at dstDir, and returns the new store.
+func copyStore(t *testing.T, srcDir, dstDir string, keep func(cas.Entry) bool) *cas.Store {
+	t.Helper()
+	src, err := cas.Open(srcDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := cas.Open(dstDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dst.Close() })
+	for _, e := range src.List() {
+		if !keep(e) {
+			continue
+		}
+		data, err := src.Get(e.Kind, e.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Put(e.Kind, e.Key, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestRunSuiteStoreFallback: a variant the store cannot serve whole — a
+// package set whose PackedHash does not match its rematerialized image,
+// or a missing region artifact — counts one package miss, is rebuilt
+// cold, and leaves the results equal to a storeless run's.
+func TestRunSuiteStoreFallback(t *testing.T) {
+	plainOpts, _ := storeOpts(t, t.TempDir(), nil)
+	plainOpts.Store = nil
+	plain, err := RunSuite(plainOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedDir := t.TempDir()
+	seed, st := storeOpts(t, seedDir, nil)
+	if _, err := RunSuite(seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The store key of the first variant's region artifact and package set.
+	b, err := workload.ByName("m88ksim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := b.Inputs[0]
+	in.Scale = 1
+	img, err := b.Build(in).Linearize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cas.Key{A: core.ImageHash(img), B: core.Variants()[0].Apply(seed.Core).Hash()}
+
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, dstDir string) *cas.Store
+	}{
+		{"packed hash mismatch", func(t *testing.T, dstDir string) *cas.Store {
+			dst := copyStore(t, seedDir, dstDir, func(cas.Entry) bool { return true })
+			set, err := dst.GetPackageSet(key.A, key.B)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set.PackedHash++
+			if err := dst.PutPackageSet(key.B, set); err != nil {
+				t.Fatal(err)
+			}
+			return dst
+		}},
+		{"missing region artifact", func(t *testing.T, dstDir string) *cas.Store {
+			return copyStore(t, seedDir, dstDir, func(e cas.Entry) bool {
+				return e.Kind != cas.KindRegion || e.Key != key
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := tc.spoil(t, dir).Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.NewRecorder()
+			opts, _ := storeOpts(t, dir, rec)
+			s, err := RunSuite(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.StoreProfileHits != 1 || s.StorePackageHits != 3 || s.StorePackageMisses != 1 {
+				t.Errorf("profile hits %d, package hits/misses %d/%d; want 1, 3/1",
+					s.StoreProfileHits, s.StorePackageHits, s.StorePackageMisses)
+			}
+			tr := rec.Export()
+			if n := tr.Metrics.Counters[obs.StorePackageMisses.Name]; n != 1 {
+				t.Errorf("%s = %d, want 1", obs.StorePackageMisses.Name, n)
+			}
+			packages := 0
+			for _, sp := range tr.SpanTotals() {
+				if sp.Name == obs.StagePackage {
+					packages = sp.Count
+				}
+			}
+			if packages != 1 {
+				t.Errorf("%d package stages ran, want 1 (the spoiled variant rebuilt cold)", packages)
+			}
+			a, b := stripElapsed(plain), stripElapsed(s)
+			b.StoreProfileHits, b.StorePackageHits, b.StorePackageMisses = 0, 0, 0
+			b.StoreBytes, b.StoreSegments = 0, 0
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("results differ from the storeless run's:\nstoreless: %+v\nfallback:  %+v", a, b)
+			}
+		})
 	}
 }
 

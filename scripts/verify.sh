@@ -81,17 +81,14 @@ go run ./cmd/vpverify -q -equiv -bench m88ksim -input A -scale 1
 # Trace regression gate: the golden is Normalize()d (wall times zeroed),
 # so this diff bites exactly on the deterministic pipeline counters —
 # phases detected, regions grown, packages built/linked, simulated
-# cycles. A counter regressing >10% fails verification. The gate runs
-# twice — superblocks on (the default) and superblocks off (tier 0
-# only) — because both timed tiers must be bit-identical: one golden
-# serves them both.
+# cycles. A counter regressing >10% fails verification. (That both
+# timed tiers agree is a Go test: internal/report's
+# TestRunSuiteTier0Identical runs the suite with superblocks off.)
 trace_tmp="$(mktemp)"
 trap 'rm -f "$trace_tmp"' EXIT
 go run ./cmd/vpack -bench gzip -input A -scale 1 -q -log off -trace "$trace_tmp" >/dev/null
 go run ./cmd/vptrace diff -threshold 0.10 testdata/trace_golden.json "$trace_tmp"
-go run ./cmd/vpack -bench gzip -input A -scale 1 -q -log off -superblock=off -trace "$trace_tmp" >/dev/null
-go run ./cmd/vptrace diff -threshold 0.10 testdata/trace_golden.json "$trace_tmp"
-# Third pass: -store enabled against a fresh directory. The store-aware
+# Second pass: -store enabled against a fresh directory. The store-aware
 # pipeline path must emit a byte-identical trace (profile write-through
 # happens outside the observed spans), so the same golden gates it.
 store_tmp="$(mktemp -d)"

@@ -74,13 +74,18 @@ type programState struct {
 	// uncapped count. Both reset when a repack snapshots the shard.
 	pendIngests []core.IngestRef
 	pendIngestN int64
-	// versions holds each repack's encoded PackageSet; version N is
-	// versions[N-1], its build record provs[N-1]. lastErr keeps the most
-	// recent repack failure for /v1/programs (ErrNoPhases early in a
-	// stream is expected).
-	versions [][]byte
-	provs    []*core.Provenance
-	lastErr  string
+	// history holds the published versions; version N is history[N-1].
+	// lastErr keeps the most recent repack failure for /v1/programs
+	// (ErrNoPhases early in a stream is expected).
+	history []published
+	lastErr string
+}
+
+// published is one version of a program: the encoded PackageSet served
+// at /v1/packages and the build record served at /v1/provenance.
+type published struct {
+	set  []byte
+	prov *core.Provenance
 }
 
 // maxProvIngests caps the ingest-trace chain a provenance record retains;
@@ -254,10 +259,9 @@ func (d *Daemon) recoverVersions(st *programState) int {
 			d.logger.Warn("version recovery stopped", "program", st.name, "version", v, "err", err)
 			break
 		}
-		st.versions = append(st.versions, encoded)
-		st.provs = append(st.provs, prov)
+		st.history = append(st.history, published{set: encoded, prov: prov})
 	}
-	return len(st.versions)
+	return len(st.history)
 }
 
 // lookup resolves a program name, wrapping ErrUnknownProgram.
@@ -283,7 +287,7 @@ func (d *Daemon) ingestTrace(client string) string {
 // whose branch table holds bbb entries, so an oversized POST or a
 // malformed record is refused before any of it reaches the phase
 // database (where Taken > Exec would underflow region weights).
-func checkHotSpots(img *prog.Image, bbb int, spots []hotSpotWire) error {
+func checkHotSpots(img *prog.Image, bbb int, spots []hsd.HotSpot) error {
 	if len(spots) > maxProfileRecords {
 		return fmt.Errorf("vpackd: %d hot spots in one POST, limit %d: %w", len(spots), maxProfileRecords, ErrBadProfile)
 	}
@@ -323,16 +327,11 @@ func (d *Daemon) reject(st *programState, trace string, records int, err error) 
 // rejects the enqueue (counted, gauge untouched); the next record past
 // the threshold retries. trace is the ingest's request-scoped ID; it is
 // chained into the provenance of whichever version packages the records.
-func (d *Daemon) record(st *programState, spots []hotSpotWire, trace string) {
-	hss := make([]hsd.HotSpot, len(spots))
+func (d *Daemon) record(st *programState, spots []hsd.HotSpot, trace string) {
 	phaseIDs := make([]int, len(spots))
-	for i := range spots {
-		hss[i] = spots[i].toHSD()
-	}
-
 	st.mu.Lock()
-	for i := range hss {
-		if ph := st.db.Record(hss[i]); ph != nil {
+	for i := range spots {
+		if ph := st.db.Record(spots[i]); ph != nil {
 			phaseIDs[i] = ph.ID
 		} else {
 			phaseIDs[i] = -1
@@ -362,8 +361,8 @@ func (d *Daemon) record(st *programState, spots []hotSpotWire, trace string) {
 	// mutex, so the shard lock is not held across it) and surface every
 	// closed window on the event stream.
 	windowsClosed := 0
-	for i := range hss {
-		if st.tracker.Observe(hss[i], phaseIDs[i]) {
+	for i := range spots {
+		if st.tracker.Observe(spots[i], phaseIDs[i]) {
 			windowsClosed++
 		}
 	}
@@ -500,10 +499,9 @@ func (d *Daemon) repack(st *programState) {
 		st.lastErr = err.Error()
 	} else {
 		st.lastErr = ""
-		st.versions = append(st.versions, encoded)
-		version = len(st.versions)
+		version = len(st.history) + 1
 		prov.Version = version
-		st.provs = append(st.provs, prov)
+		st.history = append(st.history, published{set: encoded, prov: prov})
 	}
 	st.pending = false
 	// Records that streamed in mid-repack re-arm the queue themselves
@@ -659,49 +657,25 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 	return buf.Bytes(), nil
 }
 
-// version returns the encoded PackageSet for a 1-based version number,
-// or the newest one for latest.
-func (st *programState) version(sel string) ([]byte, int, error) {
+// version resolves a selector — a 1-based version number, or latest for
+// the newest — to the published version and its number.
+func (st *programState) version(sel string) (published, int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	n := len(st.versions)
-	if sel == "latest" {
-		if n == 0 {
-			return nil, 0, fmt.Errorf("no versions yet")
+	n := len(st.history)
+	v := n
+	if sel != "latest" {
+		if _, err := fmt.Sscanf(sel, "%d", &v); err != nil || v < 1 {
+			return published{}, 0, fmt.Errorf("bad version %q", sel)
 		}
-		return st.versions[n-1], n, nil
-	}
-	var v int
-	if _, err := fmt.Sscanf(sel, "%d", &v); err != nil || v < 1 {
-		return nil, 0, fmt.Errorf("bad version %q", sel)
-	}
-	if v > n {
-		return nil, 0, fmt.Errorf("version %d not yet built (have %d)", v, n)
-	}
-	return st.versions[v-1], v, nil
-}
-
-// provenance returns the build record for a 1-based version number
-// ("latest" for the newest). Records exist for exactly the published
-// versions, so the same selectors resolve.
-func (st *programState) provenance(sel string) (*core.Provenance, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	n := len(st.provs)
-	if sel == "latest" {
-		if n == 0 {
-			return nil, fmt.Errorf("no versions yet")
+		if v > n {
+			return published{}, 0, fmt.Errorf("version %d not yet built (have %d)", v, n)
 		}
-		return st.provs[n-1], nil
 	}
-	var v int
-	if _, err := fmt.Sscanf(sel, "%d", &v); err != nil || v < 1 {
-		return nil, fmt.Errorf("bad version %q", sel)
+	if v == 0 {
+		return published{}, 0, fmt.Errorf("no versions yet")
 	}
-	if v > n {
-		return nil, fmt.Errorf("version %d not yet built (have %d)", v, n)
-	}
-	return st.provs[v-1], nil
+	return st.history[v-1], v, nil
 }
 
 // Close stops accepting repacks, waits for in-flight ones to finish,

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/drift"
+	"repro/internal/hsd"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
@@ -49,16 +50,12 @@ func newTestDaemonStore(t testing.TB, batch int, store *cas.Store) (*Daemon, *ob
 }
 
 // captureSpots profiles the daemon's own image and returns the raw
-// detector output in wire form — genuine hot-spot records, not mocks.
-func captureSpots(t testing.TB, d *Daemon, name string) []hotSpotWire {
+// detector output — genuine hot-spot records, not mocks.
+func captureSpots(t testing.TB, d *Daemon, name string) []hsd.HotSpot {
 	t.Helper()
-	hss, err := core.HotSpots(d.cfg, d.programs[name].img)
+	spots, err := core.HotSpots(d.cfg, d.programs[name].img)
 	if err != nil {
 		t.Fatal(err)
-	}
-	spots := make([]hotSpotWire, len(hss))
-	for i, h := range hss {
-		spots[i] = fromHSD(h)
 	}
 	if len(spots) == 0 {
 		t.Fatal("profiling detected no hot spots")
@@ -66,7 +63,7 @@ func captureSpots(t testing.TB, d *Daemon, name string) []hotSpotWire {
 	return spots
 }
 
-func postSpots(t *testing.T, h http.Handler, program string, hash uint64, spots []hotSpotWire) *httptest.ResponseRecorder {
+func postSpots(t *testing.T, h http.Handler, program string, hash uint64, spots []hsd.HotSpot) *httptest.ResponseRecorder {
 	t.Helper()
 	body, err := json.Marshal(profilePost{ProgramHash: hash, HotSpots: spots})
 	if err != nil {
@@ -218,7 +215,7 @@ func TestDaemonOversizedProfile(t *testing.T) {
 	spots := captureSpots(t, d, "m88ksim")
 	hash := d.programs["m88ksim"].hash
 
-	var big []hotSpotWire
+	var big []hsd.HotSpot
 	for size := 0; size <= maxProfileBody; {
 		big = append(big, spots...)
 		body, err := json.Marshal(profilePost{ProgramHash: hash, HotSpots: big})
@@ -260,25 +257,25 @@ func TestDaemonBadProfile(t *testing.T) {
 	// Each shape corrupts a POST of two genuine records. The last two keep
 	// every branch record genuine but carry more than one POST, or one
 	// detector report, may hold.
-	lastBranch := func(corrupt func(*branchWire)) func([]hotSpotWire) []hotSpotWire {
-		return func(post []hotSpotWire) []hotSpotWire {
+	lastBranch := func(corrupt func(*hsd.BranchRecord)) func([]hsd.HotSpot) []hsd.HotSpot {
+		return func(post []hsd.HotSpot) []hsd.HotSpot {
 			corrupt(&post[1].Branches[len(post[1].Branches)-1])
 			return post
 		}
 	}
 	bbb := d.cfg.Detector.Sets * d.cfg.Detector.Ways
-	bad := map[string]func([]hotSpotWire) []hotSpotWire{
-		"taken_over_exec":  lastBranch(func(b *branchWire) { b.Taken = b.Exec + 1 }),
-		"pc_not_a_branch":  lastBranch(func(b *branchWire) { b.PC = nonBranch }),
-		"pc_negative":      lastBranch(func(b *branchWire) { b.PC = -1 }),
-		"pc_past_the_code": lastBranch(func(b *branchWire) { b.PC = int64(len(st.img.Code)) }),
-		"too_many_records": func(post []hotSpotWire) []hotSpotWire {
+	bad := map[string]func([]hsd.HotSpot) []hsd.HotSpot{
+		"taken_over_exec":  lastBranch(func(b *hsd.BranchRecord) { b.Taken = b.Exec + 1 }),
+		"pc_not_a_branch":  lastBranch(func(b *hsd.BranchRecord) { b.PC = nonBranch }),
+		"pc_negative":      lastBranch(func(b *hsd.BranchRecord) { b.PC = -1 }),
+		"pc_past_the_code": lastBranch(func(b *hsd.BranchRecord) { b.PC = int64(len(st.img.Code)) }),
+		"too_many_records": func(post []hsd.HotSpot) []hsd.HotSpot {
 			for len(post) <= maxProfileRecords {
 				post = append(post, post[len(post)%2])
 			}
 			return post
 		},
-		"more_branches_than_the_bbb": func(post []hotSpotWire) []hotSpotWire {
+		"more_branches_than_the_bbb": func(post []hsd.HotSpot) []hsd.HotSpot {
 			hs := &post[1]
 			for len(hs.Branches) <= bbb {
 				hs.Branches = append(hs.Branches, hs.Branches[len(hs.Branches)%len(spots[1].Branches)])
@@ -288,10 +285,10 @@ func TestDaemonBadProfile(t *testing.T) {
 	}
 	for name, corrupt := range bad {
 		t.Run(name, func(t *testing.T) {
-			post := make([]hotSpotWire, 2)
+			post := make([]hsd.HotSpot, 2)
 			for i := range post {
 				post[i] = spots[i]
-				post[i].Branches = append([]branchWire(nil), spots[i].Branches...)
+				post[i].Branches = append([]hsd.BranchRecord(nil), spots[i].Branches...)
 			}
 			post = corrupt(post)
 			before := rec.Export().Metrics.Counters
@@ -455,58 +452,51 @@ func TestDaemonCloseStopsQueue(t *testing.T) {
 	}
 }
 
+// TestProgramStateVersionSelection: one selector resolves a version's
+// package set and its build record together, and refusals keep the
+// texts /v1/packages and /v1/provenance answer 404 with.
 func TestProgramStateVersionSelection(t *testing.T) {
-	st := &programState{versions: [][]byte{[]byte("v1"), []byte("v2")}}
+	st := &programState{history: []published{
+		{set: []byte("v1"), prov: &core.Provenance{Trace: "rpk-1"}},
+		{set: []byte("v2"), prov: &core.Provenance{Trace: "rpk-2"}},
+	}}
 	for _, tc := range []struct {
 		sel  string
 		data string
 		v    int
-		ok   bool
+		err  string
 	}{
-		{"latest", "v2", 2, true},
-		{"1", "v1", 1, true},
-		{"2", "v2", 2, true},
-		{"3", "", 0, false},
-		{"0", "", 0, false},
-		{"-1", "", 0, false},
-		{"x", "", 0, false},
+		{"latest", "v2", 2, ""},
+		{"1", "v1", 1, ""},
+		{"2", "v2", 2, ""},
+		{"3", "", 0, "version 3 not yet built (have 2)"},
+		{"0", "", 0, `bad version "0"`},
+		{"-1", "", 0, `bad version "-1"`},
+		{"x", "", 0, `bad version "x"`},
 	} {
-		data, v, err := st.version(tc.sel)
-		if tc.ok != (err == nil) {
-			t.Errorf("version(%q) err = %v, want ok=%v", tc.sel, err, tc.ok)
+		pub, v, err := st.version(tc.sel)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("version(%q) err = %v, want %q", tc.sel, err, tc.err)
+			}
 			continue
 		}
-		if tc.ok && (string(data) != tc.data || v != tc.v) {
-			t.Errorf("version(%q) = %q, %d; want %q, %d", tc.sel, data, v, tc.data, tc.v)
+		if err != nil {
+			t.Errorf("version(%q): %v", tc.sel, err)
+			continue
+		}
+		if string(pub.set) != tc.data || v != tc.v || pub.prov.Trace != fmt.Sprintf("rpk-%d", tc.v) {
+			t.Errorf("version(%q) = %q (%s), %d; want %q, %d", tc.sel, pub.set, pub.prov.Trace, v, tc.data, tc.v)
 		}
 	}
 	empty := &programState{}
-	if _, _, err := empty.version("latest"); err == nil {
-		t.Error("latest on empty history should fail")
+	if _, _, err := empty.version("latest"); err == nil || err.Error() != "no versions yet" {
+		t.Errorf("latest on empty history: %v, want no versions yet", err)
 	}
-}
-
-// shiftSpots synthesizes a phase shift from captured records: the first
-// ~40% of each record's branches are dropped (hot-set change) and the
-// survivors' taken counts are flipped (bias flips). The PCs stay real,
-// so the daemon's phase database still accepts the records.
-func shiftSpots(spots []hotSpotWire) []hotSpotWire {
-	out := make([]hotSpotWire, len(spots))
-	for i, s := range spots {
-		ns := s
-		drop := len(s.Branches) * 2 / 5
-		ns.Branches = make([]branchWire, 0, len(s.Branches)-drop)
-		for _, b := range s.Branches[drop:] {
-			b.Taken = b.Exec - b.Taken
-			ns.Branches = append(ns.Branches, b)
-		}
-		out[i] = ns
-	}
-	return out
 }
 
 // postSpotsTrace is postSpots with a client-supplied trace header.
-func postSpotsTrace(t *testing.T, h http.Handler, program string, hash uint64, spots []hotSpotWire, trace string) *httptest.ResponseRecorder {
+func postSpotsTrace(t *testing.T, h http.Handler, program string, hash uint64, spots []hsd.HotSpot, trace string) *httptest.ResponseRecorder {
 	t.Helper()
 	body, err := json.Marshal(profilePost{ProgramHash: hash, HotSpots: spots})
 	if err != nil {
@@ -749,7 +739,7 @@ func streamPhaseShift(t *testing.T) *obs.Recorder {
 
 	// Shift the phase: the composite must rise well past the stable level
 	// and the peak must record it.
-	postSpots(t, h, "m88ksim", 0, shiftSpots(spots))
+	postSpots(t, h, "m88ksim", 0, drift.ShiftHotSpots(spots))
 	var after drift.Status
 	if err := json.Unmarshal(get(h, "/v1/drift/m88ksim").Body.Bytes(), &after); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -51,4 +55,48 @@ func FuzzHandleProfile(f *testing.F) {
 			t.Fatalf("ack records %d after posting %d hot spots onto %d, want %d", ack.Records, len(post.HotSpots), before, want)
 		}
 	})
+}
+
+// TestFuzzHandleProfileSeeds pins the verdict each checked-in seed gets,
+// which FuzzHandleProfile's oracle alone accepts either way: the valid
+// post is ingested, the truncated one is undecodable and the stale-hash
+// one names another build. The seeds are literal v1 bodies written by an
+// independent encoder, so a change to the ingest record's JSON shows here.
+func TestFuzzHandleProfileSeeds(t *testing.T) {
+	d, _ := newTestDaemon(t, 1<<30)
+	h := d.Handler()
+	for seed, want := range map[string]int{
+		"valid":      http.StatusOK,
+		"truncated":  http.StatusBadRequest,
+		"stale_hash": http.StatusConflict,
+	} {
+		t.Run(seed, func(t *testing.T) {
+			body := readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzHandleProfile", seed))
+			req := httptest.NewRequest("POST", "/v1/profiles/m88ksim", bytes.NewReader(body))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != want {
+				t.Fatalf("status %d, want %d: %s", w.Code, want, w.Body.String())
+			}
+		})
+	}
+}
+
+// readFuzzSeed decodes a one-value "go test fuzz v1" corpus file holding
+// a []byte.
+func readFuzzSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(data)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s: not a one-[]byte fuzz corpus file", path)
+	}
+	body, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(body)
 }

@@ -35,56 +35,13 @@ const maxProfileBody = 1 << 20
 // repo's own clients send 10 per POST.
 const maxProfileRecords = 256
 
-// branchWire is one branch of a streamed hot-spot record.
-type branchWire struct {
-	PC    int64  `json:"pc"`
-	Exec  uint32 `json:"exec"`
-	Taken uint32 `json:"taken"`
-}
-
-// hotSpotWire is one hot-spot detection as clients stream it: the
-// monitor-table contents at detection, in BBB order.
-type hotSpotWire struct {
-	Seq      int          `json:"seq"`
-	AtBranch uint64       `json:"at_branch,string"`
-	AtInst   uint64       `json:"at_inst,string"`
-	Branches []branchWire `json:"branches"`
-}
-
-func (h *hotSpotWire) toHSD() hsd.HotSpot {
-	hs := hsd.HotSpot{
-		Seq:              h.Seq,
-		DetectedAtBranch: h.AtBranch,
-		DetectedAtInst:   h.AtInst,
-		Branches:         make([]hsd.BranchRecord, len(h.Branches)),
-	}
-	for i, b := range h.Branches {
-		hs.Branches[i] = hsd.BranchRecord{PC: b.PC, Exec: b.Exec, Taken: b.Taken}
-	}
-	return hs
-}
-
-// fromHSD lowers a detector hot spot to the wire form; the daemon's
-// tests and load paths use it to build realistic ingest bodies.
-func fromHSD(hs hsd.HotSpot) hotSpotWire {
-	w := hotSpotWire{
-		Seq:      hs.Seq,
-		AtBranch: hs.DetectedAtBranch,
-		AtInst:   hs.DetectedAtInst,
-		Branches: make([]branchWire, len(hs.Branches)),
-	}
-	for i, b := range hs.Branches {
-		w.Branches[i] = branchWire{PC: b.PC, Exec: b.Exec, Taken: b.Taken}
-	}
-	return w
-}
-
-// profilePost is POST /v1/profiles/{program}'s body. ProgramHash, when
+// profilePost is POST /v1/profiles/{program}'s body: detector hot spots
+// in hsd.HotSpot's JSON form, as clients stream them. ProgramHash, when
 // non-zero, must match the daemon's image for the program — a mismatch
 // is answered 409 (the client's profile came from a different build).
 type profilePost struct {
 	ProgramHash uint64        `json:"program_hash,string"`
-	HotSpots    []hotSpotWire `json:"hot_spots"`
+	HotSpots    []hsd.HotSpot `json:"hot_spots"`
 }
 
 // profileAck is the ingest response. Trace echoes the request's trace ID
@@ -155,7 +112,7 @@ func (d *Daemon) handlePrograms(w http.ResponseWriter, _ *http.Request) {
 			Scale:       st.scale,
 			ProgramHash: st.hash,
 			Records:     st.records,
-			Versions:    len(st.versions),
+			Versions:    len(st.history),
 			Pending:     st.pending,
 			LastError:   st.lastErr,
 			DriftScore:  score.Composite,
@@ -207,7 +164,7 @@ func (d *Daemon) handlePackage(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	data, v, err := st.version(r.PathValue("version"))
+	pub, v, err := st.version(r.PathValue("version"))
 	if err != nil {
 		http.Error(w, fmt.Sprintf("vpackd: %s: %v", st.name, err), http.StatusNotFound)
 		return
@@ -217,11 +174,9 @@ func (d *Daemon) handlePackage(w http.ResponseWriter, r *http.Request) {
 	// Surface the version's provenance in headers (the body stays a bare
 	// PackageSet for decoder compatibility); the full chain is one GET
 	// away at /v1/provenance/{program}/{version}.
-	if prov, err := st.provenance(fmt.Sprint(v)); err == nil {
-		w.Header().Set(TraceHeader, prov.Trace)
-		w.Header().Set("Vpackd-Drift-Score", strconv.FormatFloat(prov.DriftScore, 'f', 4, 64))
-	}
-	w.Write(data)
+	w.Header().Set(TraceHeader, pub.prov.Trace)
+	w.Header().Set("Vpackd-Drift-Score", strconv.FormatFloat(pub.prov.DriftScore, 'f', 4, 64))
+	w.Write(pub.set)
 }
 
 func (d *Daemon) handleProvenance(w http.ResponseWriter, r *http.Request) {
@@ -230,14 +185,14 @@ func (d *Daemon) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	prov, err := st.provenance(r.PathValue("version"))
+	pub, _, err := st.version(r.PathValue("version"))
 	if err != nil {
 		http.Error(w, fmt.Sprintf("vpackd: %s: %v", st.name, err), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(TraceHeader, prov.Trace)
-	if err := prov.EncodeJSON(w); err != nil {
+	w.Header().Set(TraceHeader, pub.prov.Trace)
+	if err := pub.prov.EncodeJSON(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -51,7 +51,7 @@ func TestDaemonProofMemoMatchesFreshBuild(t *testing.T) {
 	h := d.Handler()
 	st := d.programs["m88ksim"]
 	spots := captureSpots(t, d, "m88ksim")
-	shifted := shiftSpots(spots)
+	shifted := drift.ShiftHotSpots(spots)
 	const rounds = 4
 	for i := 0; i < rounds; i++ {
 		batch := spots
@@ -63,7 +63,7 @@ func TestDaemonProofMemoMatchesFreshBuild(t *testing.T) {
 		}
 		awaitCount(t, rec, obs.DaemonRepacks.Name, int64(i+1))
 	}
-	published, n, err := st.version("latest")
+	latest, n, err := st.version("latest")
 	if err != nil || n < 3 {
 		t.Fatalf("want >= 3 published versions, have %d (%v, last error %q)", n, err, st.lastErr)
 	}
@@ -100,9 +100,9 @@ func TestDaemonProofMemoMatchesFreshBuild(t *testing.T) {
 	if err := set.EncodeJSON(&fresh); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(published, fresh.Bytes()) {
+	if !bytes.Equal(latest.set, fresh.Bytes()) {
 		t.Fatalf("version %d built through the proof memo differs from a fresh build (%d vs %d bytes)",
-			n, len(published), fresh.Len())
+			n, len(latest.set), fresh.Len())
 	}
 }
 
@@ -140,7 +140,7 @@ func TestDaemonRepackPanicIsolated(t *testing.T) {
 	post()
 	awaitCount(t, rec, obs.DaemonRepackPanics.Name, 1)
 	latest, n, err := st.version("latest")
-	if err != nil || n != 1 || !bytes.Equal(latest, good) {
+	if err != nil || n != 1 || !bytes.Equal(latest.set, good.set) {
 		t.Fatalf("after the panic latest is version %d (%v), want the last good version 1", n, err)
 	}
 	if !strings.Contains(st.lastErr, "injected build failure") {

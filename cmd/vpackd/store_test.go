@@ -117,7 +117,7 @@ func TestDaemonStoreRepackContinues(t *testing.T) {
 	}
 	awaitVersion(t, h1, "m88ksim")
 	d1.programs["m88ksim"].mu.Lock()
-	n1 := len(d1.programs["m88ksim"].versions)
+	n1 := len(d1.programs["m88ksim"].history)
 	d1.programs["m88ksim"].mu.Unlock()
 	d1.Close()
 
@@ -134,8 +134,8 @@ func TestDaemonStoreRepackContinues(t *testing.T) {
 	d3, _ := newTestDaemonStore(t, 3, openStore(t, dir))
 	st := d3.programs["m88ksim"]
 	st.mu.Lock()
-	n3 := len(st.versions)
-	provOK := len(st.provs) == n3 && st.provs[n3-1].Version == n3
+	n3 := len(st.history)
+	provOK := n3 > 0 && st.history[n3-1].prov.Version == n3
 	st.mu.Unlock()
 	if n3 < n1+1 {
 		t.Fatalf("third boot recovered %d versions, want >= %d", n3, n1+1)

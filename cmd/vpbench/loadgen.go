@@ -26,29 +26,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/drift"
+	"repro/internal/hsd"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// The daemon's v1 wire format (cmd/vpackd). Hash and count fields big
-// enough to lose precision in float64 travel as JSON strings.
-type wireBranch struct {
-	PC    int64  `json:"pc"`
-	Exec  uint32 `json:"exec"`
-	Taken uint32 `json:"taken"`
-}
-
-type wireHotSpot struct {
-	Seq      int          `json:"seq"`
-	AtBranch uint64       `json:"at_branch,string"`
-	AtInst   uint64       `json:"at_inst,string"`
-	Branches []wireBranch `json:"branches"`
-}
-
+// The daemon's v1 wire format (cmd/vpackd): hot spots travel in
+// hsd.HotSpot's JSON form, and hashes as JSON strings.
 type wirePost struct {
 	ProgramHash uint64        `json:"program_hash,string"`
-	HotSpots    []wireHotSpot `json:"hot_spots"`
+	HotSpots    []hsd.HotSpot `json:"hot_spots"`
 }
 
 type wireProgram struct {
@@ -109,7 +97,7 @@ func loadgen(url string, streams, records int, benches string, logger *slog.Logg
 		return fmt.Errorf("daemon at %s serves no matching programs", url)
 	}
 
-	captured := make(map[string][]wireHotSpot, len(progs))
+	captured := make(map[string][]hsd.HotSpot, len(progs))
 	for _, p := range progs {
 		spots, err := captureSpots(p)
 		if err != nil {
@@ -152,31 +140,12 @@ func loadgen(url string, streams, records int, benches string, logger *slog.Logg
 	return nil
 }
 
-// shiftWireSpots synthesizes a phase shift from captured records: the
-// first ~40% of each record's branches drop out of the hot set and the
-// survivors' taken counts flip. PCs stay real, so the daemon's database
-// accepts the records — only their phase shape changes.
-func shiftWireSpots(spots []wireHotSpot) []wireHotSpot {
-	out := make([]wireHotSpot, len(spots))
-	for i, s := range spots {
-		ns := s
-		drop := len(s.Branches) * 2 / 5
-		ns.Branches = make([]wireBranch, 0, len(s.Branches)-drop)
-		for _, b := range s.Branches[drop:] {
-			b.Taken = b.Exec - b.Taken
-			ns.Branches = append(ns.Branches, b)
-		}
-		out[i] = ns
-	}
-	return out
-}
-
-// runPhaseShift streams synthesized shifted records for every program
-// and polls /v1/drift until the daemon's score demonstrably rises,
-// returning the highest peak observed. The burst is sized off the drift
-// window so enough windows close to move the composite; pass the same
-// -driftwindow the daemon runs with.
-func runPhaseShift(client *http.Client, url string, progs []wireProgram, captured map[string][]wireHotSpot, streams int, driftCfg drift.Config, logger *slog.Logger) (float64, error) {
+// runPhaseShift streams each program's records through
+// drift.ShiftHotSpots and polls /v1/drift until the daemon's score
+// demonstrably rises, returning the highest peak observed. The burst is
+// sized off the drift window so enough windows close to move the
+// composite; pass the same -driftwindow the daemon runs with.
+func runPhaseShift(client *http.Client, url string, progs []wireProgram, captured map[string][]hsd.HotSpot, streams int, driftCfg drift.Config, logger *slog.Logger) (float64, error) {
 	if !driftCfg.Enabled() {
 		return 0, fmt.Errorf("-phaseshift needs drift tracking enabled (-driftwindow/-driftring > 0)")
 	}
@@ -185,7 +154,7 @@ func runPhaseShift(client *http.Client, url string, progs []wireProgram, capture
 	burst := driftCfg.Window * 8
 	var best float64
 	for _, p := range progs {
-		shifted := shiftWireSpots(captured[p.Program])
+		shifted := drift.ShiftHotSpots(captured[p.Program])
 		if err := streamSpots(client, url, p, shifted, streams, burst, logger); err != nil {
 			return 0, fmt.Errorf("%s: shifted stream: %w", p.Program, err)
 		}
@@ -230,7 +199,7 @@ func awaitDrift(client *http.Client, url, program string) (float64, error) {
 // captureSpots rebuilds the advertised benchmark input and profiles it
 // locally, keeping the detector's raw hot-spot records — exactly what a
 // deployed client's hardware monitor would stream.
-func captureSpots(p wireProgram) ([]wireHotSpot, error) {
+func captureSpots(p wireProgram) ([]hsd.HotSpot, error) {
 	b, err := workload.ByName(p.Program)
 	if err != nil {
 		return nil, err
@@ -249,21 +218,9 @@ func captureSpots(p wireProgram) ([]wireHotSpot, error) {
 			p.Program, h, p.ProgramHash, core.ErrStaleArtifact)
 	}
 
-	hss, err := core.HotSpots(core.ScaledConfig(), img)
+	spots, err := core.HotSpots(core.ScaledConfig(), img)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Program, err)
-	}
-	spots := make([]wireHotSpot, len(hss))
-	for i, h := range hss {
-		spots[i] = wireHotSpot{
-			Seq:      h.Seq,
-			AtBranch: h.DetectedAtBranch,
-			AtInst:   h.DetectedAtInst,
-			Branches: make([]wireBranch, len(h.Branches)),
-		}
-		for j, br := range h.Branches {
-			spots[i].Branches[j] = wireBranch{PC: br.PC, Exec: br.Exec, Taken: br.Taken}
-		}
 	}
 	if len(spots) == 0 {
 		return nil, fmt.Errorf("%s: no hot spots detected; raise the daemon's -scale", p.Program)
@@ -273,7 +230,7 @@ func captureSpots(p wireProgram) ([]wireHotSpot, error) {
 
 // streamSpots posts records total hot-spot records for one program over
 // streams concurrent connections, cycling the captured spots as needed.
-func streamSpots(client *http.Client, url string, p wireProgram, spots []wireHotSpot, streams, records int, logger *slog.Logger) error {
+func streamSpots(client *http.Client, url string, p wireProgram, spots []hsd.HotSpot, streams, records int, logger *slog.Logger) error {
 	var wg sync.WaitGroup
 	errs := make([]error, streams)
 	for s := 0; s < streams; s++ {
@@ -290,7 +247,7 @@ func streamSpots(client *http.Client, url string, p wireProgram, spots []wireHot
 			defer wg.Done()
 			for sent := 0; sent < n; {
 				chunk := min(postChunk, n-sent)
-				batch := make([]wireHotSpot, chunk)
+				batch := make([]hsd.HotSpot, chunk)
 				for i := 0; i < chunk; i++ {
 					batch[i] = spots[(s+sent+i)%len(spots)]
 				}
@@ -312,7 +269,7 @@ func streamSpots(client *http.Client, url string, p wireProgram, spots []wireHot
 	return nil
 }
 
-func postProfile(client *http.Client, url string, p wireProgram, spots []wireHotSpot) error {
+func postProfile(client *http.Client, url string, p wireProgram, spots []hsd.HotSpot) error {
 	body, err := json.Marshal(wirePost{ProgramHash: p.ProgramHash, HotSpots: spots})
 	if err != nil {
 		return err

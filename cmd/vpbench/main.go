@@ -69,6 +69,10 @@ func main() {
 		storeDir   = cliflags.StoreFlag(flag.CommandLine)
 	)
 	flag.Parse()
+	if !validSelection(*table, *figure) {
+		fmt.Fprintln(os.Stderr, "vpbench: unknown table/figure")
+		os.Exit(2)
+	}
 
 	if *daemonURL != "" {
 		os.Exit(runLoadgen(*daemonURL, *streams, *records, *benches, logf.Mode(), *phaseShift, driftf.Config()))
@@ -191,9 +195,6 @@ func main() {
 		fmt.Print(suite.Figure9())
 	case *figure == 10:
 		fmt.Print(suite.Figure10())
-	case *table != 0 || *figure != 0:
-		fmt.Fprintln(os.Stderr, "vpbench: unknown table/figure")
-		os.Exit(2)
 	default:
 		fmt.Println(suite.Table1())
 		fmt.Println(report.Table2(cpu.DefaultConfig()))
@@ -202,6 +203,12 @@ func main() {
 		fmt.Println(suite.Figure9())
 		fmt.Println(suite.Figure10())
 	}
+}
+
+// validSelection reports whether -table is 1-3 and -figure 8-10, either
+// one 0 when not given; main checks it before any of the suite runs.
+func validSelection(table, figure int) bool {
+	return table >= 0 && table <= 3 && (figure == 0 || figure >= 8 && figure <= 10)
 }
 
 // writeTrace dumps the recorder's trace as indented JSON.

@@ -16,9 +16,9 @@ import (
 // the program once, build the baseline phase database from half of the
 // detected hot spots (a repack's snapshot), then replay the other half
 // through a tracker and print the window timeline and score
-// breakdown. With shift set the replayed half is synthetically
-// phase-shifted the same way vpbench -phaseshift shifts its streams, so
-// the report demonstrates a rising score without a daemon.
+// breakdown. With shift set the replayed half goes through
+// drift.ShiftHotSpots, the stimulus vpbench -phaseshift streams, so the
+// report demonstrates a rising score without a daemon.
 func driftReport(w io.Writer, cfg core.Config, p *prog.Program, name string, dcfg drift.Config, shift bool) error {
 	if !dcfg.Enabled() {
 		return fmt.Errorf("drift tracking disabled (-driftwindow 0); nothing to report")
@@ -52,7 +52,7 @@ func driftReport(w io.Writer, cfg core.Config, p *prog.Program, name string, dcf
 		}
 	}
 	if shift {
-		replay = shiftHotSpots(replay)
+		replay = drift.ShiftHotSpots(replay)
 	}
 	// Short local runs rarely fill a daemon-sized window; shrink so the
 	// replay closes at least two windows and the score is measured.
@@ -95,26 +95,6 @@ func driftReport(w io.Writer, cfg core.Config, p *prog.Program, name string, dcf
 	fmt.Fprintf(w, "  composite           %6.3f   (peak %.3f, baseline v%d)\n",
 		sc.Composite, sc.Peak, sc.BaselineVersion)
 	return nil
-}
-
-// shiftHotSpots applies the same synthetic phase shift vpbench's
-// -phaseshift mode applies on the wire: drop the first two fifths of
-// each record's branch set (a >30% set difference) and flip every
-// surviving branch's taken count, inverting its bias. PCs stay real so
-// the phase database still accepts the records.
-func shiftHotSpots(spots []hsd.HotSpot) []hsd.HotSpot {
-	out := make([]hsd.HotSpot, len(spots))
-	for i, hs := range spots {
-		drop := 2 * len(hs.Branches) / 5
-		brs := make([]hsd.BranchRecord, 0, len(hs.Branches)-drop)
-		for _, b := range hs.Branches[drop:] {
-			b.Taken = b.Exec - b.Taken
-			brs = append(brs, b)
-		}
-		out[i] = hs
-		out[i].Branches = brs
-	}
-	return out
 }
 
 // phaseList renders a window's phase attributions compactly.

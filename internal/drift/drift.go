@@ -196,16 +196,7 @@ func NewTracker(cfg Config, program string, o obs.Observer) *Tracker {
 	if cfg.Recent <= 0 {
 		cfg.Recent = DefaultRecent
 	}
-	def := phasedb.DefaultConfig()
-	if cfg.Phase.DifferenceThreshold == 0 {
-		cfg.Phase.DifferenceThreshold = def.DifferenceThreshold
-	}
-	if cfg.Phase.BiasedLow == 0 {
-		cfg.Phase.BiasedLow = def.BiasedLow
-	}
-	if cfg.Phase.BiasedHigh == 0 {
-		cfg.Phase.BiasedHigh = def.BiasedHigh
-	}
+	cfg.Phase = cfg.Phase.WithDefaults()
 	if o == nil {
 		o = obs.Nop{}
 	}
@@ -493,7 +484,6 @@ func (t *Tracker) windowCrossed(w *window) bool {
 	if len(w.branches) == 0 {
 		return false
 	}
-	thr := t.cfg.Phase.DifferenceThreshold
 	for _, set := range t.base.sets {
 		if len(set) == 0 {
 			continue
@@ -504,7 +494,7 @@ func (t *Tracker) windowCrossed(w *window) bool {
 				missingFromSet++
 			}
 		}
-		if float64(missingFromSet) >= thr*float64(len(w.branches)) {
+		if t.cfg.Phase.TooDifferent(missingFromSet, len(w.branches)) {
 			continue
 		}
 		missingFromWin := 0
@@ -513,7 +503,7 @@ func (t *Tracker) windowCrossed(w *window) bool {
 				missingFromWin++
 			}
 		}
-		if float64(missingFromWin) >= thr*float64(len(set)) {
+		if t.cfg.Phase.TooDifferent(missingFromWin, len(set)) {
 			continue
 		}
 		return false // similar to this phase: no crossing
@@ -558,6 +548,26 @@ func digestSnapshot(cfg phasedb.Config, snap *phasedb.Snapshot, version int) *ba
 		}
 	}
 	return b
+}
+
+// ShiftHotSpots is the synthetic phase shift behind vpbench -phaseshift,
+// vpdump -driftshift and the daemon's tests: the first ⌊2n/5⌋ of each
+// record's n branches drop out of the hot set (past the 30% rule) and
+// every survivor's taken count flips. PCs stay real, so a phase database
+// still accepts the records. spots is not modified.
+func ShiftHotSpots(spots []hsd.HotSpot) []hsd.HotSpot {
+	out := make([]hsd.HotSpot, len(spots))
+	for i, hs := range spots {
+		drop := 2 * len(hs.Branches) / 5
+		brs := make([]hsd.BranchRecord, 0, len(hs.Branches)-drop)
+		for _, b := range hs.Branches[drop:] {
+			b.Taken = b.Exec - b.Taken
+			brs = append(brs, b)
+		}
+		out[i] = hs
+		out[i].Branches = brs
+	}
+	return out
 }
 
 func abs(v float64) float64 {

@@ -433,3 +433,55 @@ func TestEventRingConcurrent(t *testing.T) {
 		t.Fatalf("last seq = %d, want %d", last, writers*per)
 	}
 }
+
+// TestShiftHotSpots: the synthetic shift drops the first two fifths of
+// each record's branches, keeps the survivors' PCs and exec counts,
+// flips their taken counts, and leaves its input untouched.
+func TestShiftHotSpots(t *testing.T) {
+	in := []hsd.HotSpot{
+		spot(0, 400, pcRange(0x100, 10), 20, 3),
+		spot(1, 800, pcRange(0x400, 7), 9, 9),
+		spot(2, 1200, pcRange(0x800, 2), 5, 1),
+		{Seq: 3},
+	}
+	in[0].Branches[9].Taken = 20
+	orig := make([]hsd.HotSpot, len(in))
+	for i, hs := range in {
+		orig[i] = hs
+		orig[i].Branches = append([]hsd.BranchRecord(nil), hs.Branches...)
+	}
+
+	out := ShiftHotSpots(in)
+	if len(out) != len(in) {
+		t.Fatalf("%d records out of %d", len(out), len(in))
+	}
+	// ⌊2n/5⌋ of n = 10, 7, 2, 0 branches drop.
+	kept := []int{6, 5, 2, 0}
+	for i, hs := range out {
+		src := orig[i]
+		if hs.Seq != src.Seq || hs.DetectedAtBranch != src.DetectedAtBranch || hs.DetectedAtInst != src.DetectedAtInst {
+			t.Errorf("record %d header %+v, want %+v", i, hs, src)
+		}
+		if len(hs.Branches) != kept[i] {
+			t.Errorf("record %d: kept %d of %d branches, want %d", i, len(hs.Branches), len(src.Branches), kept[i])
+			continue
+		}
+		drop := len(src.Branches) - kept[i]
+		for j, b := range hs.Branches {
+			want := src.Branches[drop+j]
+			if b.PC != want.PC || b.Exec != want.Exec || b.Taken != want.Exec-want.Taken {
+				t.Errorf("record %d branch %d = %+v, want pc %d exec %d taken %d", i, j, b, want.PC, want.Exec, want.Exec-want.Taken)
+			}
+		}
+	}
+	for i := range in {
+		if len(in[i].Branches) != len(orig[i].Branches) {
+			t.Fatalf("input record %d resized", i)
+		}
+		for j := range in[i].Branches {
+			if in[i].Branches[j] != orig[i].Branches[j] {
+				t.Fatalf("input record %d branch %d mutated: %+v, was %+v", i, j, in[i].Branches[j], orig[i].Branches[j])
+			}
+		}
+	}
+}

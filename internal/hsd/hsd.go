@@ -89,9 +89,9 @@ func (c Config) Validate() error {
 // BranchRecord is one BBB entry snapshot: the static branch PC with its
 // executed and taken counts accumulated during the detection window.
 type BranchRecord struct {
-	PC    int64
-	Exec  uint32
-	Taken uint32
+	PC    int64  `json:"pc"`
+	Exec  uint32 `json:"exec"`
+	Taken uint32 `json:"taken"`
 }
 
 // TakenFraction returns taken/exec.
@@ -103,16 +103,18 @@ func (r BranchRecord) TakenFraction() float64 {
 }
 
 // HotSpot is a detected hot spot: the candidate branches in the BBB at
-// detection time.
+// detection time. Its JSON form is the v1 wire record clients stream to
+// vpackd (POST /v1/profiles/{program}); the branch and instruction counts
+// travel as strings so they survive decoders that read numbers as float64.
 type HotSpot struct {
 	// Seq numbers detections in order.
-	Seq int
+	Seq int `json:"seq"`
 	// DetectedAtBranch is the retired conditional-branch count at detection.
-	DetectedAtBranch uint64
+	DetectedAtBranch uint64 `json:"at_branch,string"`
 	// DetectedAtInst is filled by the caller if instruction counts are
 	// tracked alongside; zero otherwise.
-	DetectedAtInst uint64
-	Branches       []BranchRecord
+	DetectedAtInst uint64         `json:"at_inst,string"`
+	Branches       []BranchRecord `json:"branches"`
 }
 
 type entry struct {

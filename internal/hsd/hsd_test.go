@@ -1,6 +1,7 @@
 package hsd
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 )
@@ -268,5 +269,33 @@ func TestHDCBounds(t *testing.T) {
 	}
 	if d.HDC() != max {
 		t.Errorf("HDC = %d after non-candidate stream, want %d", d.HDC(), max)
+	}
+}
+
+// TestHotSpotWireJSON pins HotSpot's JSON to the v1 ingest record that
+// vpackd decodes and that clients with their own encoders (perfbench's
+// daemon workload among them) produce byte for byte.
+func TestHotSpotWireJSON(t *testing.T) {
+	hs := HotSpot{
+		Seq:              0,
+		DetectedAtBranch: 2310,
+		DetectedAtInst:   55346,
+		Branches:         []BranchRecord{{PC: 7301, Exec: 291, Taken: 252}},
+	}
+	const want = `{"seq":0,"at_branch":"2310","at_inst":"55346","branches":[{"pc":7301,"exec":291,"taken":252}]}`
+	got, err := json.Marshal(hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("json.Marshal(HotSpot) =\n%s\nwant\n%s", got, want)
+	}
+	var back HotSpot
+	if err := json.Unmarshal([]byte(want), &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.DetectedAtBranch != hs.DetectedAtBranch || back.DetectedAtInst != hs.DetectedAtInst ||
+		len(back.Branches) != 1 || back.Branches[0] != hs.Branches[0] {
+		t.Fatalf("decoded %+v, want %+v", back, hs)
 	}
 }

@@ -172,7 +172,6 @@ var (
 var (
 	StoreHits          = declare("store.hits", Counter, "Artifact store lookups that hit.", PipelineSurface)
 	StoreMisses        = declare("store.misses", Counter, "Artifact store lookups that missed.", PipelineSurface)
-	StoreGCReclaimed   = declare("store.gc_reclaimed", Counter, "Bytes reclaimed by store garbage collection.", PipelineSurface)
 	StoreProfileHits   = declare("store.profile_hits", Counter, "Profile artifacts served by the store.", 0)
 	StoreProfileMisses = declare("store.profile_misses", Counter, "Profile artifacts the store did not hold.", 0)
 	StorePackageHits   = declare("store.package_hits", Counter, "Package sets served by the store.", 0)

@@ -30,6 +30,30 @@ type Config struct {
 	MaxBiasFlips int
 }
 
+// TooDifferent applies one side of the paper's 30% rule to a branch set
+// of size branches, missing of which are absent from the other set: the
+// two are different hot spots when missing >= DifferenceThreshold x size.
+// The rule is two-sided, so callers test it from both sets.
+func (c Config) TooDifferent(missing, size int) bool {
+	return float64(missing) >= c.DifferenceThreshold*float64(size)
+}
+
+// WithDefaults returns c with its zero thresholds replaced by
+// DefaultConfig's. MaxBiasFlips keeps its value: zero is the paper's.
+func (c Config) WithDefaults() Config {
+	def := DefaultConfig()
+	if c.DifferenceThreshold == 0 {
+		c.DifferenceThreshold = def.DifferenceThreshold
+	}
+	if c.BiasedLow == 0 {
+		c.BiasedLow = def.BiasedLow
+	}
+	if c.BiasedHigh == 0 {
+		c.BiasedHigh = def.BiasedHigh
+	}
+	return c
+}
+
 // DefaultConfig returns the paper's filtering parameters.
 func DefaultConfig() Config {
 	return Config{
@@ -165,17 +189,7 @@ type Transition struct {
 
 // New returns an empty database; cfg fields at zero take defaults.
 func New(cfg Config) *DB {
-	def := DefaultConfig()
-	if cfg.DifferenceThreshold == 0 {
-		cfg.DifferenceThreshold = def.DifferenceThreshold
-	}
-	if cfg.BiasedLow == 0 {
-		cfg.BiasedLow = def.BiasedLow
-	}
-	if cfg.BiasedHigh == 0 {
-		cfg.BiasedHigh = def.BiasedHigh
-	}
-	return &DB{cfg: cfg}
+	return &DB{cfg: cfg.WithDefaults()}
 }
 
 // Config returns the database's effective configuration.
@@ -260,7 +274,7 @@ func (db *DB) similar(ph *Phase, hs hsd.HotSpot) bool {
 			missingFromPh++
 		}
 	}
-	if float64(missingFromPh) >= db.cfg.DifferenceThreshold*float64(len(hs.Branches)) {
+	if db.cfg.TooDifferent(missingFromPh, len(hs.Branches)) {
 		return false
 	}
 	hsSet := make(map[int64]hsd.BranchRecord, len(hs.Branches))
@@ -273,7 +287,7 @@ func (db *DB) similar(ph *Phase, hs hsd.HotSpot) bool {
 			missingFromHS++
 		}
 	}
-	if float64(missingFromHS) >= db.cfg.DifferenceThreshold*float64(len(ph.Branches)) {
+	if db.cfg.TooDifferent(missingFromHS, len(ph.Branches)) {
 		return false
 	}
 	// Criterion 2: a common biased branch whose bias flipped separates

@@ -241,3 +241,23 @@ func TestMultiLow(t *testing.T) {
 		t.Errorf("MultiLow = %d, want 1 (pc10 swings 0.5)", cz.Count[MultiLow])
 	}
 }
+
+// TestTooDifferent pins the 30% rule's boundary: exactly 30% missing
+// already separates two hot spots.
+func TestTooDifferent(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, tc := range []struct {
+		missing, size int
+		want          bool
+	}{
+		{3, 10, true},
+		{2, 10, false},
+		{1, 3, true},
+		{0, 3, false},
+		{10, 10, true},
+	} {
+		if got := cfg.TooDifferent(tc.missing, tc.size); got != tc.want {
+			t.Errorf("TooDifferent(%d, %d) = %v, want %v", tc.missing, tc.size, got, tc.want)
+		}
+	}
+}

@@ -704,8 +704,13 @@ func TestDaemonProvenanceChain(t *testing.T) {
 
 // TestDaemonDriftScoreRises is the drift layer's acceptance check at
 // unit scale: a phase shift in the stream demonstrably moves the score.
+// The daemon's recorder keeps no events for it: drift lives in the
+// vp_drift_* metrics and the /v1/events ring, so /metrics and /trace
+// scrapes do not grow with the stream.
 func TestDaemonDriftScoreRises(t *testing.T) {
-	streamPhaseShift(t)
+	if ev := streamPhaseShift(t).Export().Events; len(ev) != 0 {
+		t.Fatalf("daemon recorder holds %d events after the phase shift, want none: %+v", len(ev), ev[0])
+	}
 }
 
 // streamPhaseShift streams a stable phase, publishes a baseline, then

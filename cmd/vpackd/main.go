@@ -11,6 +11,9 @@
 // published version's provenance record, and per-program drift trackers
 // score the live stream against the snapshot behind the latest published
 // packages (vp_drift_* metrics, /v1/drift, /v1/timeline, /v1/events).
+// vpackd is the only tool that sizes the trackers (-driftwindow,
+// -driftring); /v1/drift reports the sizing as enabled, window_records
+// and ring_windows, which is where vpbench -phaseshift reads it from.
 //
 // API (JSON):
 //
@@ -27,7 +30,7 @@
 //
 //	vpackd -addr :8090
 //	vpackd -bench m88ksim,vortex -batch 50 -workers 2
-//	vpackd -driftwindow 8 -driftring 32        # drift tracker sizing
+//	vpackd -driftwindow 8 -driftring 32        # drift tracker sizing (0 disables)
 //	vpbench -daemon http://localhost:8090      # load generator
 //	vpbench -daemon URL -phaseshift            # drift-inducing load
 package main
@@ -63,14 +66,17 @@ func main() {
 		workers  = flag.Int("workers", 2, "repack worker goroutines")
 		queueCap = flag.Int("queue", 8, "bounded repack queue capacity")
 		batch    = flag.Int("batch", 25, "hot-spot records accumulated before a shard is re-queued for repacking")
-		driftf   = cliflags.DriftFlags(flag.CommandLine)
+		driftWin = flag.Int("driftwindow", drift.DefaultWindow, "hot-spot records per drift analysis window (0 disables drift tracking)")
+		driftRng = flag.Int("driftring", drift.DefaultRing, "closed drift windows retained per program (0 disables drift tracking)")
 		storeDir = cliflags.StoreFlag(flag.CommandLine)
 		verifyOn = cliflags.VerifyFlag(flag.CommandLine)
 		equivOn  = cliflags.EquivFlag(flag.CommandLine)
 		logf     = cliflags.LogFlags(flag.CommandLine, "no daemon logs (same as -log off)")
 	)
 	flag.Parse()
-	os.Exit(run(*addr, *addrFile, *benches, *scale, *workers, *queueCap, *batch, driftf.Config(), *storeDir, *verifyOn, *equivOn, logf.Mode()))
+	driftCfg := drift.DefaultConfig()
+	driftCfg.Window, driftCfg.Ring = *driftWin, *driftRng
+	os.Exit(run(*addr, *addrFile, *benches, *scale, *workers, *queueCap, *batch, driftCfg, *storeDir, *verifyOn, *equivOn, logf.Mode()))
 }
 
 func run(addr, addrFile, benches string, scale int64, workers, queueCap, batch int, driftCfg drift.Config, storeDir string, verify, equiv bool, logMode string) int {

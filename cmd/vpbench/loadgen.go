@@ -8,7 +8,9 @@
 // naming every missing series — unless the daemon's queue/latency and
 // drift series are all exported. With -phaseshift it additionally
 // synthesizes a phase shift (hot-set drop + bias flips) after the
-// baseline publishes and asserts the daemon's drift score rises.
+// baseline publishes and asserts the daemon's drift score rises; the
+// shifted burst is sized from the window the daemon reports on
+// /v1/drift, so vpbench has no drift flags of its own.
 package main
 
 import (
@@ -50,13 +52,13 @@ type wireProgram struct {
 // many small requests (like real trickling clients), not one big one.
 const postChunk = 10
 
-func runLoadgen(url string, streams, records int, benches, logMode string, phaseShift bool, driftCfg drift.Config) int {
+func runLoadgen(url string, streams, records int, benches, logMode string, phaseShift bool) int {
 	logger, err := telemetry.NewLogger(logMode, os.Stderr, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vpbench:", err)
 		return 2
 	}
-	if err := loadgen(url, streams, records, benches, logger, phaseShift, driftCfg); err != nil {
+	if err := loadgen(url, streams, records, benches, logger, phaseShift); err != nil {
 		fmt.Fprintln(os.Stderr, "vpbench: daemon:", err)
 		if errors.Is(err, core.ErrStaleArtifact) {
 			fmt.Fprintln(os.Stderr, "vpbench: hint: the daemon serves a different build of the program; restart vpackd with matching -bench/-scale")
@@ -66,7 +68,7 @@ func runLoadgen(url string, streams, records int, benches, logMode string, phase
 	return 0
 }
 
-func loadgen(url string, streams, records int, benches string, logger *slog.Logger, phaseShift bool, driftCfg drift.Config) error {
+func loadgen(url string, streams, records int, benches string, logger *slog.Logger, phaseShift bool) error {
 	url = strings.TrimSuffix(url, "/")
 	if streams < 1 {
 		streams = 1
@@ -122,7 +124,7 @@ func loadgen(url string, streams, records int, benches string, logger *slog.Logg
 	var peak float64
 	if phaseShift {
 		var err error
-		if peak, err = runPhaseShift(client, url, progs, captured, streams, driftCfg, logger); err != nil {
+		if peak, err = runPhaseShift(client, url, progs, captured, streams, logger); err != nil {
 			return err
 		}
 	}
@@ -143,17 +145,22 @@ func loadgen(url string, streams, records int, benches string, logger *slog.Logg
 // runPhaseShift streams each program's records through
 // drift.ShiftHotSpots and polls /v1/drift until the daemon's score
 // demonstrably rises, returning the highest peak observed. The burst is
-// sized off the drift window so enough windows close to move the
-// composite; pass the same -driftwindow the daemon runs with.
-func runPhaseShift(client *http.Client, url string, progs []wireProgram, captured map[string][]hsd.HotSpot, streams int, driftCfg drift.Config, logger *slog.Logger) (float64, error) {
-	if !driftCfg.Enabled() {
-		return 0, fmt.Errorf("-phaseshift needs drift tracking enabled (-driftwindow/-driftring > 0)")
-	}
-	// Enough records to close several windows per program even if some
-	// interleave with the tail of the baseline stream.
-	burst := driftCfg.Window * 8
+// sized off the window the daemon reports for the program, so enough
+// windows close to move the composite; a daemon that tracks no drift is
+// refused before the shifted burst.
+func runPhaseShift(client *http.Client, url string, progs []wireProgram, captured map[string][]hsd.HotSpot, streams int, logger *slog.Logger) (float64, error) {
 	var best float64
 	for _, p := range progs {
+		var st drift.Status
+		if err := getJSON(client, url+"/v1/drift/"+p.Program, &st); err != nil {
+			return 0, fmt.Errorf("%s: drift status: %w", p.Program, err)
+		}
+		if !st.Enabled {
+			return 0, fmt.Errorf("%s: -phaseshift needs drift tracking, and the daemon runs with it disabled (vpackd -driftwindow/-driftring must be > 0)", p.Program)
+		}
+		// Enough records to close several windows even if some
+		// interleave with the tail of the baseline stream.
+		burst := st.WindowRecords * 8
 		shifted := drift.ShiftHotSpots(captured[p.Program])
 		if err := streamSpots(client, url, p, shifted, streams, burst, logger); err != nil {
 			return 0, fmt.Errorf("%s: shifted stream: %w", p.Program, err)
@@ -189,7 +196,7 @@ func awaitDrift(client *http.Client, url, program string) (float64, error) {
 			return last.Score.Peak, nil
 		}
 		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("%s: drift score did not rise above %.2f after 60s (peak %.3f over %d windows; do the daemon's -driftwindow/-driftring match?)",
+			return 0, fmt.Errorf("%s: drift score did not rise above %.2f after 60s (peak %.3f over %d windows)",
 				program, driftRiseThreshold, last.Score.Peak, last.Windows)
 		}
 		time.Sleep(100 * time.Millisecond)

@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/drift"
+	"repro/internal/hsd"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
@@ -67,5 +72,72 @@ func TestCheckMetricsExactFamilies(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want+" ") {
 			t.Errorf("%s: checkMetrics = %v, want it to name %s", tc.name, err, tc.want)
 		}
+	}
+}
+
+// driftStub is a daemon stand-in for -phaseshift: GET /v1/drift/{p}
+// reports the given tracker sizing with a peak past the rise threshold,
+// and POST /v1/profiles/{p} counts the hot spots it receives.
+func driftStub(t *testing.T, enabled bool, window int) (string, map[string]int) {
+	t.Helper()
+	var mu sync.Mutex
+	posted := make(map[string]int)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/drift/{program}", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(drift.Status{
+			Program:       r.PathValue("program"),
+			Enabled:       enabled,
+			WindowRecords: window,
+			RingWindows:   8,
+			Score:         drift.Score{Peak: 0.9},
+		})
+	})
+	mux.HandleFunc("POST /v1/profiles/{program}", func(w http.ResponseWriter, r *http.Request) {
+		var body wirePost
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		posted[r.PathValue("program")] += len(body.HotSpots)
+		mu.Unlock()
+		w.Write([]byte("{}"))
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL, posted
+}
+
+// TestPhaseShiftBurstFromDaemon: the shifted burst is eight of the
+// daemon's reported drift windows per program, and a daemon that tracks
+// no drift is refused before any shifted record is posted.
+func TestPhaseShiftBurstFromDaemon(t *testing.T) {
+	progs := []wireProgram{{Program: "gzip", ProgramHash: 1}, {Program: "perl", ProgramHash: 2}}
+	spot := hsd.HotSpot{Branches: []hsd.BranchRecord{
+		{PC: 10, Exec: 100, Taken: 90}, {PC: 20, Exec: 100, Taken: 10}, {PC: 30, Exec: 50, Taken: 25},
+	}}
+	captured := map[string][]hsd.HotSpot{"gzip": {spot, spot}, "perl": {spot}}
+	logger := slog.New(slog.DiscardHandler)
+
+	url, posted := driftStub(t, true, 3)
+	peak, err := runPhaseShift(http.DefaultClient, url, progs, captured, 4, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak != 0.9 {
+		t.Errorf("peak = %v, want the daemon's 0.9", peak)
+	}
+	for _, p := range progs {
+		if posted[p.Program] != 24 {
+			t.Errorf("%s: posted %d shifted records, want 24 (8 windows of 3)", p.Program, posted[p.Program])
+		}
+	}
+
+	url, posted = driftStub(t, false, 3)
+	if _, err := runPhaseShift(http.DefaultClient, url, progs, captured, 4, logger); err == nil || !strings.Contains(err.Error(), "disabled") {
+		t.Errorf("runPhaseShift against a daemon without drift tracking = %v, want a refusal", err)
+	}
+	if len(posted) != 0 {
+		t.Errorf("posted %v to a daemon without drift tracking, want nothing", posted)
 	}
 }

@@ -21,8 +21,8 @@
 //	vpbench -daemon URL     # load generator: stream hot-spot profiles to vpackd
 //	                        # (-streams, -records size the load; see loadgen.go)
 //	vpbench -daemon URL -phaseshift  # then shift the phase and assert the
-//	                        # daemon's drift score rises (-driftwindow sizes
-//	                        # the shifted burst; match the daemon's flag)
+//	                        # daemon's drift score rises (the shifted burst
+//	                        # is sized from the daemon's own drift window)
 package main
 
 import (
@@ -65,7 +65,6 @@ func main() {
 		streams    = flag.Int("streams", 8, "concurrent profile streams in -daemon mode")
 		records    = flag.Int("records", 100, "total hot-spot records to stream in -daemon mode")
 		phaseShift = flag.Bool("phaseshift", false, "in -daemon mode, follow the stream with a synthesized phase shift and assert the daemon's drift score rises")
-		driftf     = cliflags.DriftFlags(flag.CommandLine)
 		storeDir   = cliflags.StoreFlag(flag.CommandLine)
 	)
 	flag.Parse()
@@ -75,7 +74,7 @@ func main() {
 	}
 
 	if *daemonURL != "" {
-		os.Exit(runLoadgen(*daemonURL, *streams, *records, *benches, logf.Mode(), *phaseShift, driftf.Config()))
+		os.Exit(runLoadgen(*daemonURL, *streams, *records, *benches, logf.Mode(), *phaseShift))
 	}
 
 	if *cpuprofile != "" {

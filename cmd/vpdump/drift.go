@@ -16,13 +16,11 @@ import (
 // the program once, build the baseline phase database from half of the
 // detected hot spots (a repack's snapshot), then replay the other half
 // through a tracker and print the window timeline and score
-// breakdown. With shift set the replayed half goes through
+// breakdown. The tracker has the default sizing, with the window shrunk
+// for short replays. With shift set the replayed half goes through
 // drift.ShiftHotSpots, the stimulus vpbench -phaseshift streams, so the
 // report demonstrates a rising score without a daemon.
-func driftReport(w io.Writer, cfg core.Config, p *prog.Program, name string, dcfg drift.Config, shift bool) error {
-	if !dcfg.Enabled() {
-		return fmt.Errorf("drift tracking disabled (-driftwindow 0); nothing to report")
-	}
+func driftReport(w io.Writer, cfg core.Config, p *prog.Program, name string, shift bool) error {
 	img, err := p.Linearize()
 	if err != nil {
 		return err
@@ -56,6 +54,7 @@ func driftReport(w io.Writer, cfg core.Config, p *prog.Program, name string, dcf
 	}
 	// Short local runs rarely fill a daemon-sized window; shrink so the
 	// replay closes at least two windows and the score is measured.
+	dcfg := drift.DefaultConfig()
 	if dcfg.Window > len(replay)/2 {
 		dcfg.Window = max(1, len(replay)/2)
 		fmt.Fprintf(w, "note: only %d replay records; window shrunk to %d\n", len(replay), dcfg.Window)

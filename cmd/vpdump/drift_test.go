@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/drift"
 	"repro/internal/workload"
 )
 
@@ -22,7 +21,7 @@ func composite(t *testing.T, shift bool) float64 {
 	in := b.Inputs[0]
 	in.Scale = 1
 	var out bytes.Buffer
-	if err := driftReport(&out, core.ScaledConfig(), b.Build(in), b.Name, drift.DefaultConfig(), shift); err != nil {
+	if err := driftReport(&out, core.ScaledConfig(), b.Build(in), b.Name, shift); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(out.String(), "\n") {

@@ -15,8 +15,8 @@
 // instead: the program is profiled once, half of the detected hot spots
 // (interleaved) build a phase database whose snapshot becomes the drift
 // baseline (what vpackd does at each repack), and the other half is
-// replayed through a drift tracker sized by the shared
-// -driftwindow/-driftring knobs. A stable replay keeps the divergence
+// replayed through a drift tracker with the default sizing (the window
+// shrunk when the replay is short). A stable replay keeps the divergence
 // and bias-flip axes near zero (windows straddling the program's own
 // phase transitions may still cross the 30% filter rule); -driftshift
 // replays a synthetically phase-shifted stream and every axis rises —
@@ -112,7 +112,6 @@ func main() {
 		pkgIdx     = flag.Int("pkg", -1, "dump the Nth extracted package instead")
 		driftOn    = flag.Bool("drift", false, "print a self-baselined drift report instead of DOT")
 		driftShift = flag.Bool("driftshift", false, "with -drift: phase-shift the replayed half so the score rises")
-		driftf     = cliflags.DriftFlags(flag.CommandLine)
 		storeDir   = cliflags.StoreFlag(flag.CommandLine)
 		logf       = cliflags.LogFlags(flag.CommandLine, "suppress profiling/stage diagnostics (same as -log off)")
 	)
@@ -153,7 +152,7 @@ func main() {
 		if *asmPath != "" {
 			name = *asmPath
 		}
-		if err := driftReport(os.Stdout, cfg, p, name, driftf.Config(), *driftShift); err != nil {
+		if err := driftReport(os.Stdout, cfg, p, name, *driftShift); err != nil {
 			fatal(err)
 		}
 		return

@@ -8,7 +8,6 @@
 //	vptrace diff [-threshold 0.1] [-min-wall 1ms] old.json new.json
 //	vptrace flame trace.json > folded.txt    # folded stacks for flamegraph.pl
 //	vptrace drift trace.json                 # per-program drift summary
-//                                           # (vpackd's /trace carries the series)
 //
 // diff compares per-stage wall-time totals and counters and exits 1 when
 // anything regresses past the threshold — scripts/verify.sh runs it
@@ -17,12 +16,22 @@
 // columns are zero, so the gate bites on the deterministic counters
 // (simulated cycles, phase/package/link counts); between two live traces
 // it bites on wall time too.
+//
+// drift reads a trace scraped from vpackd's /trace and prints one row per
+// program from the per-program drift.* metric series (samples, windows,
+// the score axes, peak and baseline version) plus the score histogram.
+// The metrics are the whole record: the drift tracker emits no trace
+// events, and vpackd's /v1/events and /v1/timeline serve the live
+// per-window history.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -149,62 +158,48 @@ func cmdDiff(args []string) {
 	fmt.Println("no regressions")
 }
 
-// cmdDrift summarizes the drift observability series a daemon trace
-// carries (scraped from vpackd's /trace): one row per tracked program
-// from the suffixed vp-drift gauges/counters, plus the typed drift
-// events' window/score/baseline history.
 func cmdDrift(args []string) {
 	fs := flag.NewFlagSet("drift", flag.ExitOnError)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
 	}
-	t := readTrace(fs.Arg(0))
+	driftView(os.Stdout, readTrace(fs.Arg(0)))
+}
 
-	// Programs are discovered from the per-program series suffixes and
-	// the drift events' Name labels.
+// driftView renders the drift summary of t: one row per program that has
+// a series in any per-program drift family, so a program whose stream
+// has only been baselined still gets its row.
+func driftView(w io.Writer, t *obs.Trace) {
 	progs := map[string]bool{}
-	prefix := obs.DriftScore.For("")
-	for name := range t.Metrics.Gauges {
-		if len(name) > len(prefix) && name[:len(prefix)] == prefix {
-			progs[name[len(prefix):]] = true
+	program := func(name string) {
+		if m, ok := obs.LookupMetric(name); ok && strings.HasPrefix(m.Name, "drift.") && name != m.Name {
+			progs[name[len(m.Name)+1:]] = true
 		}
 	}
-	windowEvents := map[string]int{}
-	baselines := map[string][]int64{}
-	var lastScored = map[string]float64{}
-	for _, e := range t.Events {
-		switch e.Kind {
-		case obs.DriftWindow.String():
-			progs[e.Name] = true
-			windowEvents[e.Name]++
-		case obs.DriftScored.String():
-			progs[e.Name] = true
-			// DriftScored events carry the composite in basis points.
-			lastScored[e.Name] = float64(e.N) / 10000
-		case obs.DriftBaseline.String():
-			progs[e.Name] = true
-			baselines[e.Name] = append(baselines[e.Name], e.N)
-		}
+	for name := range t.Metrics.Counters {
+		program(name)
+	}
+	for name := range t.Metrics.Gauges {
+		program(name)
+	}
+	for name := range t.Metrics.Histograms {
+		program(name)
 	}
 	if len(progs) == 0 {
-		fmt.Println("no drift series in trace (is this a vpackd /trace with drift tracking enabled?)")
+		fmt.Fprintln(w, "no drift series in trace (is this a vpackd /trace with drift tracking enabled?)")
 		return
 	}
 	names := make([]string, 0, len(progs))
 	for p := range progs {
 		names = append(names, p)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names)
 
-	fmt.Printf("%-16s %8s %8s %7s %7s %7s %6s %7s %9s\n",
+	fmt.Fprintf(w, "%-16s %8s %8s %7s %7s %7s %6s %7s %9s\n",
 		"program", "samples", "windows", "score", "peak", "diverg", "flips", "cross", "baseline")
 	for _, p := range names {
-		fmt.Printf("%-16s %8d %8d %7.3f %7.3f %7.3f %6.0f %7.3f %9.0f\n",
+		fmt.Fprintf(w, "%-16s %8d %8d %7.3f %7.3f %7.3f %6.0f %7.3f %9.0f\n",
 			p,
 			t.Metrics.Counters[obs.DriftSamples.For(p)],
 			t.Metrics.Counters[obs.DriftWindows.For(p)],
@@ -215,14 +210,8 @@ func cmdDrift(args []string) {
 			t.Metrics.Gauges[obs.DriftFilterCrossings.For(p)],
 			t.Metrics.Gauges[obs.DriftBaselineVersion.For(p)])
 	}
-
-	fmt.Println("\nevents:")
-	for _, p := range names {
-		fmt.Printf("  %-16s %d window events, last scored %.3f, baselines %v\n",
-			p, windowEvents[p], lastScored[p], baselines[p])
-	}
 	if h, ok := t.Metrics.Histograms[obs.DriftScorePct.Name]; ok && h.Count > 0 {
-		fmt.Printf("\nscore histogram (%%): %d observations, mean %.1f\n", h.Count, h.Sum/float64(h.Count))
+		fmt.Fprintf(w, "\nscore histogram (%%): %d observations, mean %.1f\n", h.Count, h.Sum/float64(h.Count))
 	}
 }
 

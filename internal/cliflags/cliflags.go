@@ -1,16 +1,16 @@
 // Package cliflags centralizes the flag declarations shared by the
 // command-line tools (vpack, vpbench, vpdump, vpackd): the structured
 // logging pair (-log, -q), the static verifier and translation-validation
-// gates (-verify, -equiv), the artifact store (-store) and the drift
-// tracker sizing (-driftwindow, -driftring). Each tool registers the shared
-// groups into its own FlagSet so names, defaults and semantics stay
-// identical across the toolbox.
+// gates (-verify, -equiv) and the artifact store (-store). Each tool
+// registers the shared groups into its own FlagSet so names, defaults and
+// semantics stay identical across the toolbox. The drift tracker sizing
+// (-driftwindow, -driftring) is not shared: vpackd alone registers it,
+// and clients read the daemon's sizing from GET /v1/drift/{program}.
 package cliflags
 
 import (
 	"flag"
 
-	"repro/internal/drift"
 	"repro/internal/telemetry"
 )
 
@@ -62,31 +62,4 @@ func EquivFlag(fs *flag.FlagSet) *bool {
 // internal/cas; lowering the flag to a live store is the tool's call).
 func StoreFlag(fs *flag.FlagSet) *string {
 	return fs.String("store", "", "persistent artifact store `directory` (empty: in-memory only)")
-}
-
-// Drift carries the drift-tracking pair: window and ring sizing. The
-// same knobs size vpackd's live trackers, vpbench's phase-shift
-// assertions and vpdump's offline drift report, so a score measured by
-// one tool reproduces under another.
-type Drift struct {
-	window int
-	ring   int
-}
-
-// DriftFlags registers -driftwindow and -driftring on fs.
-func DriftFlags(fs *flag.FlagSet) *Drift {
-	d := &Drift{}
-	fs.IntVar(&d.window, "driftwindow", drift.DefaultWindow,
-		"hot-spot records per drift analysis window (0 disables drift tracking)")
-	fs.IntVar(&d.ring, "driftring", drift.DefaultRing,
-		"closed drift windows retained per program (0 disables drift tracking)")
-	return d
-}
-
-// Config lowers the parsed values to a drift tracker configuration.
-func (d *Drift) Config() drift.Config {
-	c := drift.DefaultConfig()
-	c.Window = d.window
-	c.Ring = d.ring
-	return c
 }

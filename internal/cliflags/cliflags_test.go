@@ -4,8 +4,6 @@ import (
 	"flag"
 	"io"
 	"testing"
-
-	"repro/internal/drift"
 )
 
 func newFS() *flag.FlagSet {
@@ -44,39 +42,5 @@ func TestVerifyFlag(t *testing.T) {
 	}
 	if !*v {
 		t.Error("-verify did not set the flag")
-	}
-}
-
-func TestDriftFlags(t *testing.T) {
-	fs := newFS()
-	d := DriftFlags(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	c := d.Config()
-	if c.Window != drift.DefaultWindow || c.Ring != drift.DefaultRing {
-		t.Errorf("default drift config = %+v", c)
-	}
-	if !c.Enabled() {
-		t.Error("default drift config disabled")
-	}
-
-	fs = newFS()
-	d = DriftFlags(fs)
-	if err := fs.Parse([]string{"-driftwindow=8", "-driftring=32"}); err != nil {
-		t.Fatal(err)
-	}
-	c = d.Config()
-	if c.Window != 8 || c.Ring != 32 {
-		t.Errorf("parsed drift config = %+v, want 8/32", c)
-	}
-
-	fs = newFS()
-	d = DriftFlags(fs)
-	if err := fs.Parse([]string{"-driftwindow=0"}); err != nil {
-		t.Fatal(err)
-	}
-	if d.Config().Enabled() {
-		t.Error("-driftwindow=0 did not disable drift tracking")
 	}
 }

@@ -94,7 +94,6 @@ func RegionStageObserved(cfg Config, img *prog.Image, pa *ProfileArtifact, o obs
 		return phases[i].Detections > phases[j].Detections
 	})
 	if cfg.MaxPhases > 0 && len(phases) > cfg.MaxPhases {
-		o.Count(obs.FilterCappedPhases.Name, int64(len(phases)-cfg.MaxPhases))
 		phases = phases[:cfg.MaxPhases]
 	}
 	o.Count(obs.FilterSelectedPhases.Name, int64(len(phases)))
@@ -117,7 +116,6 @@ func RegionStageObserved(cfg Config, img *prog.Image, pa *ProfileArtifact, o obs
 		if err != nil {
 			ra.SkippedPhases++
 			o.Emit(obs.Event{Kind: obs.PhaseSkipped, Phase: ph.ID, Name: err.Error()})
-			o.Count(obs.RegionSkippedPhases.Name, 1)
 			continue
 		}
 		if cfg.Verify {
@@ -169,7 +167,6 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 		if err != nil {
 			skipped++
 			o.Emit(obs.Event{Kind: obs.PhaseSkipped, Phase: r.PhaseID, Name: err.Error()})
-			o.Count(obs.PackSkippedPhases.Name, 1)
 			continue
 		}
 		pkgs = append(pkgs, ps...)

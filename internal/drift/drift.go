@@ -188,10 +188,11 @@ type Tracker struct {
 	peak    float64
 }
 
-// NewTracker builds a tracker for program, reporting counters, gauges,
-// histograms and typed events to o (obs.Nop{} for none). Per-program
-// metric series carry a ".program" suffix next to the canonical names in
-// internal/obs.
+// NewTracker builds a tracker for program, reporting counters, gauges
+// and histograms to o (obs.Nop{} for none). Per-program metric series
+// carry a ".program" suffix next to the canonical names in internal/obs.
+// The tracker emits no obs events: the daemon records window closes and
+// baselines in its /v1/events ring, and the metrics carry the rest.
 func NewTracker(cfg Config, program string, o obs.Observer) *Tracker {
 	if cfg.Recent <= 0 {
 		cfg.Recent = DefaultRecent
@@ -290,13 +291,13 @@ func (t *Tracker) closeWindowLocked() {
 	t.last.Peak = t.peak
 	w.summary.Score = t.last.Composite
 
-	t.publishLocked(w.summary)
+	t.publishLocked()
 }
 
 // publishLocked exports a freshly closed window's measurement. Caller
 // holds t.mu; the observer has its own synchronization and never calls
 // back into the tracker.
-func (t *Tracker) publishLocked(ws WindowSummary) {
+func (t *Tracker) publishLocked() {
 	t.o.Count(obs.DriftWindows.Name, 1)
 	t.o.Count(obs.DriftWindows.For(t.program), 1)
 	t.o.Gauge(obs.DriftScore.For(t.program), t.last.Composite)
@@ -306,8 +307,6 @@ func (t *Tracker) publishLocked(ws WindowSummary) {
 	t.o.Gauge(obs.DriftFilterCrossings.For(t.program), t.last.FilterCrossings)
 	t.o.Observe(obs.DriftScorePct.Name, t.last.Composite*100)
 	t.o.Observe(obs.DriftScorePct.For(t.program), t.last.Composite*100)
-	t.o.Emit(obs.Event{Kind: obs.DriftWindow, Phase: -1, Name: t.program, N: int64(ws.Records)})
-	t.o.Emit(obs.Event{Kind: obs.DriftScored, Phase: -1, Name: t.program, N: int64(t.last.Composite * 10000)})
 }
 
 // SetBaseline installs the phase snapshot backing a freshly published
@@ -325,7 +324,6 @@ func (t *Tracker) SetBaseline(snap *phasedb.Snapshot, version int) {
 	t.mu.Unlock()
 
 	t.o.Gauge(obs.DriftBaselineVersion.For(t.program), float64(version))
-	t.o.Emit(obs.Event{Kind: obs.DriftBaseline, Phase: -1, Name: t.program, N: int64(version)})
 }
 
 // Score returns the latest measurement (recomputed lazily against the

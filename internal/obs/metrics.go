@@ -110,7 +110,6 @@ var (
 	ProfilePhases        = declare("profile.phases", Counter, "Distinct phases in the filtered phase database.", 0)
 	ProfileRedundant     = declare("profile.redundant", Counter, "Detections the phase filter merged into an existing phase.", 0)
 	FilterSelectedPhases = declare("filter.selected_phases", Counter, "Phases selected for region growth.", 0)
-	FilterCappedPhases   = declare("filter.capped_phases", Counter, "Phases dropped by the max-phases cap.", 0)
 )
 
 // Region growth, packaging, linking and the package optimizer.
@@ -120,11 +119,9 @@ var (
 	RegionInferredCold     = declare("region.inferred_cold", Counter, "Blocks inferred cold from profiled neighbours.", 0)
 	RegionGrownBlocks      = declare("region.grown_blocks", Counter, "Blocks added by region growth.", 0)
 	RegionHotBlocks        = declare("region.hot_blocks", Histogram, "Hot blocks per identified region.", 0)
-	RegionSkippedPhases    = declare("region.skipped_phases", Counter, "Phases dropped because no region could be identified.", 0)
 	PackPackages           = declare("pack.packages", Counter, "Packages built.", 0)
 	PackPackageBlocks      = declare("pack.package_blocks", Counter, "Blocks across all built packages.", 0)
 	PackInlinedCalls       = declare("pack.inlined_calls", Counter, "Calls inlined into packages.", 0)
-	PackSkippedPhases      = declare("pack.skipped_phases", Counter, "Phases dropped because packaging failed.", 0)
 	PackLinks              = declare("pack.links", Counter, "Package exits linked directly to another package.", 0)
 	PackLaunchPoints       = declare("pack.launch_points", Counter, "Launch points installed in the original code.", 0)
 	PackMonitors           = declare("pack.monitors", Counter, "Phase monitors installed.", 0)

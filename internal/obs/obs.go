@@ -44,12 +44,9 @@ type EventKind uint8
 
 // Event kinds. PhaseFiltered is a raw detection the software filter merged
 // into an existing phase; PhaseSkipped is a phase dropped later in the
-// pipeline (Event.Name carries the reason). The Drift* kinds come from the
-// internal/drift timeline layer: DriftWindow closes one analysis window
-// (Name = program, N = records), DriftScored reports a fresh composite
-// drift score (N = score in basis points, so 10000 = 1.0), and
-// DriftBaseline marks a published version becoming the drift baseline
-// (N = version).
+// pipeline (Event.Name carries the reason). Drift has no event kind here:
+// the drift.* metrics carry its state, and vpackd's /v1/events ring
+// records each closed window and baseline.
 const (
 	PhaseDetected EventKind = iota
 	PhaseFiltered
@@ -58,9 +55,6 @@ const (
 	PackageBuilt
 	PackageLinked
 	PassApplied
-	DriftWindow
-	DriftScored
-	DriftBaseline
 )
 
 var kindNames = [...]string{
@@ -71,9 +65,6 @@ var kindNames = [...]string{
 	PackageBuilt:  "package_built",
 	PackageLinked: "package_linked",
 	PassApplied:   "pass_applied",
-	DriftWindow:   "drift_window",
-	DriftScored:   "drift_scored",
-	DriftBaseline: "drift_baseline",
 }
 
 func (k EventKind) String() string {

@@ -169,6 +169,9 @@ func TestSpanTotals(t *testing.T) {
 
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{PhaseDetected, PhaseFiltered, PhaseSkipped, RegionGrown, PackageBuilt, PackageLinked, PassApplied}
+	if len(kinds) != len(kindNames) {
+		t.Fatalf("test lists %d kinds, obs declares %d", len(kinds), len(kindNames))
+	}
 	seen := make(map[string]bool)
 	for _, k := range kinds {
 		s := k.String()

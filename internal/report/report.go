@@ -72,11 +72,6 @@ type VariantResult struct {
 	Launch     int
 	Phases     int
 	Equivalent bool
-
-	// BlockCacheHits/Misses are the timed run's basic-block cache traffic
-	// (hits include chained dispatches); both zero when the cache is off.
-	BlockCacheHits   uint64
-	BlockCacheMisses uint64
 }
 
 // InputResult aggregates one benchmark input.
@@ -598,15 +593,13 @@ func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, o obs.Obs
 	return e, nil
 }
 
-// fill copies the timed run's coverage, engine fields and speedup into
-// the variant result, with the equivalence verdict against the profiled
-// run's data-segment effects.
+// fill copies the timed run's coverage and speedup into the variant
+// result, with the equivalence verdict against the profiled run's
+// data-segment effects.
 func (e *timedEntry) fill(vr *VariantResult, base cpu.TimingStats, st core.ProfileStats) {
-	stats, bc := e.stats, e.bc
+	stats := e.stats
 	vr.Coverage = stats.PackageCoverage()
 	vr.Equivalent = e.hash == st.DataHash && e.stores == st.DataStores
-	vr.BlockCacheHits = bc.Stats.Hits + bc.Stats.Chained
-	vr.BlockCacheMisses = bc.Stats.Misses
 	if stats.Cycles > 0 {
 		vr.Speedup = float64(base.Cycles) / float64(stats.Cycles)
 	}

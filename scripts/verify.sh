@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, vet (including the repo's own vplint checks),
-# full test suite, race-detector passes over the parallel evaluation
-# engine's worker pool and the observability + telemetry-serving layers it
-# reports through, a verifier-gated suite pass, and the trace regression
-# gate (a fresh pipeline trace diffed against the committed golden).
+# Tier-1 verification: build, gofmt, vet (including the repo's own vplint
+# checks), full test suite, race-detector passes over the parallel
+# evaluation engine's worker pool and the observability + telemetry-serving
+# layers it reports through, a verifier-gated suite pass, and the trace
+# regression gate (a fresh pipeline trace diffed against the committed
+# golden).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 go build ./...
+# Formatting gate: every Go file, perfbench included, must be gofmt-clean.
+test -z "$(gofmt -l .)" || { echo "gofmt -l lists unformatted files:" >&2; gofmt -l . >&2; exit 1; }
 go vet ./...
 go vet ./internal/obs/...
 go vet ./internal/telemetry/...
@@ -155,9 +158,9 @@ li_packages="$(counter equiv.packages "$equiv_li")"
 # confirm the drift score demonstrably rises: a nonzero vp_drift_peak
 # must appear on /metrics and the vptrace drift view must report the
 # program. Finally verify SIGTERM shuts the daemon down cleanly
-# (exit 0, queue drained). The -driftwindow knob is the shared
-# internal/cliflags flag and must match on both sides so vpbench's
-# shift burst spans whole tracker windows.
+# (exit 0, queue drained). Only vpackd takes -driftwindow/-driftring:
+# vpbench reads the daemon's window from /v1/drift and sizes its shift
+# burst to span whole tracker windows.
 daemon_dir="$(mktemp -d)"
 daemon_pid=""
 trap 'rm -f "$trace_tmp"; rm -rf "$store_tmp" "$daemon_dir"; [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true' EXIT
@@ -173,7 +176,7 @@ for _ in $(seq 1 100); do
 done
 [ -s "$daemon_dir/addr" ] || { echo "vpackd never wrote its address" >&2; exit 1; }
 daemon_addr="$(cat "$daemon_dir/addr")"
-bin/vpbench -daemon "http://$daemon_addr" -streams 8 -records 100 -phaseshift -driftwindow 4 -log off
+bin/vpbench -daemon "http://$daemon_addr" -streams 8 -records 100 -phaseshift -log off
 curl -sf "http://$daemon_addr/v1/packages/m88ksim/latest" >/dev/null
 # Captured output is grepped through a here-string, never a pipe: grep
 # -q exits at its first match, and under pipefail the writer's broken

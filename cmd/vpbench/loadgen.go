@@ -10,7 +10,8 @@
 // synthesizes a phase shift (hot-set drop + bias flips) after the
 // baseline publishes and asserts the daemon's drift score rises; the
 // shifted burst is sized from the window the daemon reports on
-// /v1/drift, so vpbench has no drift flags of its own.
+// /v1/drift, so vpbench has no drift flags of its own, and a daemon that
+// tracks no drift is refused before any record is captured or posted.
 package main
 
 import (
@@ -98,6 +99,13 @@ func loadgen(url string, streams, records int, benches string, logger *slog.Logg
 	if len(progs) == 0 {
 		return fmt.Errorf("daemon at %s serves no matching programs", url)
 	}
+	var windows map[string]int
+	if phaseShift {
+		var err error
+		if windows, err = driftWindows(client, url, progs); err != nil {
+			return err
+		}
+	}
 
 	captured := make(map[string][]hsd.HotSpot, len(progs))
 	for _, p := range progs {
@@ -124,7 +132,7 @@ func loadgen(url string, streams, records int, benches string, logger *slog.Logg
 	var peak float64
 	if phaseShift {
 		var err error
-		if peak, err = runPhaseShift(client, url, progs, captured, streams, logger); err != nil {
+		if peak, err = runPhaseShift(client, url, progs, captured, windows, streams, logger); err != nil {
 			return err
 		}
 	}
@@ -142,25 +150,36 @@ func loadgen(url string, streams, records int, benches string, logger *slog.Logg
 	return nil
 }
 
-// runPhaseShift streams each program's records through
-// drift.ShiftHotSpots and polls /v1/drift until the daemon's score
-// demonstrably rises, returning the highest peak observed. The burst is
-// sized off the window the daemon reports for the program, so enough
-// windows close to move the composite; a daemon that tracks no drift is
-// refused before the shifted burst.
-func runPhaseShift(client *http.Client, url string, progs []wireProgram, captured map[string][]hsd.HotSpot, streams int, logger *slog.Logger) (float64, error) {
-	var best float64
+// driftWindows reads each program's drift status from the daemon and
+// returns its tracker window in records. -phaseshift needs drift
+// tracking, so a program the daemon tracks no drift for is refused here,
+// before loadgen captures or posts anything.
+func driftWindows(client *http.Client, url string, progs []wireProgram) (map[string]int, error) {
+	windows := make(map[string]int, len(progs))
 	for _, p := range progs {
 		var st drift.Status
 		if err := getJSON(client, url+"/v1/drift/"+p.Program, &st); err != nil {
-			return 0, fmt.Errorf("%s: drift status: %w", p.Program, err)
+			return nil, fmt.Errorf("%s: drift status: %w", p.Program, err)
 		}
 		if !st.Enabled {
-			return 0, fmt.Errorf("%s: -phaseshift needs drift tracking, and the daemon runs with it disabled (vpackd -driftwindow/-driftring must be > 0)", p.Program)
+			return nil, fmt.Errorf("%s: -phaseshift needs drift tracking, and the daemon runs with it disabled (vpackd -driftwindow/-driftring must be > 0)", p.Program)
 		}
+		windows[p.Program] = st.WindowRecords
+	}
+	return windows, nil
+}
+
+// runPhaseShift streams each program's records through
+// drift.ShiftHotSpots and polls /v1/drift until the daemon's score
+// demonstrably rises, returning the highest peak observed. The burst is
+// sized off the program's tracker window (driftWindows), so enough
+// windows close to move the composite.
+func runPhaseShift(client *http.Client, url string, progs []wireProgram, captured map[string][]hsd.HotSpot, windows map[string]int, streams int, logger *slog.Logger) (float64, error) {
+	var best float64
+	for _, p := range progs {
 		// Enough records to close several windows even if some
 		// interleave with the tail of the baseline stream.
-		burst := st.WindowRecords * 8
+		burst := windows[p.Program] * 8
 		shifted := drift.ShiftHotSpots(captured[p.Program])
 		if err := streamSpots(client, url, p, shifted, streams, burst, logger); err != nil {
 			return 0, fmt.Errorf("%s: shifted stream: %w", p.Program, err)

@@ -10,10 +10,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/hsd"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // serveBody answers /metrics with body and returns the server URL.
@@ -75,14 +77,29 @@ func TestCheckMetricsExactFamilies(t *testing.T) {
 	}
 }
 
-// driftStub is a daemon stand-in for -phaseshift: GET /v1/drift/{p}
-// reports the given tracker sizing with a peak past the rise threshold,
-// and POST /v1/profiles/{p} counts the hot spots it receives.
-func driftStub(t *testing.T, enabled bool, window int) (string, map[string]int) {
+// daemonStub is a vpackd stand-in for -phaseshift. It advertises progs
+// on /v1/programs, reports the given drift tracker sizing with a peak
+// past the rise threshold on GET /v1/drift/{p}, counts the hot spots
+// POSTed to /v1/profiles/{p}, and publishes version 1 of a program (a
+// package set with no packages) on its first ingested record.
+type daemonStub struct {
+	url       string
+	mu        sync.Mutex
+	posted    map[string]int
+	published map[string]bool
+}
+
+func newDaemonStub(t *testing.T, progs []wireProgram, enabled bool, window int) *daemonStub {
 	t.Helper()
-	var mu sync.Mutex
-	posted := make(map[string]int)
+	d := &daemonStub{posted: map[string]int{}, published: map[string]bool{}}
+	hashes := map[string]uint64{}
+	for _, p := range progs {
+		hashes[p.Program] = p.ProgramHash
+	}
 	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/programs", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(progs)
+	})
 	mux.HandleFunc("GET /v1/drift/{program}", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(drift.Status{
 			Program:       r.PathValue("program"),
@@ -98,14 +115,28 @@ func driftStub(t *testing.T, enabled bool, window int) (string, map[string]int) 
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		mu.Lock()
-		posted[r.PathValue("program")] += len(body.HotSpots)
-		mu.Unlock()
+		d.mu.Lock()
+		d.posted[r.PathValue("program")] += len(body.HotSpots)
+		d.published[r.PathValue("program")] = true
+		d.mu.Unlock()
 		w.Write([]byte("{}"))
+	})
+	mux.HandleFunc("GET /v1/packages/{program}/latest", func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("program")
+		d.mu.Lock()
+		published := d.published[name]
+		d.mu.Unlock()
+		if !published {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Vpackd-Version", "1")
+		json.NewEncoder(w).Encode(&core.PackageSet{Schema: core.PackageSetSchema, Program: name, ProgramHash: hashes[name]})
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return ts.URL, posted
+	d.url = ts.URL
+	return d
 }
 
 // TestPhaseShiftBurstFromDaemon: the shifted burst is eight of the
@@ -119,8 +150,12 @@ func TestPhaseShiftBurstFromDaemon(t *testing.T) {
 	captured := map[string][]hsd.HotSpot{"gzip": {spot, spot}, "perl": {spot}}
 	logger := slog.New(slog.DiscardHandler)
 
-	url, posted := driftStub(t, true, 3)
-	peak, err := runPhaseShift(http.DefaultClient, url, progs, captured, 4, logger)
+	d := newDaemonStub(t, progs, true, 3)
+	windows, err := driftWindows(http.DefaultClient, d.url, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak, err := runPhaseShift(http.DefaultClient, d.url, progs, captured, windows, 4, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,16 +163,46 @@ func TestPhaseShiftBurstFromDaemon(t *testing.T) {
 		t.Errorf("peak = %v, want the daemon's 0.9", peak)
 	}
 	for _, p := range progs {
-		if posted[p.Program] != 24 {
-			t.Errorf("%s: posted %d shifted records, want 24 (8 windows of 3)", p.Program, posted[p.Program])
+		if d.posted[p.Program] != 24 {
+			t.Errorf("%s: posted %d shifted records, want 24 (8 windows of 3)", p.Program, d.posted[p.Program])
 		}
 	}
 
-	url, posted = driftStub(t, false, 3)
-	if _, err := runPhaseShift(http.DefaultClient, url, progs, captured, 4, logger); err == nil || !strings.Contains(err.Error(), "disabled") {
-		t.Errorf("runPhaseShift against a daemon without drift tracking = %v, want a refusal", err)
+	d = newDaemonStub(t, progs, false, 3)
+	if _, err := driftWindows(http.DefaultClient, d.url, progs); err == nil || !strings.Contains(err.Error(), "disabled") {
+		t.Errorf("driftWindows against a daemon without drift tracking = %v, want a refusal", err)
 	}
-	if len(posted) != 0 {
-		t.Errorf("posted %v to a daemon without drift tracking, want nothing", posted)
+	if len(d.posted) != 0 {
+		t.Errorf("posted %v to a daemon without drift tracking, want nothing", d.posted)
+	}
+}
+
+// TestLoadgenRefusesDriftlessDaemon: vpbench -daemon URL -phaseshift
+// against a daemon with drift tracking off fails before it captures or
+// posts anything, so the refused run leaves the daemon without records
+// and without a published version. The stub advertises m88ksim's real
+// image, so a loadgen that checked later would capture and stream.
+func TestLoadgenRefusesDriftlessDaemon(t *testing.T) {
+	b, err := workload.ByName("m88ksim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := b.InputByName("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Scale = 1
+	img, err := b.Build(in).Linearize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []wireProgram{{Program: "m88ksim", Input: "A", Scale: 1, ProgramHash: core.ImageHash(img)}}
+	d := newDaemonStub(t, progs, false, 3)
+	err = loadgen(d.url, 2, 20, "", slog.New(slog.DiscardHandler), true)
+	if err == nil || !strings.Contains(err.Error(), "disabled") {
+		t.Fatalf("loadgen -phaseshift against a daemon without drift tracking = %v, want a refusal", err)
+	}
+	if len(d.posted) != 0 || len(d.published) != 0 {
+		t.Errorf("refused run ingested %v and published %v, want nothing", d.posted, d.published)
 	}
 }

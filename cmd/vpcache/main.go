@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -100,28 +101,33 @@ func cmdStat(args []string) {
 	fs.Parse(args)
 	s := openStore(*dir)
 	defer s.Close()
+	writeStat(os.Stdout, s)
+}
 
+// writeStat prints the store's footprint summary, with an entry count
+// for every kind it holds.
+func writeStat(w io.Writer, s *cas.Store) {
 	st := s.Stats()
 	byKind := map[string]int{}
 	for _, e := range s.List() {
 		byKind[e.Kind]++
 	}
-	fmt.Printf("store      %s\n", s.Dir())
-	fmt.Printf("entries    %d\n", st.Entries)
-	for _, k := range []string{cas.KindProfile, cas.KindBaseline, cas.KindRegion, cas.KindPackageSet, cas.KindVersion, cas.KindProv} {
+	fmt.Fprintf(w, "store      %s\n", s.Dir())
+	fmt.Fprintf(w, "entries    %d\n", st.Entries)
+	for _, k := range cas.Kinds {
 		if n := byKind[k]; n > 0 {
-			fmt.Printf("  %-17s %d\n", k, n)
+			fmt.Fprintf(w, "  %-17s %d\n", k, n)
 		}
 	}
-	fmt.Printf("chunks     %d (%d deduplicated)\n", st.Chunks, st.DedupChunks)
-	fmt.Printf("segments   %d\n", st.Segments)
-	fmt.Printf("disk       %d bytes\n", st.DiskBytes)
-	fmt.Printf("live       %d bytes\n", st.LiveBytes)
+	fmt.Fprintf(w, "chunks     %d (%d deduplicated)\n", st.Chunks, st.DedupChunks)
+	fmt.Fprintf(w, "segments   %d\n", st.Segments)
+	fmt.Fprintf(w, "disk       %d bytes\n", st.DiskBytes)
+	fmt.Fprintf(w, "live       %d bytes\n", st.LiveBytes)
 	if st.GCRuns > 0 {
-		fmt.Printf("gc         %d runs, %d bytes reclaimed\n", st.GCRuns, st.GCReclaimedBytes)
+		fmt.Fprintf(w, "gc         %d runs, %d bytes reclaimed\n", st.GCRuns, st.GCReclaimedBytes)
 	}
 	if err := s.LoadErr(); err != nil {
-		fmt.Printf("DEGRADED   %v\n", err)
+		fmt.Fprintf(w, "DEGRADED   %v\n", err)
 	}
 }
 

@@ -8,9 +8,16 @@
 //	profile      (ImageHash, ProfileKey)        → ProfileArtifact JSON
 //	baseline     (ImageHash, MachineKey)        → baseline TimingStats JSON
 //	region       (ProgramHash, ConfigHash)      → RegionArtifact JSON
-//	packageset   (ProgramHash, ConfigHash)      → PackageSet JSON
+//	packageset   (ProgramHash, ConfigHash)      → PackageSet JSON, packed_asm empty
+//	packedtext   (ProgramHash, ConfigHash)      → the set's packed VPIR text, raw
+//	evaluation   (ProgramHash, EvalKey)         → the set's timed result JSON
 //	daemon/version    (NameKey, version)        → PackageSet JSON
 //	daemon/provenance (NameKey, version)        → Provenance JSON
+//
+// EvalKey combines ConfigHash with MachineKey. The packed text is keyed
+// by its package set, not by PackedHash: ImageHash omits the package
+// marks, so two distinct packed programs can share a PackedHash. Equal
+// texts still share chunks, since each starts at offset 0 of its blob.
 //
 // Every Get re-checks the decoded artifact's own provenance hashes
 // against the requested key, so a store whose index was tampered with
@@ -34,9 +41,14 @@ const (
 	KindBaseline   = "baseline"
 	KindRegion     = "region"
 	KindPackageSet = "packageset"
+	KindPackedText = "packedtext"
+	KindEvaluation = "evaluation"
 	KindVersion    = "daemon/version"
 	KindProv       = "daemon/provenance"
 )
+
+// Kinds lists every artifact kind, in key-scheme order.
+var Kinds = []string{KindProfile, KindBaseline, KindRegion, KindPackageSet, KindPackedText, KindEvaluation, KindVersion, KindProv}
 
 // baselineSchema marks the baseline-timing blob codec.
 const baselineSchema = "vpcas/baseline/v1"
@@ -152,13 +164,19 @@ func (s *Store) GetRegionArtifact(programHash, configHash uint64) (*core.RegionA
 }
 
 // PutPackageSet stores a stage-3 package set under
-// (ProgramHash, ConfigHash).
+// (ProgramHash, ConfigHash): its JSON with an empty packed_asm, and its
+// packed text as a raw packedtext blob under the same key.
 func (s *Store) PutPackageSet(configHash uint64, ps *core.PackageSet) error {
 	var buf bytes.Buffer
-	if err := ps.EncodeJSON(&buf); err != nil {
+	text, err := ps.EncodeSplit(&buf)
+	if err != nil {
 		return err
 	}
-	return s.Put(KindPackageSet, Key{A: ps.ProgramHash, B: configHash}, buf.Bytes())
+	key := Key{A: ps.ProgramHash, B: configHash}
+	if err := s.Put(KindPackedText, key, []byte(text)); err != nil {
+		return err
+	}
+	return s.Put(KindPackageSet, key, buf.Bytes())
 }
 
 // PutDaemonVersion stores one published daemon version — the encoded
@@ -202,9 +220,29 @@ func (s *Store) GetDaemonProvenance(name string, version int) (*core.Provenance,
 	return prov, nil
 }
 
-// GetPackageSet fetches a stage-3 package set.
+// GetPackageSet fetches a stage-3 package set with its packed text, so
+// Materialize works on it.
 func (s *Store) GetPackageSet(programHash, configHash uint64) (*core.PackageSet, error) {
-	data, err := s.Get(KindPackageSet, Key{A: programHash, B: configHash})
+	ps, err := s.GetPackageSetMeta(programHash, configHash)
+	if err != nil {
+		return nil, err
+	}
+	if ps.PackedAsm, err = s.GetPackedText(programHash, configHash); err != nil {
+		return nil, err
+	}
+	return ps, nil
+}
+
+// GetPackageSetMeta fetches a stage-3 package set without reading its
+// packed text: PackedAsm is empty until GetPackedText supplies it. The
+// text entry must still exist (an index lookup), so no set is served
+// whose program the store has lost.
+func (s *Store) GetPackageSetMeta(programHash, configHash uint64) (*core.PackageSet, error) {
+	key := Key{A: programHash, B: configHash}
+	if !s.Has(KindPackedText, key) {
+		return nil, fmt.Errorf("cas: packageset %016x/%016x: no packed text: %w", programHash, configHash, ErrNotFound)
+	}
+	data, err := s.Get(KindPackageSet, key)
 	if err != nil {
 		return nil, err
 	}
@@ -217,4 +255,99 @@ func (s *Store) GetPackageSet(programHash, configHash uint64) (*core.PackageSet,
 			programHash, configHash, ps.ProgramHash, ErrCorrupt)
 	}
 	return ps, nil
+}
+
+// GetPackedText fetches the packed program text of the package set
+// stored under (ProgramHash, ConfigHash).
+func (s *Store) GetPackedText(programHash, configHash uint64) (string, error) {
+	data, err := s.Get(KindPackedText, Key{A: programHash, B: configHash})
+	if err != nil {
+		return "", err
+	}
+	return string(data), nil
+}
+
+// evaluationSchema marks the evaluation-record codec and names the
+// timing model whose output a record holds. A change to the timed engine
+// that moves any TimingStats must bump the timing part, or stored
+// records would replay stale results; TestTimingModelPinned fails until
+// it is bumped and re-pinned.
+const evaluationSchema = "vpcas/evaluation/v1 timing/v1"
+
+// Evaluation is a packed program's timed result on one machine: its
+// timing statistics and the data-segment effects (hash and store count)
+// that decide its equivalence with the profiled run.
+type Evaluation struct {
+	Stats      cpu.TimingStats `json:"stats"`
+	DataHash   uint64          `json:"data_hash,string"`
+	DataStores uint64          `json:"data_stores"`
+}
+
+// evaluationBlob wraps an Evaluation with the provenance that keys it:
+// the program, config and machine hashes and the PackedHash of the
+// package set it timed.
+type evaluationBlob struct {
+	Schema  string `json:"schema"`
+	Image   uint64 `json:"image,string"`
+	Config  uint64 `json:"config,string"`
+	Machine uint64 `json:"machine,string"`
+	Packed  uint64 `json:"packed,string"`
+	Evaluation
+}
+
+// evaluationKey is the evaluation record's key: the package set's
+// (ProgramHash, ConfigHash) with MachineKey folded into B.
+func evaluationKey(programHash, configHash, machineKey uint64) Key {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%016x/%016x", configHash, machineKey)
+	return Key{A: programHash, B: h.Sum64()}
+}
+
+// decodeEvaluation decodes an evaluation record and checks its schema;
+// every failure wraps ErrCorrupt. Unknown fields are refused, so a record
+// written under another TimingStats layout misses instead of replaying
+// with a field zeroed.
+func decodeEvaluation(data []byte) (evaluationBlob, error) {
+	var b evaluationBlob
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&b); err != nil {
+		return evaluationBlob{}, fmt.Errorf("cas: evaluation: %v: %w", err, ErrCorrupt)
+	}
+	if b.Schema != evaluationSchema {
+		return evaluationBlob{}, fmt.Errorf("cas: evaluation: schema %q, want %q: %w", b.Schema, evaluationSchema, ErrCorrupt)
+	}
+	return b, nil
+}
+
+// PutEvaluation stores the timed result of the package set under
+// (programHash, configHash), whose packed image hashes to packedHash, on
+// the machine machineKey.
+func (s *Store) PutEvaluation(programHash, configHash, machineKey, packedHash uint64, ev Evaluation) error {
+	data, err := json.Marshal(evaluationBlob{
+		Schema: evaluationSchema, Image: programHash, Config: configHash,
+		Machine: machineKey, Packed: packedHash, Evaluation: ev,
+	})
+	if err != nil {
+		return err
+	}
+	return s.Put(KindEvaluation, evaluationKey(programHash, configHash, machineKey), data)
+}
+
+// GetEvaluation fetches a stored timed result. The record must name the
+// requested program, config, machine and packedHash, so a record of a
+// rebuilt package set reads as ErrCorrupt, never as its result.
+func (s *Store) GetEvaluation(programHash, configHash, machineKey, packedHash uint64) (Evaluation, error) {
+	data, err := s.Get(KindEvaluation, evaluationKey(programHash, configHash, machineKey))
+	if err != nil {
+		return Evaluation{}, err
+	}
+	b, err := decodeEvaluation(data)
+	if err != nil {
+		return Evaluation{}, err
+	}
+	if b.Image != programHash || b.Config != configHash || b.Machine != machineKey || b.Packed != packedHash {
+		return Evaluation{}, fmt.Errorf("cas: evaluation %016x/%016x: provenance mismatch: %w", programHash, configHash, ErrCorrupt)
+	}
+	return b.Evaluation, nil
 }

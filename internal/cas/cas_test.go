@@ -257,7 +257,7 @@ func TestClosedPut(t *testing.T) {
 func TestManyEntriesManifest(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
-	kinds := []string{KindProfile, KindRegion, KindPackageSet, KindBaseline, KindVersion, KindProv}
+	kinds := Kinds
 	for i, kind := range kinds {
 		for j := uint64(0); j < 3; j++ {
 			mustPut(t, s, kind, Key{A: j, B: uint64(i)}, blob(byte(i*3+int(j)), 777))

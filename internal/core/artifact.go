@@ -581,6 +581,23 @@ func (ps *PackageSet) EncodeJSON(w io.Writer) error {
 	return enc.Encode((*plain)(ps))
 }
 
+// EncodeSplit writes the set's canonical JSON form with an empty
+// packed_asm and returns the packed program text it left out, for a
+// store that keeps the text in a blob of its own. The text is never
+// JSON-escaped, and setting PackedAsm to it on the decoded set restores
+// the EncodeJSON form.
+func (ps *PackageSet) EncodeSplit(w io.Writer) (string, error) {
+	if err := ps.sync(); err != nil {
+		return "", err
+	}
+	type plain PackageSet
+	meta := plain(*ps)
+	meta.PackedAsm = ""
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return ps.PackedAsm, enc.Encode(&meta)
+}
+
 // DecodePackageSet reads a set previously written by EncodeJSON.
 func DecodePackageSet(r io.Reader) (*PackageSet, error) {
 	var ps PackageSet

@@ -49,13 +49,14 @@ type Options struct {
 	// at every Jobs setting (span wall times aside).
 	Observer obs.Observer
 	// Store, when non-nil, is the persistent artifact store: profiles
-	// (with their baseline timings) and per-variant region artifacts and
-	// package sets are looked up before being computed and written
-	// through after. A fully warm store makes the suite skip every
-	// profile, region and package stage — the rerun costs the timed
-	// evaluation plus I/O. Each lookup emits store.* hit/miss counters;
-	// results are bit-identical with the store warm, cold or absent. RunSuite flushes the store before
-	// returning.
+	// (with their baseline timings) and per-variant region artifacts,
+	// package sets and evaluation records are looked up before being
+	// computed and written through after. A fully warm store makes the
+	// suite skip every profile, region, package and evaluate stage: the
+	// rerun reads the stored results and no program text, so it costs
+	// I/O. Each lookup emits store.* hit/miss counters; results are
+	// bit-identical with the store warm, cold or absent. RunSuite flushes
+	// the store before returning.
 	Store *cas.Store
 }
 
@@ -171,23 +172,25 @@ type workItem struct {
 // distinct packed image is timed once and its statistics, block cache
 // and data hash are shared read-only. The key is exact equality under
 // cpu.SameTimedImage, found by a linear scan over at most four entries.
+// A variant replayed from the store never reaches the memo.
 type timedMemo struct {
 	mu      sync.Mutex
 	entries []*timedEntry
+	lookups int
 }
 
 // timedEntry is one memoized timed run. once makes concurrent first
 // callers run exactly once; the result fields are written inside once.Do
 // and read-only afterwards. bc keeps only the run's counters: the decoded
 // blocks are dropped, so an entry holds little beyond its image until
-// the input finishes.
+// the input finishes. A replayed variant gets an entry of its own that
+// holds only the stored Evaluation.
 type timedEntry struct {
-	img          *prog.Image
-	once         sync.Once
-	stats        cpu.TimingStats
-	bc           *cpu.BlockCache
-	hash, stores uint64
-	err          error
+	img  *prog.Image
+	once sync.Once
+	cas.Evaluation
+	bc  *cpu.BlockCache
+	err error
 }
 
 // entry returns the memo entry for img's timed image, adding one when no
@@ -195,6 +198,7 @@ type timedEntry struct {
 func (tm *timedMemo) entry(img *prog.Image) *timedEntry {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
+	tm.lookups++
 	for _, e := range tm.entries {
 		if cpu.SameTimedImage(e.img, img) {
 			return e
@@ -206,13 +210,18 @@ func (tm *timedMemo) entry(img *prog.Image) *timedEntry {
 }
 
 // count records the memo's traffic for one input whose variants have all
-// finished: one miss per distinct image, a hit for every other variant.
-// Counting here rather than per lookup keeps the trace independent of
-// which concurrent variant filled an entry first.
-func (tm *timedMemo) count(variants int, o obs.Observer) {
+// finished: one miss per distinct image, a hit for every other timed
+// variant. Counting here rather than per lookup keeps the trace
+// independent of which concurrent variant filled an entry first. An
+// input whose variants were all replayed timed nothing and counts
+// nothing.
+func (tm *timedMemo) count(o obs.Observer) {
+	if tm.lookups == 0 {
+		return
+	}
 	misses := len(tm.entries)
 	o.Count(obs.EvalMemoMisses.Name, int64(misses))
-	o.Count(obs.EvalMemoHits.Name, int64(variants-misses))
+	o.Count(obs.EvalMemoHits.Name, int64(tm.lookups-misses))
 }
 
 // RunSuite executes the pipeline for every benchmark input and variant.
@@ -438,7 +447,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJob
 	if err := errors.Join(verrs...); err != nil {
 		return nil, err
 	}
-	timed.count(len(variants), o)
+	timed.count(o)
 	if opts.Core.Equiv {
 		// Counted once the variants are done, like the timed memo: the
 		// totals do not depend on which variant proved an obligation.
@@ -449,15 +458,17 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJob
 }
 
 // runVariant evaluates one variant of the profiled program against the
-// shared baseline base. The region artifact, package set and packed image
-// come from the store when it holds them (storedVariant), otherwise from
+// shared baseline base. The region artifact and package set come from
+// the store when it holds them (storedVariant), otherwise from
 // RegionStage and PackageStage on a fresh clone of p (packVariant), with
 // the package proofs going through the input's proof memo under Equiv.
-// The packed image is then timed through the input's timed memo
-// (timePacked), and the result is read off the package set. A stored
-// program whose timed run fails is rebuilt cold. The timed evaluation is
-// deterministic, so warm results equal cold results exactly. A cold
-// rebuild with a store writes its artifacts through.
+// A stored variant with a matching evaluation record is replayed: its
+// stored timed result is used and nothing is simulated. Any other packed
+// image is timed through the input's timed memo (timePacked), and a
+// stored program whose timed run fails is rebuilt cold. The timed
+// evaluation is deterministic, so warm results equal cold results
+// exactly. With a store, a cold rebuild writes its artifacts through and
+// every timed variant writes its evaluation record.
 func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileArtifact, base cpu.TimingStats, timed *timedMemo, proofs *equiv.Memo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
 	sp := obs.Span{}
 	if o.Enabled() {
@@ -465,18 +476,19 @@ func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileA
 	}
 	defer sp.End()
 	cfg := v.Apply(opts.Core)
-	var cfgHash uint64
+	var cfgHash, mkey uint64
 	var ra *core.RegionArtifact
 	var set *core.PackageSet
 	var packedImg *prog.Image
+	var run *timedEntry
 	warm := false
 	if opts.Store != nil {
-		cfgHash = cfg.Hash()
-		ra, set, packedImg, warm = storedVariant(opts.Store, imgHash, cfgHash)
+		cfgHash, mkey = cfg.Hash(), cas.MachineKey(opts.Machine)
+		ra, set, run, packedImg, warm = storedVariant(opts.Store, imgHash, cfgHash, mkey)
 	}
-	var run *timedEntry
+	replayed := run != nil
 	var err error
-	for {
+	for !replayed {
 		if !warm {
 			if ra, set, packedImg, err = packVariant(cfg, p, pa, proofs, o); err != nil {
 				return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
@@ -492,12 +504,16 @@ func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileA
 	}
 	if opts.Store != nil {
 		lookup(o, warm, &tally.packageHits, &tally.packageMisses, obs.StorePackageHits.Name, obs.StorePackageMisses.Name)
+		// Best effort; the end-of-suite Flush surfaces persistence
+		// problems. Encoding disassembles the packed program, so only
+		// store-enabled cold runs pay it. PutPackageSet fills in the
+		// set's PackedHash, which keys the evaluation record.
 		if !warm {
-			// Best effort; the end-of-suite Flush surfaces persistence
-			// problems. Encoding disassembles the packed program, so only
-			// store-enabled cold runs pay it.
 			_ = opts.Store.PutRegionArtifact(cfgHash, ra)
 			_ = opts.Store.PutPackageSet(cfgHash, set)
+		}
+		if !replayed {
+			_ = opts.Store.PutEvaluation(imgHash, cfgHash, mkey, set.PackedHash, run.Evaluation)
 		}
 	}
 	vr := VariantResult{
@@ -514,30 +530,39 @@ func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileA
 	return vr, nil
 }
 
-// storedVariant fetches a variant's package set and region artifact under
-// the clone-free key (ImageHash, Config.Hash) and rematerializes the
-// packed program, checking its image against the set's PackedHash. ok is
-// false when any of that fails — a missing entry, a materialize or
-// linearize error, a hash mismatch — and the variant is then rebuilt
-// cold.
-func storedVariant(s *cas.Store, imgHash, cfgHash uint64) (ra *core.RegionArtifact, set *core.PackageSet, packedImg *prog.Image, ok bool) {
-	set, err := s.GetPackageSet(imgHash, cfgHash)
-	if err != nil {
-		return nil, nil, nil, false
+// storedVariant fetches a variant's package set (without its packed
+// text) and region artifact under the clone-free key (ImageHash,
+// Config.Hash). When the store also holds an evaluation record for
+// machine mkey and the set's PackedHash, the variant is replayed: run
+// carries the stored result and no program is read. Otherwise the packed
+// program is rematerialized from its text and its image checked against
+// the set's PackedHash. ok is false when any of that fails — a missing
+// entry, a materialize or linearize error, a hash mismatch — and the
+// variant is then rebuilt cold.
+func storedVariant(s *cas.Store, imgHash, cfgHash, mkey uint64) (ra *core.RegionArtifact, set *core.PackageSet, run *timedEntry, packedImg *prog.Image, ok bool) {
+	set, err := s.GetPackageSetMeta(imgHash, cfgHash)
+	if err != nil || set.PackedHash == 0 {
+		return nil, nil, nil, nil, false
 	}
 	ra, err = s.GetRegionArtifact(imgHash, cfgHash)
 	if err != nil {
-		return nil, nil, nil, false
+		return nil, nil, nil, nil, false
+	}
+	if ev, err := s.GetEvaluation(imgHash, cfgHash, mkey, set.PackedHash); err == nil {
+		return ra, set, &timedEntry{Evaluation: ev}, nil, true
+	}
+	if set.PackedAsm, err = s.GetPackedText(imgHash, cfgHash); err != nil {
+		return nil, nil, nil, nil, false
 	}
 	packed, err := set.Materialize()
 	if err != nil {
-		return nil, nil, nil, false
+		return nil, nil, nil, nil, false
 	}
 	packedImg, err = packed.Linearize()
-	if err != nil || set.PackedHash == 0 || core.ImageHash(packedImg) != set.PackedHash {
-		return nil, nil, nil, false
+	if err != nil || core.ImageHash(packedImg) != set.PackedHash {
+		return nil, nil, nil, nil, false
 	}
-	return ra, set, packedImg, true
+	return ra, set, nil, packedImg, true
 }
 
 // packVariant packages a fresh clone of the profiled program p under cfg:
@@ -581,14 +606,14 @@ func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, o obs.Obs
 			e.err = err
 			return
 		}
-		e.stats, e.bc = stats, &cpu.BlockCache{Stats: bc.Stats, SB: bc.SB}
-		e.hash, e.stores = m.DataHash()
+		e.Stats, e.bc = stats, &cpu.BlockCache{Stats: bc.Stats, SB: bc.SB}
+		e.DataHash, e.DataStores = m.DataHash()
 	})
 	esp.End()
 	if e.err != nil {
 		return nil, e.err
 	}
-	o.Observe(obs.EvalCycles.Name, float64(e.stats.Cycles))
+	o.Observe(obs.EvalCycles.Name, float64(e.Stats.Cycles))
 	core.CountEngine(o, e.bc)
 	return e, nil
 }
@@ -597,9 +622,9 @@ func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, o obs.Obs
 // result, with the equivalence verdict against the profiled run's
 // data-segment effects.
 func (e *timedEntry) fill(vr *VariantResult, base cpu.TimingStats, st core.ProfileStats) {
-	stats := e.stats
+	stats := e.Stats
 	vr.Coverage = stats.PackageCoverage()
-	vr.Equivalent = e.hash == st.DataHash && e.stores == st.DataStores
+	vr.Equivalent = e.DataHash == st.DataHash && e.DataStores == st.DataStores
 	if stats.Cycles > 0 {
 		vr.Speedup = float64(base.Cycles) / float64(stats.Cycles)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/obs"
@@ -441,8 +442,8 @@ func TestRunSuiteTimedMemo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			own := &timedEntry{stats: stats, bc: bc}
-			own.hash, own.stores = m.DataHash()
+			own := &timedEntry{Evaluation: cas.Evaluation{Stats: stats}, bc: bc}
+			own.DataHash, own.DataStores = m.DataHash()
 			for k, s := range suites {
 				got := s.Results[ri].Variants[i]
 				if got.Variant != v {

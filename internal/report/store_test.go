@@ -2,7 +2,9 @@ package report
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cas"
@@ -44,8 +46,10 @@ func stripElapsed(s *Suite) *Suite {
 // TestRunSuiteStoreWarm is the acceptance test for the warm path: a
 // cold store-backed run misses everything and writes through; the warm
 // rerun hits everything — store hits == expected, zero misses — and
-// executes zero profile, region and package stages, with results
-// bit-identical to the cold run.
+// executes zero profile, region, package and evaluate stages (every
+// variant replays its evaluation record, so no timed run, memo lookup
+// or engine counter appears), with results bit-identical to the cold
+// run.
 func TestRunSuiteStoreWarm(t *testing.T) {
 	dir := t.TempDir()
 
@@ -83,14 +87,26 @@ func TestRunSuiteStoreWarm(t *testing.T) {
 		t.Fatalf("warm misses = %d/%d, want 0/0", warm.StoreProfileMisses, warm.StorePackageMisses)
 	}
 
-	// The warm trace contains no profile/region/package stage spans —
-	// those stages never ran.
+	// The warm trace contains no profile/region/package/evaluate stage
+	// spans — those stages never ran — and no simulation counter.
 	warmTrace := recWarm.Export()
 	for _, sp := range warmTrace.SpanTotals() {
 		switch sp.Name {
-		case obs.StageProfile, obs.StageRegion, obs.StagePackage, obs.StageLink, obs.StageOptimize, obs.StageFilter:
+		case obs.StageProfile, obs.StageRegion, obs.StagePackage, obs.StageLink, obs.StageOptimize, obs.StageFilter, obs.StageEvaluate:
 			t.Errorf("warm run executed stage %q %d times", sp.Name, sp.Count)
 		}
+	}
+	for name, n := range warmTrace.Metrics.Counters {
+		if strings.HasPrefix(name, "eval_memo.") || strings.HasPrefix(name, "blockcache.") || strings.HasPrefix(name, "superblock.") {
+			t.Errorf("warm run recorded %s = %d, want no simulation counter", name, n)
+		}
+	}
+	if _, ok := warmTrace.Metrics.Histograms[obs.EvalCycles.Name]; ok {
+		t.Errorf("warm run observed %s, want no timed run", obs.EvalCycles.Name)
+	}
+	coldTrace := recCold.Export()
+	if n := coldTrace.Metrics.Counters[obs.EvalMemoMisses.Name]; n == 0 {
+		t.Error("cold run timed nothing: the warm run's zero counters prove nothing")
 	}
 	if n := warmTrace.Metrics.Counters[obs.StoreMisses.Name]; n != 0 {
 		t.Errorf("warm run recorded %d store.misses, want 0", n)
@@ -173,15 +189,12 @@ func copyStore(t *testing.T, srcDir, dstDir string, keep func(cas.Entry) bool) *
 
 // TestRunSuiteStoreFallback: a variant the store cannot serve whole — a
 // package set whose PackedHash does not match its rematerialized image,
-// or a missing region artifact — counts one package miss, is rebuilt
-// cold, and leaves the results equal to a storeless run's.
+// a missing region artifact or packed text — counts one package miss and
+// is rebuilt cold. An evaluation record the store cannot vouch for — one
+// whose PackedHash disagrees with its set, or one timed on another
+// machine — is not replayed: the served program is timed again. Every
+// case leaves the results equal to a storeless run's at -j 1 and -j 2.
 func TestRunSuiteStoreFallback(t *testing.T) {
-	plainOpts, _ := storeOpts(t, t.TempDir(), nil)
-	plainOpts.Store = nil
-	plain, err := RunSuite(plainOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seedDir := t.TempDir()
 	seed, st := storeOpts(t, seedDir, nil)
 	if _, err := RunSuite(seed); err != nil {
@@ -189,6 +202,21 @@ func TestRunSuiteStoreFallback(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+	otherMachine := seed.Machine
+	otherMachine.MemLatency += 50
+	storeless := map[cpu.Config]*Suite{}
+	for _, mc := range []cpu.Config{seed.Machine, otherMachine} {
+		opts := seed
+		opts.Machine, opts.Store = mc, nil
+		s, err := RunSuite(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		storeless[mc] = s
+	}
+	if reflect.DeepEqual(stripElapsed(storeless[seed.Machine]).Results[0].Variants, stripElapsed(storeless[otherMachine]).Results[0].Variants) {
+		t.Fatal("the other machine times m88ksim like the default one: a replayed record would go unnoticed")
 	}
 
 	// The store key of the first variant's region artifact and package set.
@@ -203,13 +231,19 @@ func TestRunSuiteStoreFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := cas.Key{A: core.ImageHash(img), B: core.Variants()[0].Apply(seed.Core).Hash()}
+	copyAll := func(t *testing.T, dstDir string) *cas.Store {
+		return copyStore(t, seedDir, dstDir, func(cas.Entry) bool { return true })
+	}
 
+	type counts struct{ profileHits, packageHits, packageMisses, packages, evaluates int }
 	for _, tc := range []struct {
-		name  string
-		spoil func(t *testing.T, dstDir string) *cas.Store
+		name    string
+		machine cpu.Config
+		spoil   func(t *testing.T, dstDir string) *cas.Store
+		want    counts
 	}{
-		{"packed hash mismatch", func(t *testing.T, dstDir string) *cas.Store {
-			dst := copyStore(t, seedDir, dstDir, func(cas.Entry) bool { return true })
+		{"packed hash mismatch", seed.Machine, func(t *testing.T, dstDir string) *cas.Store {
+			dst := copyAll(t, dstDir)
 			set, err := dst.GetPackageSet(key.A, key.B)
 			if err != nil {
 				t.Fatal(err)
@@ -219,46 +253,68 @@ func TestRunSuiteStoreFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			return dst
-		}},
-		{"missing region artifact", func(t *testing.T, dstDir string) *cas.Store {
+		}, counts{1, 3, 1, 1, 1}},
+		{"missing region artifact", seed.Machine, func(t *testing.T, dstDir string) *cas.Store {
 			return copyStore(t, seedDir, dstDir, func(e cas.Entry) bool {
 				return e.Kind != cas.KindRegion || e.Key != key
 			})
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := tc.spoil(t, dir).Close(); err != nil {
-				t.Fatal(err)
-			}
-			rec := obs.NewRecorder()
-			opts, _ := storeOpts(t, dir, rec)
-			s, err := RunSuite(opts)
+		}, counts{1, 3, 1, 1, 1}},
+		{"missing packed text", seed.Machine, func(t *testing.T, dstDir string) *cas.Store {
+			return copyStore(t, seedDir, dstDir, func(e cas.Entry) bool {
+				return e.Kind != cas.KindPackedText || e.Key != key
+			})
+		}, counts{1, 3, 1, 1, 1}},
+		{"evaluation of another packed hash", seed.Machine, func(t *testing.T, dstDir string) *cas.Store {
+			// The record is rewritten for a PackedHash the set does not
+			// have, with stats that would show if it were replayed.
+			dst := copyAll(t, dstDir)
+			set, err := dst.GetPackageSetMeta(key.A, key.B)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.StoreProfileHits != 1 || s.StorePackageHits != 3 || s.StorePackageMisses != 1 {
-				t.Errorf("profile hits %d, package hits/misses %d/%d; want 1, 3/1",
-					s.StoreProfileHits, s.StorePackageHits, s.StorePackageMisses)
+			mkey := cas.MachineKey(seed.Machine)
+			ev, err := dst.GetEvaluation(key.A, key.B, mkey, set.PackedHash)
+			if err != nil {
+				t.Fatal(err)
 			}
-			tr := rec.Export()
-			if n := tr.Metrics.Counters[obs.StorePackageMisses.Name]; n != 1 {
-				t.Errorf("%s = %d, want 1", obs.StorePackageMisses.Name, n)
+			ev.Stats.Cycles *= 2
+			if err := dst.PutEvaluation(key.A, key.B, mkey, set.PackedHash+1, ev); err != nil {
+				t.Fatal(err)
 			}
-			packages := 0
-			for _, sp := range tr.SpanTotals() {
-				if sp.Name == obs.StagePackage {
-					packages = sp.Count
-				}
-			}
-			if packages != 1 {
-				t.Errorf("%d package stages ran, want 1 (the spoiled variant rebuilt cold)", packages)
-			}
-			a, b := stripElapsed(plain), stripElapsed(s)
-			b.StoreProfileHits, b.StorePackageHits, b.StorePackageMisses = 0, 0, 0
-			b.StoreBytes, b.StoreSegments = 0, 0
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("results differ from the storeless run's:\nstoreless: %+v\nfallback:  %+v", a, b)
+			return dst
+		}, counts{1, 4, 0, 0, 1}},
+		// The baseline is keyed by machine too, so the profile pass reruns.
+		{"evaluation of another machine", otherMachine, copyAll, counts{0, 4, 0, 0, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, jobs := range []int{1, 2} {
+				t.Run(fmt.Sprintf("j%d", jobs), func(t *testing.T) {
+					dir := t.TempDir()
+					if err := tc.spoil(t, dir).Close(); err != nil {
+						t.Fatal(err)
+					}
+					rec := obs.NewRecorder()
+					opts, _ := storeOpts(t, dir, rec)
+					opts.Machine, opts.Jobs = tc.machine, jobs
+					s, err := RunSuite(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spans := map[string]int{}
+					for _, sp := range rec.Export().SpanTotals() {
+						spans[sp.Name] = sp.Count
+					}
+					got := counts{int(s.StoreProfileHits), int(s.StorePackageHits), int(s.StorePackageMisses), spans[obs.StagePackage], spans[obs.StageEvaluate]}
+					if got != tc.want {
+						t.Errorf("profile hits, package hits/misses, package and evaluate stages = %+v, want %+v", got, tc.want)
+					}
+					a, b := stripElapsed(storeless[tc.machine]), stripElapsed(s)
+					b.StoreProfileHits, b.StoreProfileMisses, b.StorePackageHits, b.StorePackageMisses = 0, 0, 0, 0
+					b.StoreBytes, b.StoreSegments = 0, 0
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("results differ from the storeless run's:\nstoreless: %+v\nfallback:  %+v", a, b)
+					}
+				})
 			}
 		})
 	}

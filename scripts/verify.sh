@@ -39,6 +39,11 @@ go test -run='^$' -fuzz=FuzzDecodePackageSet -fuzztime=10s -fuzzminimizetime=200
 go test -run='^$' -fuzz=FuzzDecodeProfileArtifact -fuzztime=10s -fuzzminimizetime=200x ./internal/core
 go test -run='^$' -fuzz=FuzzDecodeRegionArtifact -fuzztime=10s -fuzzminimizetime=200x ./internal/core
 go test -run='^$' -fuzz=FuzzDecodeProvenance -fuzztime=10s -fuzzminimizetime=200x ./internal/core
+# Evaluation-record fuzzing, seeded from a stored record in
+# internal/cas/testdata/fuzz/FuzzDecodeEvaluation: a mangled record must
+# be refused with ErrCorrupt, never panic, and an accepted one must
+# re-encode to a fixed point.
+go test -run='^$' -fuzz=FuzzDecodeEvaluation -fuzztime=10s -fuzzminimizetime=200x ./internal/cas
 # Daemon ingest fuzzing: profile POST bodies against one test daemon,
 # seeded from cmd/vpackd/testdata/fuzz/FuzzHandleProfile. Every answer
 # must be 200, 400, 409, 413 or 422, and a 200 must count exactly the
@@ -104,8 +109,10 @@ go run ./cmd/vptrace diff -threshold 0.10 testdata/trace_golden.json "$trace_tmp
 # every profile and package from it: its -metrics counter table may show
 # no nonzero store.*_misses line, and its store.profile_hits and
 # store.package_hits must equal the cold run's misses (4 and 16 today).
-# The gate is also fed the cold run's table, which it must refuse.
-# vpcache must verify the store clean.
+# The gate is also fed the cold run's table, which it must refuse. Every
+# warm variant replays its stored evaluation, so the warm table may show
+# no eval_memo.* traffic (the cold table must, or the check proves
+# nothing). vpcache must verify the store clean.
 go build -o bin/vpbench ./cmd/vpbench
 go build -o bin/vpcache ./cmd/vpcache
 store_cold="$(bin/vpbench -q -bench m88ksim,perl -scale 1 -store "$store_tmp/suite" -metrics)"
@@ -125,6 +132,11 @@ warm_store_ok "$store_warm" \
          grep '^store\.' <<<"$store_warm" >&2; exit 1; }
 ! warm_store_ok "$store_cold" \
     || { echo "store gate accepted the cold run's counters" >&2; exit 1; }
+no_eval_memo() { awk '$1 ~ /^eval_memo\./ && $2 != 0 {bad=1} END {exit bad+0}' <<<"$1"; }
+no_eval_memo "$store_warm" \
+    || { echo "warm store run timed variants instead of replaying them:" >&2; grep '^eval_memo\.' <<<"$store_warm" >&2; exit 1; }
+! no_eval_memo "$store_cold" \
+    || { echo "eval_memo gate accepted the cold run's table" >&2; exit 1; }
 bin/vpcache verify -store "$store_tmp/suite" >/dev/null
 
 # Proof memo gate. Linking changes no package on li, so its four variants

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -272,15 +273,31 @@ func (d *Daemon) lookup(name string) (*programState, error) {
 	return nil, fmt.Errorf("vpackd: %q: %w", name, ErrUnknownProgram)
 }
 
+// maxTraceID bounds a client-supplied trace ID. The ID is copied into
+// every event of its ingest and into the provenance records kept and
+// persisted for every version, so an unbounded one would let a client
+// inflate each of them.
+const maxTraceID = 64
+
 // ingestTrace resolves the request-scoped trace ID for one profile POST:
 // the client's own (Vpackd-Trace header) when supplied, else a
 // daemon-minted "ing-" ID. Every downstream artifact of the ingest —
-// queue entry, repack, published version — carries it.
-func (d *Daemon) ingestTrace(client string) string {
-	if client != "" {
-		return client
+// queue entry, repack, published version — carries it. A client ID
+// longer than maxTraceID bytes, or holding a byte outside printable
+// ASCII (0x21–0x7E), is refused.
+func (d *Daemon) ingestTrace(client string) (string, error) {
+	if client == "" {
+		return fmt.Sprintf("ing-%08d", d.ingestSeq.Add(1)), nil
 	}
-	return fmt.Sprintf("ing-%08d", d.ingestSeq.Add(1))
+	if len(client) > maxTraceID {
+		return "", fmt.Errorf("vpackd: %s header of %d bytes, limit %d", TraceHeader, len(client), maxTraceID)
+	}
+	for i := 0; i < len(client); i++ {
+		if c := client[i]; c < 0x21 || c > 0x7e {
+			return "", fmt.Errorf("vpackd: %s header byte %d is %#02x, want printable ASCII", TraceHeader, i, c)
+		}
+	}
+	return client, nil
 }
 
 // checkHotSpots validates one profile POST against img and a detector
@@ -657,15 +674,17 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 	return buf.Bytes(), nil
 }
 
-// version resolves a selector — a 1-based version number, or latest for
-// the newest — to the published version and its number.
+// version resolves a selector — a 1-based version number in canonical
+// decimal, or latest for the newest — to the published version and its
+// number. Any other spelling of a number ("01", "+1", "1x") is refused.
 func (st *programState) version(sel string) (published, int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	n := len(st.history)
 	v := n
 	if sel != "latest" {
-		if _, err := fmt.Sscanf(sel, "%d", &v); err != nil || v < 1 {
+		var err error
+		if v, err = strconv.Atoi(sel); err != nil || v < 1 || strconv.Itoa(v) != sel {
 			return published{}, 0, fmt.Errorf("bad version %q", sel)
 		}
 		if v > n {

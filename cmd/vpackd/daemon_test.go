@@ -473,6 +473,11 @@ func TestProgramStateVersionSelection(t *testing.T) {
 		{"0", "", 0, `bad version "0"`},
 		{"-1", "", 0, `bad version "-1"`},
 		{"x", "", 0, `bad version "x"`},
+		{"1x", "", 0, `bad version "1x"`},
+		{"1e2", "", 0, `bad version "1e2"`},
+		{"+1", "", 0, `bad version "+1"`},
+		{"01", "", 0, `bad version "01"`},
+		{" 1", "", 0, `bad version " 1"`},
 	} {
 		pub, v, err := st.version(tc.sel)
 		if tc.err != "" {
@@ -507,6 +512,55 @@ func postSpotsTrace(t *testing.T, h http.Handler, program string, hash uint64, s
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	return w
+}
+
+// TestDaemonTraceHeaderBounds: a client trace ID of up to maxTraceID
+// printable ASCII bytes is kept and echoed; a longer one, or one with a
+// space, is refused with 400 like an undecodable body, before any record
+// is ingested or any event appended, and the daemon keeps accepting
+// genuine POSTs afterwards.
+func TestDaemonTraceHeaderBounds(t *testing.T) {
+	d, rec := newTestDaemon(t, 1000)
+	h := d.Handler()
+	spots := captureSpots(t, d, "m88ksim")[:1]
+	hash := d.programs["m88ksim"].hash
+
+	records := func() int64 { return rec.Export().Metrics.Counters[obs.DaemonRecords.Name] }
+	events := func() int {
+		ev, _, _ := d.events.Since(0, 0)
+		return len(ev)
+	}
+	for i, tr := range []string{"pb-1", "warm-m88ksim-1", strings.Repeat("t", maxTraceID)} {
+		w := postSpotsTrace(t, h, "m88ksim", hash, spots, tr)
+		if w.Code != http.StatusOK {
+			t.Fatalf("POST with trace %q: %d: %s", tr, w.Code, w.Body.String())
+		}
+		if got := w.Header().Get(TraceHeader); got != tr {
+			t.Fatalf("ingest echoed trace %q, want %q", got, tr)
+		}
+		if got := records(); got != int64(i+1) {
+			t.Fatalf("%s = %d after %d accepted POSTs", obs.DaemonRecords.Name, got, i+1)
+		}
+	}
+	for _, tr := range []string{strings.Repeat("t", maxTraceID+1), "client alpha"} {
+		beforeRecords, beforeEvents := records(), events()
+		w := postSpotsTrace(t, h, "m88ksim", hash, spots, tr)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("POST with trace %q: %d, want 400: %s", tr, w.Code, w.Body.String())
+		}
+		if got := records(); got != beforeRecords {
+			t.Errorf("refused trace %q ingested %d records", tr, got-beforeRecords)
+		}
+		if got := events(); got != beforeEvents {
+			t.Errorf("refused trace %q appended %d events", tr, got-beforeEvents)
+		}
+	}
+	if w := postSpots(t, h, "m88ksim", hash, spots); w.Code != http.StatusOK {
+		t.Fatalf("POST after the refused ones: %d: %s", w.Code, w.Body.String())
+	}
+	if got := records(); got != 4 {
+		t.Fatalf("%s = %d after four accepted POSTs, want 4", obs.DaemonRecords.Name, got)
+	}
 }
 
 // TestDaemonDriftEndpoints exercises the drift observability surface

@@ -144,7 +144,11 @@ func (d *Daemon) handleProfile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	trace := d.ingestTrace(r.Header.Get(TraceHeader))
+	trace, err := d.ingestTrace(r.Header.Get(TraceHeader))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	w.Header().Set(TraceHeader, trace)
 	if err := checkHotSpots(st.img, d.cfg.Detector.Sets*d.cfg.Detector.Ways, post.HotSpots); err != nil {
 		d.reject(st, trace, len(post.HotSpots), err)

@@ -227,15 +227,17 @@ func (s *Store) GetPackageSet(programHash, configHash uint64) (*core.PackageSet,
 	if err != nil {
 		return nil, err
 	}
-	if ps.PackedAsm, err = s.GetPackedText(programHash, configHash); err != nil {
+	text, err := s.Get(KindPackedText, Key{A: programHash, B: configHash})
+	if err != nil {
 		return nil, err
 	}
+	ps.PackedAsm = string(text)
 	return ps, nil
 }
 
 // GetPackageSetMeta fetches a stage-3 package set without reading its
-// packed text: PackedAsm is empty until GetPackedText supplies it. The
-// text entry must still exist (an index lookup), so no set is served
+// packed text: PackedAsm is empty, so the set cannot be materialized.
+// The text entry must still exist (an index lookup), so no set is served
 // whose program the store has lost.
 func (s *Store) GetPackageSetMeta(programHash, configHash uint64) (*core.PackageSet, error) {
 	key := Key{A: programHash, B: configHash}
@@ -255,16 +257,6 @@ func (s *Store) GetPackageSetMeta(programHash, configHash uint64) (*core.Package
 			programHash, configHash, ps.ProgramHash, ErrCorrupt)
 	}
 	return ps, nil
-}
-
-// GetPackedText fetches the packed program text of the package set
-// stored under (ProgramHash, ConfigHash).
-func (s *Store) GetPackedText(programHash, configHash uint64) (string, error) {
-	data, err := s.Get(KindPackedText, Key{A: programHash, B: configHash})
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
 }
 
 // evaluationSchema marks the evaluation-record codec and names the

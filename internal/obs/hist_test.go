@@ -96,49 +96,6 @@ func TestNormalizeZeroesTimeValuedHistogramsOnly(t *testing.T) {
 	}
 }
 
-func TestRecorderCapsDropAndCount(t *testing.T) {
-	r := NewRecorder()
-	r.SetCaps(2, 3)
-	var spans []Span
-	for i := 0; i < 5; i++ {
-		spans = append(spans, r.StartSpan(StageProfile))
-	}
-	for _, sp := range spans {
-		sp.End() // ending dropped (zero) spans is harmless
-	}
-	for i := 0; i < 5; i++ {
-		r.Emit(Event{Kind: PhaseDetected, Phase: i})
-	}
-	tr := r.Export()
-	if len(tr.Spans) != 2 || len(tr.Events) != 3 {
-		t.Errorf("retained %d spans / %d events, want 2/3", len(tr.Spans), len(tr.Events))
-	}
-	if tr.Metrics.Counters[DroppedSpans.Name] != 3 || tr.Metrics.Counters[DroppedEvents.Name] != 2 {
-		t.Fatalf("dropped counters = %+v, want 3 spans / 2 events", tr.Metrics.Counters)
-	}
-
-	// Absorb honors the caps too, and the child's dropped counters merge.
-	parent := NewRecorder()
-	parent.SetCaps(1, 1)
-	parent.Absorb(tr)
-	pt := parent.Export()
-	if len(pt.Spans) != 1 || len(pt.Events) != 1 {
-		t.Errorf("absorbed %d spans / %d events past caps", len(pt.Spans), len(pt.Events))
-	}
-	if pt.Metrics.Counters[DroppedSpans.Name] != 3+1 || pt.Metrics.Counters[DroppedEvents.Name] != 2+2 {
-		t.Errorf("merged dropped counters = %+v", pt.Metrics.Counters)
-	}
-}
-
-func TestUncappedTraceOmitsDroppedCounters(t *testing.T) {
-	r := NewRecorder()
-	r.StartSpan("a").End()
-	tr := r.Export()
-	if _, ok := tr.Metrics.Counters[DroppedSpans.Name]; ok {
-		t.Error("obs.dropped_spans present with no drops (would churn goldens)")
-	}
-}
-
 // TestRecorderConcurrent hammers one recorder from many goroutines mixing
 // StartSpan/End, Emit, Count, Gauge, Observe and Absorb — the shapes a
 // parallel suite run and a live /metrics scrape produce concurrently.

@@ -32,8 +32,7 @@ func (k MetricKind) String() string {
 type Surface uint8
 
 const (
-	// PipelineSurface is vpbench -serve: drop, engine, store and equiv
-	// series.
+	// PipelineSurface is vpbench -serve: engine, store and equiv series.
 	PipelineSurface Surface = iota + 1
 	// DaemonSurface is vpackd.
 	DaemonSurface
@@ -93,14 +92,10 @@ func LookupMetric(name string) (Metric, bool) {
 	return Metric{}, false
 }
 
-// Recorder bookkeeping: what the caps discarded, and the automatic
-// per-span wall-time distribution. Time-valued histograms carry the
-// span_us. prefix or a _us suffix; Normalize zeroes exactly those.
-var (
-	DroppedSpans  = declare("obs.dropped_spans", Counter, "Spans the recorder's span cap discarded.", PipelineSurface)
-	DroppedEvents = declare("obs.dropped_events", Counter, "Events the recorder's event cap discarded.", PipelineSurface)
-	SpanUS        = declare("span_us", Histogram, "Wall time of finished spans in microseconds, one series per span name.", 0)
-)
+// Recorder bookkeeping: the automatic per-span wall-time distribution.
+// Time-valued histograms carry the span_us. prefix or a _us suffix;
+// Normalize zeroes exactly those.
+var SpanUS = declare("span_us", Histogram, "Wall time of finished spans in microseconds, one series per span name.", 0)
 
 // Profiling under the Hot Spot Detector, and the phase filter.
 var (

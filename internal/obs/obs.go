@@ -139,17 +139,6 @@ func (s Span) End() {
 	}
 }
 
-// Default span/event caps. A long-lived -serve process records every
-// span and event of every suite iteration; the caps bound its memory.
-// They are generous — a full suite run at default scale stays well under
-// 1% of either — and overflow is observable: drops are counted and
-// surfaced as the obs.dropped_spans / obs.dropped_events counters in the
-// trace and on /metrics.
-const (
-	DefaultMaxSpans  = 1 << 18
-	DefaultMaxEvents = 1 << 19
-)
-
 // Recorder is the collecting Observer. All methods are safe for
 // concurrent use; under heavy parallelism prefer one Recorder per worker
 // merged with Absorb so event order stays deterministic.
@@ -162,12 +151,6 @@ type Recorder struct {
 	counters map[string]int64
 	gauges   map[string]float64
 	hists    map[string]*hist
-
-	// Caps: 0 means the package default, negative means unlimited.
-	maxSpans      int
-	maxEvents     int
-	droppedSpans  int64
-	droppedEvents int64
 }
 
 type spanRec struct {
@@ -186,44 +169,10 @@ func NewRecorder() *Recorder {
 // Enabled always reports true for a Recorder.
 func (r *Recorder) Enabled() bool { return true }
 
-// SetCaps bounds how many spans and events the recorder retains. Zero
-// selects the package defaults (DefaultMaxSpans / DefaultMaxEvents),
-// negative means unlimited. Records past a cap are dropped and counted;
-// Export surfaces the counts as obs.dropped_spans / obs.dropped_events.
-func (r *Recorder) SetCaps(maxSpans, maxEvents int) {
-	r.mu.Lock()
-	r.maxSpans = maxSpans
-	r.maxEvents = maxEvents
-	r.mu.Unlock()
-}
-
-func capOrDefault(set, def int) int {
-	if set == 0 {
-		return def
-	}
-	return set
-}
-
-// spanCapReached reports whether one more span would exceed the cap.
-// Caller holds mu.
-func (r *Recorder) spanCapReached() bool {
-	max := capOrDefault(r.maxSpans, DefaultMaxSpans)
-	return max > 0 && len(r.spans) >= max
-}
-
-func (r *Recorder) eventCapReached() bool {
-	max := capOrDefault(r.maxEvents, DefaultMaxEvents)
-	return max > 0 && len(r.events) >= max
-}
-
 // StartSpan opens a span under the innermost open span.
 func (r *Recorder) StartSpan(name string) Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.spanCapReached() {
-		r.droppedSpans++
-		return Span{} // inert: End is harmless, children re-parent upward
-	}
 	parent := int32(-1)
 	if n := len(r.stack); n > 0 {
 		parent = r.stack[n-1]
@@ -294,11 +243,7 @@ var stageSet = func() map[string]bool {
 // Emit appends one event.
 func (r *Recorder) Emit(e Event) {
 	r.mu.Lock()
-	if r.eventCapReached() {
-		r.droppedEvents++
-	} else {
-		r.events = append(r.events, e)
-	}
+	r.events = append(r.events, e)
 	r.mu.Unlock()
 }
 
@@ -345,9 +290,7 @@ func (r *Recorder) observeLocked(name string, v float64) {
 // relative order and timing (re-anchored to this recorder's epoch via the
 // trace's own epoch), root spans re-parent under the innermost open span,
 // events append in order, counters and histogram buckets add, gauges
-// overwrite. The recorder's caps apply to absorbed spans and events too;
-// the trace's own obs.dropped_* counters (if any) merge like any counter,
-// so drop totals survive the per-worker merge.
+// overwrite.
 func (r *Recorder) Absorb(t *Trace) {
 	if t == nil {
 		return
@@ -360,14 +303,9 @@ func (r *Recorder) Absorb(t *Trace) {
 		top = r.stack[n-1]
 	}
 	offset := time.Duration(t.EpochUS)*time.Microsecond - time.Duration(r.epoch.UnixMicro())*time.Microsecond
-	absorbed := int32(0)
-	for _, sr := range t.Spans {
-		if r.spanCapReached() {
-			r.droppedSpans++
-			continue
-		}
+	for i, sr := range t.Spans {
 		parent := top
-		if sr.Parent >= 0 && sr.Parent < absorbed {
+		if sr.Parent >= 0 && sr.Parent < int32(i) {
 			parent = sr.Parent + base
 		}
 		r.spans = append(r.spans, spanRec{
@@ -376,13 +314,8 @@ func (r *Recorder) Absorb(t *Trace) {
 			start:  time.Duration(sr.StartUS)*time.Microsecond + offset,
 			dur:    time.Duration(sr.DurUS) * time.Microsecond,
 		})
-		absorbed++
 	}
 	for _, er := range t.Events {
-		if r.eventCapReached() {
-			r.droppedEvents++
-			continue
-		}
 		r.events = append(r.events, Event{Kind: er.eventKind(), Phase: er.Phase, Name: er.Name, N: er.N})
 	}
 	if len(t.Metrics.Counters) > 0 && r.counters == nil {

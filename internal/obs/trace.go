@@ -120,19 +120,6 @@ func (r *Recorder) Export() *Trace {
 			t.Metrics.Histograms[k] = h.record()
 		}
 	}
-	// Drops are surfaced as counters only when they happened, so traces
-	// from an uncapped run keep their golden-stable shape.
-	if r.droppedSpans > 0 || r.droppedEvents > 0 {
-		if t.Metrics.Counters == nil {
-			t.Metrics.Counters = make(map[string]int64, 2)
-		}
-		if r.droppedSpans > 0 {
-			t.Metrics.Counters[DroppedSpans.Name] += r.droppedSpans
-		}
-		if r.droppedEvents > 0 {
-			t.Metrics.Counters[DroppedEvents.Name] += r.droppedEvents
-		}
-	}
 	return t
 }
 

@@ -458,17 +458,15 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJob
 }
 
 // runVariant evaluates one variant of the profiled program against the
-// shared baseline base. The region artifact and package set come from
-// the store when it holds them (storedVariant), otherwise from
-// RegionStage and PackageStage on a fresh clone of p (packVariant), with
-// the package proofs going through the input's proof memo under Equiv.
-// A stored variant with a matching evaluation record is replayed: its
-// stored timed result is used and nothing is simulated. Any other packed
-// image is timed through the input's timed memo (timePacked), and a
-// stored program whose timed run fails is rebuilt cold. The timed
-// evaluation is deterministic, so warm results equal cold results
-// exactly. With a store, a cold rebuild writes its artifacts through and
-// every timed variant writes its evaluation record.
+// shared baseline base. A stored variant is replayed when the store holds
+// its region artifact, package set and evaluation record (storedVariant):
+// the stored timed result is used and nothing is built or simulated. Any
+// other variant is rebuilt cold: RegionStage and PackageStage on a fresh
+// clone of p (packVariant), with the package proofs going through the
+// input's proof memo under Equiv, then a timed run through the input's
+// timed memo (timePacked). The timed evaluation is deterministic, so
+// replayed results equal cold results exactly. With a store, a cold
+// rebuild writes all its entries through, so the next run replays it.
 func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileArtifact, base cpu.TimingStats, timed *timedMemo, proofs *equiv.Memo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
 	sp := obs.Span{}
 	if o.Enabled() {
@@ -479,40 +477,28 @@ func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileA
 	var cfgHash, mkey uint64
 	var ra *core.RegionArtifact
 	var set *core.PackageSet
-	var packedImg *prog.Image
 	var run *timedEntry
-	warm := false
 	if opts.Store != nil {
 		cfgHash, mkey = cfg.Hash(), cas.MachineKey(opts.Machine)
-		ra, set, run, packedImg, warm = storedVariant(opts.Store, imgHash, cfgHash, mkey)
+		ra, set, run = storedVariant(opts.Store, imgHash, cfgHash, mkey)
+		lookup(o, run != nil, &tally.packageHits, &tally.packageMisses, obs.StorePackageHits.Name, obs.StorePackageMisses.Name)
 	}
-	replayed := run != nil
-	var err error
-	for !replayed {
-		if !warm {
-			if ra, set, packedImg, err = packVariant(cfg, p, pa, proofs, o); err != nil {
-				return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
-			}
+	if run == nil {
+		var packedImg *prog.Image
+		var err error
+		if ra, set, packedImg, err = packVariant(cfg, p, pa, proofs, o); err != nil {
+			return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
 		}
-		if run, err = timePacked(opts, timed, packedImg, o); err == nil {
-			break
-		}
-		if !warm {
+		if run, err = timePacked(opts, timed, packedImg, o); err != nil {
 			return VariantResult{}, fmt.Errorf("variant %s: timed run: %w", v.Name(), err)
 		}
-		warm = false // the stored program failed its timed run: rebuild it cold
-	}
-	if opts.Store != nil {
-		lookup(o, warm, &tally.packageHits, &tally.packageMisses, obs.StorePackageHits.Name, obs.StorePackageMisses.Name)
-		// Best effort; the end-of-suite Flush surfaces persistence
-		// problems. Encoding disassembles the packed program, so only
-		// store-enabled cold runs pay it. PutPackageSet fills in the
-		// set's PackedHash, which keys the evaluation record.
-		if !warm {
+		if opts.Store != nil {
+			// Best effort; the end-of-suite Flush surfaces persistence
+			// problems. Encoding disassembles the packed program, so only
+			// store-enabled cold runs pay it. PutPackageSet fills in the
+			// set's PackedHash, which keys the evaluation record.
 			_ = opts.Store.PutRegionArtifact(cfgHash, ra)
 			_ = opts.Store.PutPackageSet(cfgHash, set)
-		}
-		if !replayed {
 			_ = opts.Store.PutEvaluation(imgHash, cfgHash, mkey, set.PackedHash, run.Evaluation)
 		}
 	}
@@ -531,38 +517,25 @@ func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileA
 }
 
 // storedVariant fetches a variant's package set (without its packed
-// text) and region artifact under the clone-free key (ImageHash,
-// Config.Hash). When the store also holds an evaluation record for
-// machine mkey and the set's PackedHash, the variant is replayed: run
-// carries the stored result and no program is read. Otherwise the packed
-// program is rematerialized from its text and its image checked against
-// the set's PackedHash. ok is false when any of that fails — a missing
-// entry, a materialize or linearize error, a hash mismatch — and the
-// variant is then rebuilt cold.
-func storedVariant(s *cas.Store, imgHash, cfgHash, mkey uint64) (ra *core.RegionArtifact, set *core.PackageSet, run *timedEntry, packedImg *prog.Image, ok bool) {
+// text), region artifact and evaluation record on machine mkey under the
+// clone-free key (ImageHash, Config.Hash). run is non-nil only when all
+// three hit and the record was timed on the set's PackedHash; it then
+// carries the stored result and no program is read. Any miss, corrupt
+// entry or hash mismatch returns a nil run, and the variant is rebuilt
+// cold.
+func storedVariant(s *cas.Store, imgHash, cfgHash, mkey uint64) (ra *core.RegionArtifact, set *core.PackageSet, run *timedEntry) {
 	set, err := s.GetPackageSetMeta(imgHash, cfgHash)
 	if err != nil || set.PackedHash == 0 {
-		return nil, nil, nil, nil, false
+		return nil, nil, nil
 	}
-	ra, err = s.GetRegionArtifact(imgHash, cfgHash)
+	if ra, err = s.GetRegionArtifact(imgHash, cfgHash); err != nil {
+		return nil, nil, nil
+	}
+	ev, err := s.GetEvaluation(imgHash, cfgHash, mkey, set.PackedHash)
 	if err != nil {
-		return nil, nil, nil, nil, false
+		return nil, nil, nil
 	}
-	if ev, err := s.GetEvaluation(imgHash, cfgHash, mkey, set.PackedHash); err == nil {
-		return ra, set, &timedEntry{Evaluation: ev}, nil, true
-	}
-	if set.PackedAsm, err = s.GetPackedText(imgHash, cfgHash); err != nil {
-		return nil, nil, nil, nil, false
-	}
-	packed, err := set.Materialize()
-	if err != nil {
-		return nil, nil, nil, nil, false
-	}
-	packedImg, err = packed.Linearize()
-	if err != nil || core.ImageHash(packedImg) != set.PackedHash {
-		return nil, nil, nil, nil, false
-	}
-	return ra, set, nil, packedImg, true
+	return ra, set, &timedEntry{Evaluation: ev}
 }
 
 // packVariant packages a fresh clone of the profiled program p under cfg:

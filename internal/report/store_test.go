@@ -187,13 +187,13 @@ func copyStore(t *testing.T, srcDir, dstDir string, keep func(cas.Entry) bool) *
 	return dst
 }
 
-// TestRunSuiteStoreFallback: a variant the store cannot serve whole — a
-// package set whose PackedHash does not match its rematerialized image,
-// a missing region artifact or packed text — counts one package miss and
-// is rebuilt cold. An evaluation record the store cannot vouch for — one
-// whose PackedHash disagrees with its set, or one timed on another
-// machine — is not replayed: the served program is timed again. Every
-// case leaves the results equal to a storeless run's at -j 1 and -j 2.
+// TestRunSuiteStoreFallback: a variant the store cannot replay whole — a
+// missing region artifact or packed text, or an evaluation record the
+// store cannot vouch for (its PackedHash disagrees with the set's, or it
+// was timed on another machine) — counts one package miss and is rebuilt
+// cold, writing all its entries through. Every case leaves the results
+// equal to a storeless run's at -j 1 and -j 2, and heals the store: a
+// second run on it replays every variant, building and timing nothing.
 func TestRunSuiteStoreFallback(t *testing.T) {
 	seedDir := t.TempDir()
 	seed, st := storeOpts(t, seedDir, nil)
@@ -282,9 +282,9 @@ func TestRunSuiteStoreFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			return dst
-		}, counts{1, 4, 0, 0, 1}},
+		}, counts{1, 3, 1, 1, 1}},
 		// The baseline is keyed by machine too, so the profile pass reruns.
-		{"evaluation of another machine", otherMachine, copyAll, counts{0, 4, 0, 0, 4}},
+		{"evaluation of another machine", otherMachine, copyAll, counts{0, 0, 4, 4, 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, jobs := range []int{1, 2} {
@@ -293,26 +293,36 @@ func TestRunSuiteStoreFallback(t *testing.T) {
 					if err := tc.spoil(t, dir).Close(); err != nil {
 						t.Fatal(err)
 					}
-					rec := obs.NewRecorder()
-					opts, _ := storeOpts(t, dir, rec)
-					opts.Machine, opts.Jobs = tc.machine, jobs
-					s, err := RunSuite(opts)
-					if err != nil {
-						t.Fatal(err)
+					// run runs the suite on a fresh handle on dir and
+					// checks its results against the storeless run's.
+					run := func(pass string) counts {
+						rec := obs.NewRecorder()
+						opts, st := storeOpts(t, dir, rec)
+						opts.Machine, opts.Jobs = tc.machine, jobs
+						s, err := RunSuite(opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := st.Close(); err != nil {
+							t.Fatal(err)
+						}
+						a, b := stripElapsed(storeless[tc.machine]), stripElapsed(s)
+						b.StoreProfileHits, b.StoreProfileMisses, b.StorePackageHits, b.StorePackageMisses = 0, 0, 0, 0
+						b.StoreBytes, b.StoreSegments = 0, 0
+						if !reflect.DeepEqual(a, b) {
+							t.Fatalf("%s results differ from the storeless run's:\nstoreless: %+v\n%s: %+v", pass, a, pass, b)
+						}
+						spans := map[string]int{}
+						for _, sp := range rec.Export().SpanTotals() {
+							spans[sp.Name] = sp.Count
+						}
+						return counts{int(s.StoreProfileHits), int(s.StorePackageHits), int(s.StorePackageMisses), spans[obs.StagePackage], spans[obs.StageEvaluate]}
 					}
-					spans := map[string]int{}
-					for _, sp := range rec.Export().SpanTotals() {
-						spans[sp.Name] = sp.Count
-					}
-					got := counts{int(s.StoreProfileHits), int(s.StorePackageHits), int(s.StorePackageMisses), spans[obs.StagePackage], spans[obs.StageEvaluate]}
-					if got != tc.want {
+					if got := run("fallback"); got != tc.want {
 						t.Errorf("profile hits, package hits/misses, package and evaluate stages = %+v, want %+v", got, tc.want)
 					}
-					a, b := stripElapsed(storeless[tc.machine]), stripElapsed(s)
-					b.StoreProfileHits, b.StoreProfileMisses, b.StorePackageHits, b.StorePackageMisses = 0, 0, 0, 0
-					b.StoreBytes, b.StoreSegments = 0, 0
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("results differ from the storeless run's:\nstoreless: %+v\nfallback:  %+v", a, b)
+					if got, want := run("healed"), (counts{1, 4, 0, 0, 0}); got != want {
+						t.Errorf("second run: profile hits, package hits/misses, package and evaluate stages = %+v, want %+v", got, want)
 					}
 				})
 			}

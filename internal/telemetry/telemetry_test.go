@@ -133,10 +133,10 @@ func TestWriteMetricsValidPrometheusText(t *testing.T) {
 	if values["vp_eval_speedup"] != "1.07" {
 		t.Errorf("gauge sample = %q, want 1.07", values["vp_eval_speedup"])
 	}
-	// The drop counters are always exposed, zero-valued when clean.
-	if values["vp_obs_dropped_spans"] != "0" || values["vp_obs_dropped_events"] != "0" {
-		t.Errorf("drop counters missing or nonzero: %v %v",
-			values["vp_obs_dropped_spans"], values["vp_obs_dropped_events"])
+	// The surface's families are exposed before their first sample.
+	if values["vp_store_hits"] != "0" || values["vp_equiv_packages"] != "0" {
+		t.Errorf("unsampled surface counters missing or nonzero: %v %v",
+			values["vp_store_hits"], values["vp_equiv_packages"])
 	}
 	// Histogram contract: +Inf bucket equals _count, sum matches.
 	if values[`vp_region_hot_blocks_bucket{le="+Inf"}`] != "2" ||

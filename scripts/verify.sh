@@ -12,6 +12,9 @@ go build ./...
 # Formatting gate: every Go file, perfbench included, must be gofmt-clean.
 test -z "$(gofmt -l .)" || { echo "gofmt -l lists unformatted files:" >&2; gofmt -l . >&2; exit 1; }
 go vet ./...
+# perfbench is a module of its own, so `go test ./...` never compiles it:
+# vet it here so a deleted or renamed API it uses fails verification.
+(cd perfbench && go vet ./...)
 go vet ./internal/obs/...
 go vet ./internal/telemetry/...
 # The benchmark driver is not run here; at least make sure it parses.

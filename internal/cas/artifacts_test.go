@@ -3,11 +3,15 @@ package cas
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/obs"
+	"repro/internal/pack"
+	"repro/internal/prog"
 	"repro/internal/workload"
 )
 
@@ -138,8 +142,9 @@ func TestWrongKeyGuards(t *testing.T) {
 }
 
 // TestConfigHashSeparatesVariants: the four paper variants share one
-// ProfileKey but have four distinct full-config hashes, and the Verify
-// knob and Pack.Verify hook do not perturb the hash.
+// ProfileKey but have four distinct full-config hashes, the Verify knob
+// and Pack.Verify hook do not perturb the hash, and every other leaf field
+// of Config does.
 func TestConfigHashSeparatesVariants(t *testing.T) {
 	base := core.ScaledConfig()
 	seenCfg := map[uint64]bool{}
@@ -155,18 +160,50 @@ func TestConfigHashSeparatesVariants(t *testing.T) {
 	if len(seenProfile) != 1 {
 		t.Fatalf("variant profile keys = %d distinct, want 1", len(seenProfile))
 	}
-	// Verify gate off/on: same hash (verification never changes outputs).
-	v2 := base
-	v2.Verify = true
-	if base.Hash() != v2.Hash() {
-		t.Fatal("Verify knob perturbed Config.Hash")
+	// Verify hook set: same hash (a func identity is not configuration).
+	hooked := base
+	hooked.Pack.Verify = func(*prog.Program, *pack.Result) error { return nil }
+	if base.Hash() != hooked.Hash() {
+		t.Fatal("Pack.Verify hook perturbed Config.Hash")
 	}
-	// A knob that does change artifacts must perturb it.
-	v3 := base
-	v3.MaxPhases = 1
-	if base.Hash() == v3.Hash() {
-		t.Fatal("MaxPhases did not perturb Config.Hash")
+	// One perturbation per leaf field, found by reflection: each must move
+	// the hash, except the Verify gate (verification never changes
+	// outputs).
+	var walk func(typ reflect.Type, index []int, path string)
+	walk = func(typ reflect.Type, index []int, path string) {
+		for i := 0; i < typ.NumField(); i++ {
+			sf := typ.Field(i)
+			idx, name := append(slices.Clone(index), i), path+sf.Name
+			if sf.Type.Kind() == reflect.Struct {
+				walk(sf.Type, idx, name+".")
+				continue
+			}
+			cfg := base
+			f := reflect.ValueOf(&cfg).Elem().FieldByIndex(idx)
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint, reflect.Uint32, reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.5)
+			case reflect.Func:
+				if name != "Pack.Verify" {
+					t.Errorf("%s: func field not excluded from Config.Hash", name)
+				}
+				continue
+			default:
+				t.Errorf("%s: no perturbation for kind %v", name, f.Kind())
+				continue
+			}
+			if moved := cfg.Hash() != base.Hash(); moved != (name != "Verify") {
+				t.Errorf("%s perturbed: hash moved = %v", name, moved)
+			}
+		}
 	}
+	walk(reflect.TypeOf(base), nil, "")
 }
 
 // TestPipelineObserved: the store-aware single-program pipeline emits a

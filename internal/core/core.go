@@ -146,45 +146,20 @@ func (cfg Config) ProfileKey() uint64 {
 }
 
 // Hash returns a canonical hash of the complete configuration — every
-// knob that can change any pipeline artifact. It extends ProfileKey with
-// the region, packaging, optimization and phase-cap knobs, so it is the
+// knob that can change any pipeline artifact. It hashes Config itself, so
+// a new field participates without being listed anywhere, and it is the
 // second half of the store's package-set key: two configs with equal
 // Hash produce byte-identical RegionArtifacts and PackageSets on the
-// same image. The Verify gate and the Pack.Verify hook deliberately do
-// not participate: verification rejects bad outputs but never changes
-// good ones, and func identities are not configuration. The Equiv knobs
-// DO participate — equiv runs embed certificates in the PackageSet, so a
-// warm store hit from a non-equiv run must miss when -equiv turns on.
+// same image. The Verify gate and the Pack.Verify hook are zeroed first:
+// verification rejects bad outputs but never changes good ones, and func
+// identities are not configuration. The Equiv knobs DO participate —
+// equiv runs embed certificates in the PackageSet, so a warm store hit
+// from a non-equiv run must miss when -equiv turns on.
 func (cfg Config) Hash() uint64 {
+	cfg.Verify = false
+	cfg.Pack.Verify = nil
 	h := fnv.New64a()
-	pk := cfg.Pack
-	pk.Verify = nil
-	fmt.Fprintf(h, "%+v", struct {
-		Detector          hsd.Config
-		Filter            phasedb.Config
-		Region            region.Config
-		Pack              pack.Config
-		Sched             opt.Resources
-		EnableLayout      bool
-		EnableSchedule    bool
-		EnableMerge       bool
-		EnableSink        bool
-		ApproxWeights     bool
-		HistoryDepth      int
-		HistorySimilarity float64
-		MaxPhases         int
-		ProfileLimit      uint64
-		EntrySeedWeight   float64
-		Equiv             bool
-		EquivMaxPaths     int
-	}{
-		cfg.Detector, cfg.Filter, cfg.Region, pk, cfg.Sched,
-		cfg.EnableLayout, cfg.EnableSchedule, cfg.EnableMerge,
-		cfg.EnableSink, cfg.ApproxWeights,
-		cfg.HistoryDepth, cfg.HistorySimilarity,
-		cfg.MaxPhases, cfg.ProfileLimit, cfg.EntrySeedWeight,
-		cfg.Equiv, cfg.EquivMaxPaths,
-	})
+	fmt.Fprintf(h, "%+v", cfg)
 	return h.Sum64()
 }
 

@@ -177,8 +177,9 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 	}
 	pcfg := cfg.Pack
 	if cfg.Verify {
-		// Sandwich hook: InstallObserved runs this after its built-in
-		// structural check, before the result escapes.
+		// Sandwich hook: InstallObserved runs this before its built-in
+		// structural check, so a broken CFG surfaces as link-stage
+		// diagnostics.
 		pcfg.Verify = func(p *prog.Program, res *pack.Result) error {
 			if err := verifyCheck(o, verify.Program("link", p)); err != nil {
 				return err
@@ -273,12 +274,14 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 	}
 	osp.End()
 
-	if err := p.Verify(); err != nil {
-		return partial(fmt.Errorf("core: packed program invalid: %w", err))
-	}
 	if cfg.Verify {
+		// The CFG check goes first, alone: the package, pass and schedule
+		// rules assume a well-formed CFG. prog.Verify below re-checks the
+		// structural rules for runs without the verifier.
+		if err := verifyCheck(o, verify.Program("optimize", p)); err != nil {
+			return partial(fmt.Errorf("core: post-optimization verification: %w", err))
+		}
 		checks := []error{
-			verifyCheck(o, verify.Program("optimize", p)),
 			verifyCheck(o, verify.Packages("optimize", p, res)),
 			verifyCheck(o, verify.Passes("optimize", p, rec)),
 			verifyCheck(o, verify.Schedule("optimize", rec)),
@@ -288,6 +291,9 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 				return partial(fmt.Errorf("core: post-optimization verification: %w", err))
 			}
 		}
+	}
+	if err := p.Verify(); err != nil {
+		return partial(fmt.Errorf("core: packed program invalid: %w", err))
 	}
 	set := newPackageSet(p, res, ra.hash(), ra.ProgramHash)
 	set.SkippedPhases = skipped

@@ -82,13 +82,15 @@ func InstallObserved(cfg Config, p *prog.Program, pkgs []*Package, o obs.Observe
 		res.LaunchPoints += patchLaunchPoints(p, ordered)
 	}
 
-	if err := p.Verify(); err != nil {
-		return nil, fmt.Errorf("pack: install produced invalid program: %w", err)
-	}
+	// The hook speaks first: it reports every violation under its own
+	// stage, where the built-in check would stop at the first.
 	if cfg.Verify != nil {
 		if err := cfg.Verify(p, res); err != nil {
 			return nil, fmt.Errorf("pack: install verification: %w", err)
 		}
+	}
+	if err := p.Verify(); err != nil {
+		return nil, fmt.Errorf("pack: install produced invalid program: %w", err)
 	}
 	o.Count(obs.PackLinks.Name, int64(res.Links))
 	o.Count(obs.PackLaunchPoints.Name, int64(res.LaunchPoints))

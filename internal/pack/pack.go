@@ -35,7 +35,7 @@ type Config struct {
 	// exhaustive permutation search; larger groups use a greedy order.
 	MaxExhaustiveOrder int
 	// Verify, when set, runs over the installed program at the end of
-	// InstallObserved (after the built-in structural check); a non-nil
+	// InstallObserved (before the built-in structural check); a non-nil
 	// error fails the installation. core wires the static verifier in here
 	// so pack need not import it.
 	Verify func(*prog.Program, *Result) error

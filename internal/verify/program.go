@@ -1,306 +1,62 @@
 package verify
 
 import (
-	"repro/internal/isa"
+	"slices"
+
 	"repro/internal/prog"
 )
 
-// Program checks the CFG well-formedness rules over a whole program:
+// Program checks the CFG well-formedness rules over a whole program: the
+// structural rules of (*prog.Program).Check (cfg/main, cfg/dup, cfg/term,
+// cfg/inst, cfg/arc), every violation reported under stage, plus
 //
-//	cfg/main    — Main is set and belongs to the program
-//	cfg/dup     — functions and blocks are unique, non-empty, with correct
-//	              back-pointers and unique block IDs
-//	cfg/term    — terminator fields are consistent with the block's Kind
-//	cfg/inst    — body instructions have valid opcodes and registers, no
-//	              control ops, and LA targets inside the program
-//	cfg/arc     — every arc resolves inside the program, crossing function
-//	              boundaries only when a package function is involved
 //	cfg/callret — every called non-package function can return (has at
 //	              least one ret or halt block)
-//
-// Unlike (*prog.Program).Verify it accumulates every violation instead of
-// stopping at the first, so a corrupted program reports all of its damage
-// in one pass.
 func Program(stage string, p *prog.Program) error {
 	c := &checker{stage: stage}
-	c.program(p)
+	c.violations(p.Check())
+	c.callRet(p, p.Funcs)
 	return c.err()
 }
 
-// Func checks the same per-block rules (cfg/dup within the function,
-// cfg/term, cfg/inst, cfg/arc, cfg/callret for its call sites) over a
-// single function. The per-pass sandwich uses it: optimization passes
-// mutate exactly one function, so re-scanning the rest of the program
-// after every pass would only re-prove what the stage-boundary Program
-// check already covers — at O(program) per pass instead of O(function).
+// Func checks the same rules over a single function (prog's CheckFunc,
+// plus cfg/callret for its call sites). The per-pass sandwich uses it:
+// optimization passes mutate exactly one function.
 func Func(stage string, p *prog.Program, fn *prog.Func) error {
 	c := &checker{stage: stage}
-	s := newScope(c, p)
-	if len(fn.Blocks) == 0 {
-		c.add("cfg/dup", fn, nil, "function has no blocks")
-	}
-	// One map does double duty: duplicate detection here (same pointer
-	// twice shares its own ID; distinct blocks sharing an ID are the other
-	// cfg/dup case) and intra-function arc membership in checkBlock, as
-	// the scope's primary block set.
-	member := make(map[*prog.Block]bool, len(fn.Blocks))
-	ids := make(map[int]*prog.Block, len(fn.Blocks))
-	for _, b := range fn.Blocks {
-		if b.Fn != fn {
-			c.add("cfg/dup", fn, b, "block has Fn %q but is listed in %q", b.Fn.Name, fn.Name)
-		}
-		if other := ids[b.ID]; other != nil {
-			if other == b {
-				c.add("cfg/dup", fn, b, "block appears twice")
-			} else {
-				c.add("cfg/dup", fn, b, "shares ID %d with %s", b.ID, other)
-			}
-			continue
-		}
-		ids[b.ID] = b
-		member[b] = true
-	}
-	s.primaryFn, s.primary = fn, member
-	for _, b := range fn.Blocks {
-		s.checkBlock(fn, b)
-	}
-	s.checkCallRet()
+	c.violations(p.CheckFunc(fn))
+	c.callRet(p, []*prog.Func{fn})
 	return c.err()
 }
 
-// scope carries the per-block rule machinery shared by Program and Func:
-// membership resolution for arc targets and the called-function set for
-// the cfg/callret sweep.
-type scope struct {
-	c         *checker
-	p         *prog.Program
-	funcSet   map[*prog.Func]bool        // built by the whole-program sweep; nil in the Func path
-	ids       []*prog.Block              // block-ID index when the whole program was swept
-	primaryFn *prog.Func                 // Func path: the function under check
-	primary   map[*prog.Block]bool       // Func path: its block set
-	called    map[*prog.Func]*prog.Block // callee -> one call site
-}
-
-func newScope(c *checker, p *prog.Program) *scope {
-	return &scope{c: c, p: p, called: make(map[*prog.Func]*prog.Block)}
-}
-
-// inProgram reports whether f is one of the program's functions. The
-// whole-program sweep pays for a set once; the function-scoped path
-// answers its few cross-function queries by scanning Funcs instead.
-func (s *scope) inProgram(f *prog.Func) bool {
-	if f == nil {
-		return false
-	}
-	if s.funcSet != nil {
-		return s.funcSet[f]
-	}
-	for _, pf := range s.p.Funcs {
-		if pf == f {
-			return true
-		}
-	}
-	return false
-}
-
-// known reports whether b is a block of a function in the program. When
-// the whole program was indexed up front (Program), membership is a flat
-// slice lookup on the block's ID; otherwise (Func) the checked function's
-// seeded set answers intra-function arcs and rare cross-function targets
-// fall back to scanning their function's block list.
-func (s *scope) known(b *prog.Block) bool {
-	if b.Fn == nil {
-		return false
-	}
-	if s.ids != nil {
-		return s.funcSet[b.Fn] && b.ID >= 0 && b.ID < len(s.ids) && s.ids[b.ID] == b
-	}
-	if b.Fn == s.primaryFn {
-		return s.primary[b]
-	}
-	if !s.inProgram(b.Fn) {
-		return false
-	}
-	// Cross-function target in a function-scoped check: the handful of
-	// exits and launch arcs a package function carries don't justify
-	// materializing the target function's membership set — scan it.
-	for _, fb := range b.Fn.Blocks {
-		if fb == b {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *scope) checkArc(from, to *prog.Block, what string) {
-	if !s.known(to) {
-		s.c.add("cfg/arc", nil, from, "%s target %s is not in the program", what, to)
-		return
-	}
-	if to.Fn != from.Fn && !from.Fn.IsPackage && !to.Fn.IsPackage {
-		s.c.add("cfg/arc", nil, from, "%s target %s crosses functions with no package involved", what, to)
+func (c *checker) violations(vs []prog.Violation) {
+	for _, v := range vs {
+		c.add(v.Rule, v.Func, v.Block, "%s", v.Msg)
 	}
 }
 
-// checkBlock applies cfg/term, cfg/inst and cfg/arc to one block and
-// collects call sites for the cfg/callret sweep.
-func (s *scope) checkBlock(f *prog.Func, b *prog.Block) {
-	c := s.c
-	switch b.Kind {
-	case prog.TermFall:
-		if b.Next == nil {
-			c.add("cfg/term", f, b, "fall block has nil Next")
-		} else {
-			s.checkArc(b, b.Next, "fallthrough")
-		}
-		if b.Taken != nil || b.Callee != nil {
-			c.add("cfg/term", f, b, "fall block has stray terminator fields")
-		}
-	case prog.TermBranch:
-		if b.Taken == nil || b.Next == nil {
-			c.add("cfg/term", f, b, "branch block missing Taken or Next")
-		} else {
-			s.checkArc(b, b.Taken, "taken")
-			s.checkArc(b, b.Next, "fallthrough")
-		}
-		if !b.CmpOp.IsCondBranch() {
-			c.add("cfg/term", f, b, "branch block has CmpOp %v", b.CmpOp)
-		}
-		if !b.Rs1.Valid() || !b.Rs2.Valid() {
-			c.add("cfg/term", f, b, "branch block has invalid compare registers")
-		}
-		if b.Callee != nil {
-			c.add("cfg/term", f, b, "branch block has Callee set")
-		}
-	case prog.TermCall:
-		if b.Callee == nil || b.Next == nil {
-			c.add("cfg/term", f, b, "call block missing Callee or Next")
-		} else {
-			if !s.inProgram(b.Callee) {
-				c.add("cfg/arc", f, b, "call targets function %q not in program", b.Callee.Name)
-			} else if _, seen := s.called[b.Callee]; !seen {
-				s.called[b.Callee] = b
-			}
-			s.checkArc(b, b.Next, "continuation")
-		}
-		if b.Taken != nil {
-			c.add("cfg/term", f, b, "call block has Taken set")
-		}
-	case prog.TermRet, prog.TermHalt:
-		if b.Taken != nil || b.Next != nil || b.Callee != nil {
-			c.add("cfg/term", f, b, "%v block has stray terminator fields", b.Kind)
-		}
-	case prog.TermJumpReg:
-		if !b.Rs1.Valid() {
-			c.add("cfg/term", f, b, "jr block has invalid register")
-		}
-		if b.Taken != nil || b.Next != nil || b.Callee != nil {
-			c.add("cfg/term", f, b, "jr block has stray terminator fields")
-		}
-	default:
-		c.add("cfg/term", f, b, "invalid terminator kind %d", uint8(b.Kind))
-	}
-	for i, in := range b.Insts {
-		if !in.Op.Valid() {
-			c.add("cfg/inst", f, b, "inst %d has invalid opcode", i)
-			continue
-		}
-		if in.Op.IsControl() {
-			c.add("cfg/inst", f, b, "inst %d is control op %v inside block body", i, in.Op)
-		}
-		for _, r := range [...]isa.Reg{in.Rd, in.Rs1, in.Rs2} {
-			if !r.Valid() {
-				c.add("cfg/inst", f, b, "inst %d has invalid register %d", i, uint8(r))
-			}
-		}
-		if in.BlockTarget != nil {
-			if in.Op != isa.LA {
-				c.add("cfg/inst", f, b, "inst %d: BlockTarget on non-LA op %v", i, in.Op)
-			}
-			if !s.known(in.BlockTarget) {
-				c.add("cfg/inst", f, b, "inst %d: LA target %s not in program", i, in.BlockTarget)
-			}
-		}
-	}
-}
-
-// checkCallRet sweeps the collected call sites: a called non-package
+// callRet walks the call sites of fns in block order: a called non-package
 // function must be able to return — at least one of its blocks ends in
-// ret or halt. Package functions are exempt: they are entered by jumps
-// and may leave through side exits into original code instead of
-// returning.
-func (s *scope) checkCallRet() {
-	for callee, site := range s.called {
-		if callee.IsPackage {
-			continue
-		}
-		ok := false
-		for _, b := range callee.Blocks {
-			if b.Kind == prog.TermRet || b.Kind == prog.TermHalt {
-				ok = true
-				break
+// ret or halt. Each callee is judged once, at its first call site. Package
+// functions are exempt: they are entered by jumps and may leave through
+// side exits into original code instead of returning. Call sites prog
+// already refuses (no Callee or Next, a callee outside the program) are
+// skipped.
+func (c *checker) callRet(p *prog.Program, fns []*prog.Func) {
+	seen := make(map[*prog.Func]bool)
+	for _, f := range fns {
+		for _, site := range f.Blocks {
+			callee := site.Callee
+			if site.Kind != prog.TermCall || callee == nil || site.Next == nil || seen[callee] {
+				continue
 			}
-		}
-		if !ok {
-			s.c.add("cfg/callret", callee, site, "called function %q has no ret or halt block", callee.Name)
+			seen[callee] = true
+			if callee.IsPackage || !slices.Contains(p.Funcs, callee) || slices.ContainsFunc(callee.Blocks, returns) {
+				continue
+			}
+			c.add("cfg/callret", callee, site, "called function %q has no ret or halt block", callee.Name)
 		}
 	}
 }
 
-func (c *checker) program(p *prog.Program) {
-	if p.Main == nil {
-		c.add("cfg/main", nil, nil, "Main is nil")
-	}
-	s := newScope(c, p)
-	// Index blocks by ID — program-wide sequential, so a flat slice covers
-	// duplicate detection here and arc membership in checkBlock without a
-	// pointer map in sight.
-	maxID := -1
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			if b.ID > maxID {
-				maxID = b.ID
-			}
-		}
-	}
-	ids := make([]*prog.Block, maxID+1)
-	s.funcSet = make(map[*prog.Func]bool, len(p.Funcs))
-	for _, f := range p.Funcs {
-		if s.funcSet[f] {
-			c.add("cfg/dup", f, nil, "function appears twice in Funcs")
-			continue
-		}
-		s.funcSet[f] = true
-		if len(f.Blocks) == 0 {
-			c.add("cfg/dup", f, nil, "function has no blocks")
-		}
-		for _, b := range f.Blocks {
-			if b.Fn != f {
-				c.add("cfg/dup", f, b, "block has Fn %q but is listed in %q", b.Fn.Name, f.Name)
-			}
-			if b.ID < 0 {
-				c.add("cfg/dup", f, b, "block has negative ID %d", b.ID)
-				continue
-			}
-			if other := ids[b.ID]; other != nil {
-				if other == b {
-					c.add("cfg/dup", f, b, "block appears twice")
-				} else {
-					c.add("cfg/dup", f, b, "shares ID %d with %s", b.ID, other)
-				}
-				continue
-			}
-			ids[b.ID] = b
-		}
-	}
-	s.ids = ids
-	if p.Main != nil && !s.funcSet[p.Main] {
-		c.add("cfg/main", p.Main, nil, "Main is not in Funcs")
-	}
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			s.checkBlock(f, b)
-		}
-	}
-	s.checkCallRet()
-}
+func returns(b *prog.Block) bool { return b.Kind == prog.TermRet || b.Kind == prog.TermHalt }

@@ -1,10 +1,12 @@
 // Package verify is the pipeline's static-analysis gate: a rule catalog
 // over the prog IR that checks CFG well-formedness, dataflow soundness,
 // package invariants and schedule legality after every transformation
-// stage. Unlike prog.Verify — the structural first-error checker every
-// stage already runs — this package accumulates every violation into
-// structured diagnostics (stage, rule ID, function, block) and validates
-// the *soundness* of transformations, not just the shape of their output:
+// stage. The five structural CFG rules (cfg/main … cfg/arc) live in
+// internal/prog, whose Verify every stage already runs and stops at the
+// first violation; this package reports every violation of them as
+// structured diagnostics (stage, rule ID, function, block), adds
+// cfg/callret, and validates the *soundness* of transformations, not just
+// the shape of their output:
 // exit-block dummy consumers against recomputed liveness, sink/merge
 // certificates against the rewritten CFG, and recorded issue cycles
 // against functional-unit limits and operand latencies.

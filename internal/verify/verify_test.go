@@ -145,6 +145,15 @@ func TestMutationsFireEveryRule(t *testing.T) {
 	add := func(rd, rs1, rs2 isa.Reg) prog.Ins {
 		return prog.Ins{Inst: isa.Inst{Op: isa.ADD, Rd: rd, Rs1: rs1, Rs2: rs2}}
 	}
+	// The structural rules have one implementation in prog: a corruption
+	// the verifier reports under cfg/main … cfg/arc must also fail
+	// prog.Verify.
+	structural := func(t *testing.T, p *prog.Program) error {
+		if err := p.Verify(); err == nil {
+			t.Error("prog.Verify accepted the corrupted program")
+		}
+		return verify.Program("mut", p)
+	}
 	cases := []struct {
 		rule string
 		run  func(t *testing.T) error
@@ -152,28 +161,28 @@ func TestMutationsFireEveryRule(t *testing.T) {
 		{"cfg/main", func(t *testing.T) error {
 			p, _, _ := tinyProgram()
 			p.Main = nil
-			return verify.Program("mut", p)
+			return structural(t, p)
 		}},
 		{"cfg/dup", func(t *testing.T) error {
 			p, fn, b := tinyProgram()
 			fn.Blocks = append(fn.Blocks, b) // same block listed twice
-			return verify.Program("mut", p)
+			return structural(t, p)
 		}},
 		{"cfg/term", func(t *testing.T) error {
 			p, _, b := tinyProgram()
 			b.Kind = prog.TermFall // nil Next
-			return verify.Program("mut", p)
+			return structural(t, p)
 		}},
 		{"cfg/inst", func(t *testing.T) error {
 			p, _, b := tinyProgram()
 			b.Append(prog.Ins{Inst: isa.Inst{Op: isa.JMP}}) // control op in a body
-			return verify.Program("mut", p)
+			return structural(t, p)
 		}},
 		{"cfg/arc", func(t *testing.T) error {
 			p, fn, b := tinyProgram()
 			b.Kind = prog.TermFall
 			b.Next = &prog.Block{ID: 999, Fn: fn} // dangling: never adopted
-			return verify.Program("mut", p)
+			return structural(t, p)
 		}},
 		{"cfg/callret", func(t *testing.T) error {
 			p, fn, b := tinyProgram()
@@ -437,6 +446,49 @@ func TestMutationsFireEveryRule(t *testing.T) {
 	for _, rule := range verify.Rules() {
 		if !covered[rule] {
 			t.Errorf("rule %s has no mutation covering it", rule)
+		}
+	}
+}
+
+// TestTinyProgramClean pins the mutation baseline: the uncorrupted
+// fixture passes both prog.Verify and the verifier.
+func TestTinyProgramClean(t *testing.T) {
+	p, _, _ := tinyProgram()
+	if err := p.Verify(); err != nil {
+		t.Errorf("prog.Verify: %v", err)
+	}
+	if err := verify.Program("clean", p); err != nil {
+		t.Errorf("verify.Program: %v", err)
+	}
+}
+
+// TestCallRetOrder calls two functions that cannot return, the second
+// declared one first: their cfg/callret diagnostics follow the call sites'
+// block order on every run.
+func TestCallRetOrder(t *testing.T) {
+	p, fn, b := tinyProgram()
+	spin := func(name string) *prog.Func {
+		f := p.AddFunc(name)
+		hb := p.NewBlock(f)
+		hb.Kind = prog.TermFall
+		hb.Next = hb
+		return f
+	}
+	first, second := spin("first"), spin("second")
+	site := b
+	for _, callee := range []*prog.Func{second, first, second} {
+		cont := p.NewBlock(fn)
+		site.Kind, site.Callee, site.Next = prog.TermCall, callee, cont
+		site = cont
+	}
+	for run := 0; run < 20; run++ {
+		var got []string
+		for _, d := range verify.Diagnostics(verify.Program("order", p)) {
+			got = append(got, d.Rule+" "+d.Func+" "+d.Block)
+		}
+		want := []string{"cfg/callret second main.b0", "cfg/callret first main.b3"}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: diagnostics %q, want %q", run, got, want)
 		}
 	}
 }

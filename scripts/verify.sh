@@ -15,8 +15,6 @@ go vet ./...
 # perfbench is a module of its own, so `go test ./...` never compiles it:
 # vet it here so a deleted or renamed API it uses fails verification.
 (cd perfbench && go vet ./...)
-go vet ./internal/obs/...
-go vet ./internal/telemetry/...
 # The benchmark driver is not run here; at least make sure it parses.
 bash -n scripts/bench.sh
 
@@ -180,7 +178,6 @@ daemon_dir="$(mktemp -d)"
 daemon_pid=""
 trap 'rm -f "$trace_tmp"; rm -rf "$store_tmp" "$daemon_dir"; [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true' EXIT
 go build -o bin/vpackd ./cmd/vpackd
-go build -o bin/vpbench ./cmd/vpbench
 go build -o bin/vptrace ./cmd/vptrace
 bin/vpackd -addr 127.0.0.1:0 -addrfile "$daemon_dir/addr" -bench m88ksim -scale 1 -batch 10 \
     -driftwindow 4 -driftring 32 -log off &

@@ -88,11 +88,11 @@ func BenchmarkTable2Machine(b *testing.B) {
 func pipelineOnce(b *testing.B, name string, v core.Variant) *core.Evaluation {
 	b.Helper()
 	cfg := v.Apply(core.ScaledConfig())
-	out, err := core.Run(cfg, buildInput(b, name))
+	out, err := core.Run(cfg, cpu.DefaultConfig(), buildInput(b, name))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev, err := out.Evaluate(cpu.DefaultConfig(), 0)
+	ev, err := out.Evaluate(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func BenchmarkTable3Expansion(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var growth, selected, repl float64
 			for i := 0; i < b.N; i++ {
-				out, err := core.Run(core.ScaledConfig(), buildInput(b, name))
+				out, err := core.Run(core.ScaledConfig(), cpu.DefaultConfig(), buildInput(b, name))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -152,10 +152,11 @@ func BenchmarkFigure9Categories(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				db, _, err := core.Profile(core.ScaledConfig(), img, nil)
+				pa, err := core.ProfileStage(core.ScaledConfig(), img, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
+				db := pa.DB()
 				cz = db.Categorize()
 			}
 			b.ReportMetric(cz.Fraction(phasedb.MultiHigh)*100, "multihigh%")
@@ -193,7 +194,7 @@ func BenchmarkAblationBBBSize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.ScaledConfig()
 				cfg.Detector.Sets = sets
-				out, err := core.Run(cfg, buildInput(b, "vpr"))
+				out, err := core.Run(cfg, cpu.DefaultConfig(), buildInput(b, "vpr"))
 				if err != nil {
 					// A BBB too small for the hot working set detects no
 					// usable phases at all — coverage zero is the result,
@@ -201,7 +202,7 @@ func BenchmarkAblationBBBSize(b *testing.B) {
 					cov = 0
 					continue
 				}
-				ev, err := out.Evaluate(cpu.DefaultConfig(), 0)
+				ev, err := out.Evaluate(0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -221,11 +222,11 @@ func BenchmarkAblationGrowth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.ScaledConfig()
 				cfg.Region.MaxGrowBlocks = mb
-				out, err := core.Run(cfg, buildInput(b, "twolf"))
+				out, err := core.Run(cfg, cpu.DefaultConfig(), buildInput(b, "twolf"))
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev, err := out.Evaluate(cpu.DefaultConfig(), 0)
+				ev, err := out.Evaluate(0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -252,11 +253,11 @@ func BenchmarkAblationOrdering(b *testing.B) {
 				if !exhaustive {
 					cfg.Pack.MaxExhaustiveOrder = 0
 				}
-				out, err := core.Run(cfg, buildInput(b, "vortex"))
+				out, err := core.Run(cfg, cpu.DefaultConfig(), buildInput(b, "vortex"))
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev, err := out.Evaluate(cpu.DefaultConfig(), 0)
+				ev, err := out.Evaluate(0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -287,11 +288,11 @@ func BenchmarkAblationSchedOnly(b *testing.B) {
 				cfg := core.ScaledConfig()
 				cfg.EnableLayout = m.layout
 				cfg.EnableSchedule = m.sched
-				out, err := core.Run(cfg, buildInput(b, "gzip"))
+				out, err := core.Run(cfg, cpu.DefaultConfig(), buildInput(b, "gzip"))
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev, err := out.Evaluate(cpu.DefaultConfig(), 0)
+				ev, err := out.Evaluate(0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -404,10 +405,11 @@ func BenchmarkBaselineTraces(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				db, _, err := core.Profile(core.ScaledConfig(), img, nil)
+				pa, err := core.ProfileStage(core.ScaledConfig(), img, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
+				db := pa.DB()
 				if _, err := trace.Build(trace.DefaultConfig(), p, img, db); err != nil {
 					b.Fatal(err)
 				}
@@ -451,11 +453,11 @@ func BenchmarkAblationLaunchStrategy(b *testing.B) {
 				cfg := core.ScaledConfig()
 				cfg.Pack.EnableLinking = m.link
 				cfg.Pack.DynamicLaunch = m.dynamic
-				out, err := core.Run(cfg, buildInput(b, "m88ksim"))
+				out, err := core.Run(cfg, cpu.DefaultConfig(), buildInput(b, "m88ksim"))
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev, err := out.Evaluate(cpu.DefaultConfig(), 0)
+				ev, err := out.Evaluate(0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -484,11 +486,11 @@ func BenchmarkAblationWeightSolver(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.ScaledConfig()
 				cfg.ApproxWeights = approx
-				out, err := core.Run(cfg, buildInput(b, "ijpeg"))
+				out, err := core.Run(cfg, cpu.DefaultConfig(), buildInput(b, "ijpeg"))
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev, err := out.Evaluate(cpu.DefaultConfig(), 0)
+				ev, err := out.Evaluate(0)
 				if err != nil {
 					b.Fatal(err)
 				}

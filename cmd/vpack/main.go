@@ -8,7 +8,7 @@
 //	vpack -bench perl -input A [-scale N] [-noinfer] [-nolink] [-v]
 //	vpack -asm program.vpasm [-v]
 //	vpack -bench perl -trace out.json   # JSON span/event/metric trace
-//	vpack -bench perl -store .vpstore   # reuse/persist profiles across runs
+//	vpack -bench perl -store .vpstore   # reuse/persist profiles across runs (vpbench's store too)
 //	vpack -bench perl -q                # only the coverage/speedup line
 //	vpack -log json                     # diagnostics as JSON slog records
 package main
@@ -153,28 +153,35 @@ func main() {
 			title, len(p.Funcs), p.NumBlocks(), p.NumInsts())
 	}
 
-	// With -store, the pipeline reuses a persisted profile when one
-	// matches this image and writes a fresh one through; the emitted
-	// trace is identical either way (the golden-trace gate runs both).
+	// With -store, the pipeline reuses a persisted profile and baseline
+	// when both match this image and machine, and writes fresh ones
+	// through; a cold run's trace is identical to a storeless one (the
+	// golden-trace gate runs both).
 	var store *cas.Store
 	if *storeDir != "" {
 		store, err = cas.Open(*storeDir)
 		if err != nil {
 			fatal(err)
 		}
-		defer store.Close()
 	}
 
-	out, err := cas.PipelineObserved(store, cfg, p, o)
+	out, err := cas.PipelineObserved(store, cfg, mc, p, o)
 	if err != nil {
 		if errors.Is(err, core.ErrNoPhases) || errors.Is(err, core.ErrNoPackages) {
 			logger.Warn("the run may be too short for the detector; raise -scale")
 		}
 		fatal(err)
 	}
+	if store != nil {
+		// The final flush persists the profile and baseline this run
+		// wrote; a failure means the store did not get them.
+		if err := store.Close(); err != nil {
+			fatal(fmt.Errorf("store %s: %w", *storeDir, err))
+		}
+	}
 	if !quiet {
 		fmt.Printf("profile: %d insts, %d cond branches, %d raw detections -> %d phases (%d redundant, %d skipped)\n",
-			out.ProfileInsts, out.ProfileBranches, out.Detections,
+			out.Profile.Insts, out.Profile.Branches, out.Profile.Detections,
 			len(out.DB.Phases), out.DB.Redundant, out.SkippedPhases)
 	}
 
@@ -220,7 +227,7 @@ func main() {
 			out.Pack.SelectedInsts, out.Pack.SelectedFraction()*100, out.Pack.Replication())
 	}
 
-	ev, err := out.EvaluateObserved(mc, 0, o)
+	ev, err := out.EvaluateObserved(0, o)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,0 +1,64 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain makes the test binary run vpack itself when VPACK_RUN_MAIN is
+// set, so a test can check the command's exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("VPACK_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runVpack runs vpack with args and returns its exit code and stderr.
+func runVpack(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "VPACK_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &ee):
+		return ee.ExitCode(), stderr.String()
+	}
+	t.Fatalf("vpack %v: %v", args, err)
+	return 0, ""
+}
+
+// TestStoreFlushFailureExits1: a run whose final store flush fails exits
+// 1 and names the store directory. The flush is made to fail by a
+// directory where the manifest belongs: Open recovers from the unreadable
+// manifest with an empty store, and the flush cannot rename the new
+// manifest over the directory. The same run on a healthy store exits 0.
+func TestStoreFlushFailureExits1(t *testing.T) {
+	args := []string{"-bench", "li", "-scale", "1", "-q", "-store"}
+	good := filepath.Join(t.TempDir(), "good")
+	if code, stderr := runVpack(t, append(args, good)...); code != 0 {
+		t.Fatalf("healthy store: exit %d, stderr:\n%s", code, stderr)
+	}
+	bad := filepath.Join(t.TempDir(), "bad")
+	if err := os.MkdirAll(filepath.Join(bad, "MANIFEST.json", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, stderr := runVpack(t, append(args, bad)...)
+	if code != 1 {
+		t.Fatalf("failed flush: exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "store "+bad) {
+		t.Errorf("stderr does not name the store directory %s:\n%s", bad, stderr)
+	}
+}

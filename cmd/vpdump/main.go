@@ -157,29 +157,29 @@ func main() {
 		}
 		return
 	}
-	// -store reuses a persisted profile for the -pkg pipeline run (and
-	// writes one through on a miss), so repeated dumps of the same
-	// benchmark skip the profiling pass.
-	var store *cas.Store
-	if *storeDir != "" {
-		s, err := cas.Open(*storeDir)
-		if err != nil {
-			fatal(err)
-		}
-		defer s.Close()
-		store = s
-	}
 	if *pkgIdx >= 0 {
+		// -store reuses a persisted profile and baseline for the pipeline
+		// run (and writes them through on a miss), so repeated dumps of
+		// the same benchmark skip the profiling pass.
+		var store *cas.Store
+		if *storeDir != "" {
+			if store, err = cas.Open(*storeDir); err != nil {
+				fatal(err)
+			}
+		}
 		rec := obs.NewRecorder()
-		out, err := cas.PipelineObserved(store, cfg, p, rec)
+		out, err := cas.PipelineObserved(store, cfg, cpu.DefaultConfig(), p, rec)
+		if store != nil {
+			if cerr := store.Close(); cerr != nil {
+				fatal(fmt.Errorf("store %s: %w", *storeDir, cerr))
+			}
+		}
 		if out != nil {
-			logProfileStats(core.ProfileStats{
-				Insts: out.ProfileInsts, Branches: out.ProfileBranches, Detections: out.Detections,
-			}, len(out.DB.Phases))
+			logProfileStats(out.Profile, len(out.DB.Phases))
 			// A timed evaluation run feeds the evaluate span and the
 			// block-cache/superblock engine counters into the stage view.
 			if err == nil {
-				if _, everr := out.EvaluateObserved(cpu.DefaultConfig(), 0, rec); everr != nil {
+				if _, everr := out.EvaluateObserved(0, rec); everr != nil {
 					logger.Warn("evaluation failed", "err", everr)
 				}
 			}
@@ -205,13 +205,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		db, st, err := core.Profile(cfg, img, nil)
-		if db != nil {
-			logProfileStats(st, len(db.Phases))
-		}
+		pa, err := core.ProfileStage(cfg, img, nil)
 		if err != nil {
 			fatal(err)
 		}
+		db := pa.DB()
+		logProfileStats(pa.Stats, len(db.Phases))
 		if *phase >= len(db.Phases) {
 			fatal(fmt.Errorf("only %d phases detected", len(db.Phases)))
 		}

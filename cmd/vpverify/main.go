@@ -32,6 +32,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cliflags"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/equiv"
 	"repro/internal/obs"
 	"repro/internal/prog"
@@ -124,7 +125,7 @@ func main() {
 				cfg.Pack.EnableLinking = false
 			}
 			rec := obs.NewRecorder()
-			out, err := core.RunObserved(cfg, p, rec)
+			out, err := core.RunObserved(cfg, cpu.DefaultConfig(), p, rec)
 			checked := rec.Export().Metrics.Counters[obs.VerifyChecked.Name]
 			label := fmt.Sprintf("%s [%s]", tgt.name, v.Name())
 			switch {

@@ -93,12 +93,12 @@ func main() {
 	fmt.Printf("assembled %d functions, %d instructions\n", len(program.Funcs), program.NumInsts())
 
 	cfg := vp.ScaledConfig()
-	outcome, err := vp.Run(cfg, program)
+	outcome, err := vp.Run(cfg, vp.DefaultMachine(), program)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("detected %d phases from %d raw detections\n",
-		len(outcome.DB.Phases), outcome.Detections)
+		len(outcome.DB.Phases), outcome.Profile.Detections)
 
 	for _, pk := range outcome.Pack.Packages {
 		linked := 0
@@ -111,7 +111,7 @@ func main() {
 			pk.Fn.Name, pk.Root.Name, len(pk.Fn.Blocks), len(pk.Exits), linked)
 	}
 
-	ev, err := outcome.Evaluate(vp.DefaultMachine(), 0)
+	ev, err := outcome.Evaluate(0)
 	if err != nil {
 		log.Fatal(err)
 	}

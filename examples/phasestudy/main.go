@@ -31,11 +31,11 @@ func main() {
 		"configuration", "coverage", "speedup", "packages", "links", "phases")
 	for _, v := range vp.Variants() {
 		cfg := v.Apply(vp.ScaledConfig())
-		outcome, err := vp.Run(cfg, bench.Build(input))
+		outcome, err := vp.Run(cfg, vp.DefaultMachine(), bench.Build(input))
 		if err != nil {
 			log.Fatal(err)
 		}
-		ev, err := outcome.Evaluate(vp.DefaultMachine(), 0)
+		ev, err := outcome.Evaluate(0)
 		if err != nil {
 			log.Fatal(err)
 		}

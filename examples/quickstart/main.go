@@ -26,16 +26,18 @@ func main() {
 	fmt.Printf("program: %d functions, %d basic blocks, %d static instructions\n",
 		len(program.Funcs), program.NumBlocks(), program.NumInsts())
 
-	// 2. Run the pipeline: profile under the Hot Spot Detector, filter
-	//    phases, identify regions, extract + link + optimize packages.
-	outcome, err := vp.Run(vp.ScaledConfig(), program)
+	// 2. Run the pipeline: profile under the Hot Spot Detector on the
+	//    EPIC machine model (the profile run doubles as the baseline),
+	//    filter phases, identify regions, extract + link + optimize
+	//    packages.
+	outcome, err := vp.Run(vp.ScaledConfig(), vp.DefaultMachine(), program)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("profiled %d instructions, %d conditional branches\n",
-		outcome.ProfileInsts, outcome.ProfileBranches)
+		outcome.Profile.Insts, outcome.Profile.Branches)
 	fmt.Printf("detector fired %d times -> %d unique phases after filtering\n",
-		outcome.Detections, len(outcome.DB.Phases))
+		outcome.Profile.Detections, len(outcome.DB.Phases))
 	for _, r := range outcome.Regions {
 		fmt.Printf("  phase %d region: %d profiled branches, %d hot blocks (+%d inferred, %d grown)\n",
 			r.PhaseID, r.ProfiledBranches, r.NumHot(), r.InferredHot, r.GrownBlocks)
@@ -45,9 +47,10 @@ func main() {
 	fmt.Printf("static code: +%.1f%% growth, %.1f%% of instructions selected, replication %.2fx\n",
 		outcome.Pack.CodeGrowth()*100, outcome.Pack.SelectedFraction()*100, outcome.Pack.Replication())
 
-	// 3. Evaluate: time the original and the packed program on the EPIC
-	//    machine model and confirm they compute the same results.
-	ev, err := outcome.Evaluate(vp.DefaultMachine(), 0)
+	// 3. Evaluate: time the packed program on the same machine model,
+	//    compare it with the profile run's baseline and confirm both
+	//    compute the same results.
+	ev, err := outcome.Evaluate(0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -208,10 +208,11 @@ func TestConfigHashSeparatesVariants(t *testing.T) {
 
 // TestPipelineObserved: the store-aware single-program pipeline emits a
 // trace byte-identical to core.RunObserved on a cold run, and a warm
-// rerun reuses the stored profile while producing the same packed
-// program.
+// rerun reuses the stored profile and baseline without a profile span
+// while producing the same packed program, the same baseline and the
+// same evaluation.
 func TestPipelineObserved(t *testing.T) {
-	cfg := core.ScaledConfig()
+	cfg, mc := core.ScaledConfig(), cpu.DefaultConfig()
 	b, err := workload.ByName("m88ksim")
 	if err != nil {
 		t.Fatal(err)
@@ -223,14 +224,13 @@ func TestPipelineObserved(t *testing.T) {
 	in.Scale = 1
 
 	recPlain := obs.NewRecorder()
-	outPlain, err := core.RunObserved(cfg, b.Build(in), recPlain)
-	if err != nil {
+	if _, err := core.RunObserved(cfg, mc, b.Build(in), recPlain); err != nil {
 		t.Fatal(err)
 	}
 
 	s := open(t, t.TempDir())
 	recCold := obs.NewRecorder()
-	outCold, err := PipelineObserved(s, cfg, b.Build(in), recCold)
+	outCold, err := PipelineObserved(s, cfg, mc, b.Build(in), recCold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestPipelineObserved(t *testing.T) {
 	}
 
 	recWarm := obs.NewRecorder()
-	outWarm, err := PipelineObserved(s, cfg, b.Build(in), recWarm)
+	outWarm, err := PipelineObserved(s, cfg, mc, b.Build(in), recWarm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +251,11 @@ func TestPipelineObserved(t *testing.T) {
 			t.Fatal("warm run executed the profile stage")
 		}
 	}
-	if outWarm.ProfileInsts != outCold.ProfileInsts || len(outWarm.Pack.Packages) != len(outCold.Pack.Packages) {
+	if outWarm.Profile != outCold.Profile || len(outWarm.Pack.Packages) != len(outCold.Pack.Packages) {
 		t.Fatal("warm outcome differs from cold")
+	}
+	if outWarm.Base != outCold.Base {
+		t.Fatalf("warm baseline %+v, cold %+v", outWarm.Base, outCold.Base)
 	}
 	warmImg, err := outWarm.Packed.Linearize()
 	if err != nil {
@@ -265,7 +268,17 @@ func TestPipelineObserved(t *testing.T) {
 	if core.ImageHash(warmImg) != core.ImageHash(coldImg) {
 		t.Fatal("warm packed image differs from cold")
 	}
-	_ = outPlain
+	evCold, err := outCold.Evaluate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evWarm, err := outWarm.Evaluate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *evWarm != *evCold || !evWarm.Equivalent {
+		t.Fatalf("warm evaluation %+v, cold %+v", *evWarm, *evCold)
+	}
 }
 
 func normalizedJSON(t *testing.T, rec *obs.Recorder) []byte {

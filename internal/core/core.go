@@ -1,8 +1,8 @@
 // Package core orchestrates the full Vacuum Packing pipeline: it profiles a
 // program under the Hot Spot Detector, filters detections into unique
 // phases, identifies a hot region per phase, extracts and links packages,
-// optimizes them (layout + rescheduling), and hands back both the pristine
-// original and the packed program for evaluation.
+// optimizes them (layout + rescheduling), and hands back the packed
+// program with the profile run's baseline timing for evaluation.
 package core
 
 import (
@@ -210,19 +210,21 @@ func (v Variant) Apply(cfg Config) Config {
 
 // Outcome is the result of running the pipeline on one program.
 type Outcome struct {
-	// Original is a pristine clone of the input program; Packed is the
-	// input program with packages installed.
-	Original *prog.Program
-	Packed   *prog.Program
+	// Packed is the input program with packages installed.
+	Packed *prog.Program
+
+	// Machine is the timing model the profile ran under; Base is the
+	// original program's timed run on it. The profile run is the baseline,
+	// so evaluation times only the packed program.
+	Machine cpu.Config
+	Base    cpu.TimingStats
 
 	DB      *phasedb.DB
 	Regions []*region.Region
 	Pack    *pack.Result
 
-	// ProfileStats summarizes the profiling run.
-	ProfileInsts    uint64
-	ProfileBranches uint64
-	Detections      uint64
+	// Profile summarizes the profiling run.
+	Profile ProfileStats
 	// SkippedPhases counts phases whose region identification failed
 	// (e.g. all hot-spot PCs were unmappable).
 	SkippedPhases int
@@ -243,13 +245,6 @@ type ProfileStats struct {
 	// functional-equivalence checks against packed runs.
 	DataHash   uint64 `json:"data_hash,string"`
 	DataStores uint64 `json:"data_stores,string"`
-}
-
-// Profile runs the program to completion under the Hot Spot Detector
-// (§3.1) on the functional step loop and returns the filtered phase
-// database. obsFn, when non-nil, receives every retired instruction.
-func Profile(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo)) (*phasedb.DB, ProfileStats, error) {
-	return profile(cfg, stepDriver(img, cfg.ProfileLimit, obsFn), obs.Nop{})
 }
 
 // HotSpots runs img to completion under the Hot Spot Detector and returns
@@ -356,31 +351,33 @@ func profile(cfg Config, drive driver, o obs.Observer) (*phasedb.DB, ProfileStat
 	return db, st, nil
 }
 
-// Run executes the full pipeline on p. p is mutated into the packed
-// program; the returned Outcome carries a pristine clone for baselines.
-// It is a thin no-op-observer wrapper around RunObserved.
-func Run(cfg Config, p *prog.Program) (*Outcome, error) {
-	return RunObserved(cfg, p, obs.Nop{})
+// Run executes the full pipeline on p under the timing model mc. p is
+// mutated into the packed program; the returned Outcome carries the
+// profile run's baseline timing. It is a thin no-op-observer wrapper
+// around RunObserved.
+func Run(cfg Config, mc cpu.Config, p *prog.Program) (*Outcome, error) {
+	return RunObserved(cfg, mc, p, obs.Nop{})
 }
 
 // RunObserved is Run reporting spans, events and metrics for every stage
 // to an observer. Pass obs.Nop{} (or call Run) when observability is off;
 // the disabled path adds no allocations.
 //
-// It is ProfileStage followed by PackageObserved, inside a "pipeline"
-// span.
-func RunObserved(cfg Config, p *prog.Program, o obs.Observer) (*Outcome, error) {
+// It is ProfileTimed under mc followed by PackageObserved, inside a
+// "pipeline" span: one run of the original yields both the phase database
+// and the baseline.
+func RunObserved(cfg Config, mc cpu.Config, p *prog.Program, o obs.Observer) (*Outcome, error) {
 	sp := o.StartSpan(obs.StagePipeline)
 	defer sp.End()
 	img, err := p.Linearize()
 	if err != nil {
 		return nil, fmt.Errorf("core: linearize: %w", err)
 	}
-	pa, err := ProfileStageObserved(cfg, img, nil, o)
+	pa, base, err := ProfileTimed(cfg, mc, img, o)
 	if err != nil {
 		return nil, err
 	}
-	return PackageObserved(cfg, p, img, pa, o)
+	return PackageObserved(cfg, mc, p, img, pa, base, o)
 }
 
 // passes translates the configuration's optimization knobs into the opt
@@ -423,49 +420,50 @@ type Evaluation struct {
 	Equivalent bool
 }
 
-// Evaluate times both programs to completion under the machine model and
-// checks functional equivalence. limit bounds each run (0 = unlimited).
-func (o *Outcome) Evaluate(mc cpu.Config, limit uint64) (*Evaluation, error) {
-	return o.EvaluateObserved(mc, limit, obs.Nop{})
+// Compare judges a packed run against the profile run of the original:
+// base is the profile run's timing and prof its statistics, packed the
+// packed run's timing and dataHash/dataStores its data-segment effects.
+// Every evaluation, single-program or suite, is computed here.
+func Compare(base cpu.TimingStats, prof ProfileStats, packed cpu.TimingStats, dataHash, dataStores uint64) Evaluation {
+	ev := Evaluation{
+		Base:       base,
+		Packed:     packed,
+		Coverage:   packed.PackageCoverage(),
+		Equivalent: dataHash == prof.DataHash && dataStores == prof.DataStores,
+	}
+	if packed.Cycles > 0 {
+		ev.Speedup = float64(base.Cycles) / float64(packed.Cycles)
+	}
+	return ev
+}
+
+// Evaluate times the packed program to completion under the Outcome's
+// machine and compares it with the profile run's baseline and data
+// effects. limit bounds the packed run (0 = unlimited).
+func (o *Outcome) Evaluate(limit uint64) (*Evaluation, error) {
+	return o.EvaluateObserved(limit, obs.Nop{})
 }
 
 // EvaluateObserved is Evaluate inside an "evaluate" span, recording the
 // eval.* counters and the eval.speedup / eval.coverage gauges.
-func (o *Outcome) EvaluateObserved(mc cpu.Config, limit uint64, ob obs.Observer) (*Evaluation, error) {
+func (o *Outcome) EvaluateObserved(limit uint64, ob obs.Observer) (*Evaluation, error) {
 	sp := ob.StartSpan(obs.StageEvaluate)
 	defer sp.End()
-	baseImg, err := o.Original.Linearize()
-	if err != nil {
-		return nil, fmt.Errorf("core: linearize original: %w", err)
-	}
 	packedImg, err := o.Packed.Linearize()
 	if err != nil {
 		return nil, fmt.Errorf("core: linearize packed: %w", err)
-	}
-	baseStats, baseM, err := cpu.RunTimed(mc, baseImg, limit)
-	if err != nil {
-		return nil, fmt.Errorf("core: base run: %w", err)
 	}
 	var bc *cpu.BlockCache
 	if limit == 0 {
 		bc = cpu.NewBlockCache(packedImg)
 	}
-	packedStats, packedM, err := cpu.RunTimedCached(mc, packedImg, limit, bc)
+	packedStats, packedM, err := cpu.RunTimedCached(o.Machine, packedImg, limit, bc)
 	if err != nil {
 		return nil, fmt.Errorf("core: packed run: %w", err)
 	}
-	bh, bn := baseM.DataHash()
 	ph, pn := packedM.DataHash()
-	ev := &Evaluation{
-		Base:       baseStats,
-		Packed:     packedStats,
-		Coverage:   packedStats.PackageCoverage(),
-		Equivalent: bh == ph && bn == pn,
-	}
-	if packedStats.Cycles > 0 {
-		ev.Speedup = float64(baseStats.Cycles) / float64(packedStats.Cycles)
-	}
-	ob.Count(obs.EvalBaseCycles.Name, int64(baseStats.Cycles))
+	ev := Compare(o.Base, o.Profile, packedStats, ph, pn)
+	ob.Count(obs.EvalBaseCycles.Name, int64(o.Base.Cycles))
 	ob.Count(obs.EvalPackedCycles.Name, int64(packedStats.Cycles))
 	if bc != nil {
 		CountEngine(ob, bc)
@@ -473,7 +471,7 @@ func (o *Outcome) EvaluateObserved(mc cpu.Config, limit uint64, ob obs.Observer)
 	ob.Gauge(obs.EvalSpeedup.Name, ev.Speedup)
 	ob.Gauge(obs.EvalCoverage.Name, ev.Coverage)
 	ob.Observe(obs.EvalCycles.Name, float64(packedStats.Cycles))
-	return ev, nil
+	return &ev, nil
 }
 
 // CountEngine records the block cache's and superblock tier's engine

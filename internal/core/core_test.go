@@ -23,11 +23,11 @@ func runPipeline(t *testing.T, bench, input string, cfg Config) (*Outcome, *Eval
 	if err := p.Verify(); err != nil {
 		t.Fatalf("workload program invalid: %v", err)
 	}
-	out, err := Run(cfg, p)
+	out, err := Run(cfg, cpu.DefaultConfig(), p)
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
-	ev, err := out.Evaluate(cpu.DefaultConfig(), 0)
+	ev, err := out.Evaluate(0)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
@@ -36,7 +36,7 @@ func runPipeline(t *testing.T, bench, input string, cfg Config) (*Outcome, *Eval
 
 func TestPipelineEndToEndPerl(t *testing.T) {
 	out, ev := runPipeline(t, "perl", "A", ScaledConfig())
-	if out.Detections == 0 {
+	if out.Profile.Detections == 0 {
 		t.Fatal("no hot spots detected")
 	}
 	if len(out.DB.Phases) < 2 {
@@ -246,13 +246,11 @@ func TestPackingImprovesICacheLocality(t *testing.T) {
 	w.MainOf([][]workload.PhaseStep{steps})
 	p := w.Finish(12345)
 
-	out, err := Run(ScaledConfig(), p)
+	out, err := Run(ScaledConfig(), smallL1I(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := cpu.DefaultConfig()
-	mc.L1ISizeBytes = 2 << 10 // the undiluted hot path fits; the diluted one thrashes
-	ev, err := out.Evaluate(mc, 0)
+	ev, err := out.Evaluate(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +264,48 @@ func TestPackingImprovesICacheLocality(t *testing.T) {
 	if packedRate >= baseRate {
 		t.Errorf("packing scattered hot code should improve I-cache locality: %.5f -> %.5f",
 			baseRate, packedRate)
+	}
+}
+
+// smallL1I is the default machine with a 2 KB L1I: an undiluted hot path
+// fits, a diluted one thrashes.
+func smallL1I() cpu.Config {
+	mc := cpu.DefaultConfig()
+	mc.L1ISizeBytes = 2 << 10
+	return mc
+}
+
+// TestBaselineFollowsMachine: the Outcome's baseline is the profile run
+// under the machine Run was given, so it equals a separate timed run of
+// the original on that machine, and differs from the default machine's.
+func TestBaselineFollowsMachine(t *testing.T) {
+	b, in := buildInput(t, "m88ksim", "A")
+	mc := smallL1I()
+	out, err := Run(ScaledConfig(), mc, b.Build(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := out.Evaluate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := b.Build(in).Linearize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := cpu.RunTimed(mc, img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Base != want {
+		t.Errorf("baseline on a 2 KB L1I:\n  got:  %+v\n  want: %+v", ev.Base, want)
+	}
+	def, _, err := cpu.RunTimed(cpu.DefaultConfig(), img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def == want {
+		t.Fatal("the 2 KB L1I does not change the baseline; the test shows nothing")
 	}
 }
 

@@ -54,8 +54,8 @@ func sameStream(t *testing.T, engine string, want, got []hsd.HotSpot) {
 // timed block engine feeds the detector — with superblocks and with tier
 // 0 only — equals the functional step loop's record for record, and the
 // run's TimingStats equal the step loop's Timing.Observe baseline.
-// ProfileTimed, the entry point the suite profiles through, must then
-// produce ProfileStageObserved's artifact and observer stream.
+// ProfileTimed, the entry point every pipeline profiles through, must
+// then produce the step loop's artifact and observer stream.
 func TestProfileTimedMatchesStepLoop(t *testing.T) {
 	cfg := ScaledConfig()
 	mc := cpu.DefaultConfig()
@@ -95,10 +95,11 @@ func TestProfileTimedMatchesStepLoop(t *testing.T) {
 
 				recStep, recTimed := obs.NewRecorder(), obs.NewRecorder()
 				timing := cpu.NewTiming(mc, img)
-				paStep, err := ProfileStageObserved(cfg, img, timing.Observe, recStep)
+				db, st, err := profile(cfg, stepDriver(img, 0, timing.Observe), recStep)
 				if err != nil {
-					t.Fatalf("ProfileStageObserved: %v", err)
+					t.Fatalf("step-loop profile: %v", err)
 				}
+				paStep := newProfileArtifact(cfg, img, db, st)
 				paTimed, base, err := ProfileTimed(cfg, mc, img, recTimed)
 				if err != nil {
 					t.Fatalf("ProfileTimed: %v", err)

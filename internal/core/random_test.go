@@ -26,12 +26,12 @@ func TestRandomProgramsThroughPipeline(t *testing.T) {
 			t.Fatalf("trial %d: generated program invalid: %v", trial, err)
 		}
 		v := Variants()[trial%4]
-		out, err := Run(v.Apply(ScaledConfig()), p)
+		out, err := Run(v.Apply(ScaledConfig()), cpu.DefaultConfig(), p)
 		if err != nil {
 			t.Logf("trial %d (%s): pipeline declined: %v", trial, v.Name(), err)
 			continue
 		}
-		ev, err := out.Evaluate(cpu.DefaultConfig(), 80_000_000)
+		ev, err := out.Evaluate(80_000_000)
 		if err != nil {
 			t.Fatalf("trial %d: evaluate: %v", trial, err)
 		}

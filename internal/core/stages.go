@@ -36,24 +36,18 @@ import (
 // and profile key. obsFn, when non-nil, receives every retired
 // instruction.
 func ProfileStage(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo)) (*ProfileArtifact, error) {
-	return ProfileStageObserved(cfg, img, obsFn, obs.Nop{})
-}
-
-// ProfileStageObserved is ProfileStage reporting to an observer: a
-// "profile" span, a PhaseDetected or PhaseFiltered event per detection,
-// and the profile.* counters.
-func ProfileStageObserved(cfg Config, img *prog.Image, obsFn func(*cpu.StepInfo), o obs.Observer) (*ProfileArtifact, error) {
-	db, st, err := profile(cfg, stepDriver(img, cfg.ProfileLimit, obsFn), o)
+	db, st, err := profile(cfg, stepDriver(img, cfg.ProfileLimit, obsFn), obs.Nop{})
 	if err != nil {
 		return nil, err
 	}
 	return newProfileArtifact(cfg, img, db, st), nil
 }
 
-// ProfileTimed is ProfileStageObserved on the timed block engine: one run
-// under mc yields both the profile artifact and the image's baseline
-// TimingStats. The artifact and the observer stream are exactly
-// ProfileStageObserved's.
+// ProfileTimed is stage 1 on the timed block engine, reporting to an
+// observer: one run under mc yields both the profile artifact and the
+// image's baseline TimingStats. The observer sees a "profile" span, a
+// PhaseDetected or PhaseFiltered event per detection, and the profile.*
+// counters; the artifact is exactly ProfileStage's.
 func ProfileTimed(cfg Config, mc cpu.Config, img *prog.Image, o obs.Observer) (*ProfileArtifact, cpu.TimingStats, error) {
 	var base cpu.TimingStats
 	db, st, err := profile(cfg, timedDriver(mc, img, cfg.ProfileLimit, &base), o)
@@ -302,21 +296,21 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 }
 
 // PackageObserved runs RegionStage and PackageStage on p (mutating it)
-// from an existing profile artifact, reporting to an observer, and builds
-// the whole Outcome: a pristine clone of p, the artifact's phase database
-// and profile stats, the regions, the packing result and the equivalence
-// certificates. img must be p's image and hash to the artifact's origin.
-// On failure the Outcome keeps what was built: the regions identified
-// so far survive a region- or package-stage failure, and the skip counts
-// of both stages sum into SkippedPhases.
-func PackageObserved(cfg Config, p *prog.Program, img *prog.Image, pa *ProfileArtifact, o obs.Observer) (*Outcome, error) {
+// from an existing profile artifact and the baseline base its run took
+// under mc, reporting to an observer, and builds the whole Outcome: the
+// machine and baseline, the artifact's phase database and profile stats,
+// the regions, the packing result and the equivalence certificates. img
+// must be p's image and hash to the artifact's origin. On failure the
+// Outcome keeps what was built: the regions identified so far survive a
+// region- or package-stage failure, and the skip counts of both stages
+// sum into SkippedPhases.
+func PackageObserved(cfg Config, mc cpu.Config, p *prog.Program, img *prog.Image, pa *ProfileArtifact, base cpu.TimingStats, o obs.Observer) (*Outcome, error) {
 	out := &Outcome{
-		Original:        p.Clone(),
-		Packed:          p,
-		DB:              pa.DB(),
-		ProfileInsts:    pa.Stats.Insts,
-		ProfileBranches: pa.Stats.Branches,
-		Detections:      pa.Stats.Detections,
+		Packed:  p,
+		Machine: mc,
+		Base:    base,
+		DB:      pa.DB(),
+		Profile: pa.Stats,
 	}
 	ra, err := RegionStageObserved(cfg, img, pa, o)
 	if ra != nil {

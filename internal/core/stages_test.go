@@ -46,12 +46,13 @@ func TestStagedResumability(t *testing.T) {
 		t.Run(bench, func(t *testing.T) {
 			cfg := ScaledConfig()
 			cfg.Verify = true
+			mc := cpu.DefaultConfig()
 			b, in := buildInput(t, bench, "A")
 
 			// Straight through, observed.
 			recA := obs.NewRecorder()
 			pA := b.Build(in)
-			outA, err := RunObserved(cfg, pA, recA)
+			outA, err := RunObserved(cfg, mc, pA, recA)
 			if err != nil {
 				t.Fatalf("straight run: %v", err)
 			}
@@ -65,7 +66,7 @@ func TestStagedResumability(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pa, err := ProfileStageObserved(cfg, img, nil, recB)
+			pa, base, err := ProfileTimed(cfg, mc, img, recB)
 			if err != nil {
 				t.Fatalf("profile stage: %v", err)
 			}
@@ -111,8 +112,8 @@ func TestStagedResumability(t *testing.T) {
 			}
 
 			// The staged packed program still runs equivalently.
-			outB := &Outcome{Original: b.Build(in), Packed: pB, DB: pa.DB(), Pack: res}
-			ev, err := outB.Evaluate(cpu.DefaultConfig(), 0)
+			outB := &Outcome{Packed: pB, Machine: mc, Base: base, Profile: pa.Stats, DB: pa.DB(), Pack: res}
+			ev, err := outB.Evaluate(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +178,7 @@ func TestPackageSetRoundTrip(t *testing.T) {
 	cfg := ScaledConfig()
 	b, in := buildInput(t, "m88ksim", "A")
 	p := b.Build(in)
-	out, err := Run(cfg, p)
+	out, err := Run(cfg, cpu.DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/equiv"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -47,7 +48,7 @@ func buildTargets(t *testing.T) []*target {
 	cfg := core.ScaledConfig()
 	// Passes run manually below, between capture and proof.
 	cfg.EnableMerge, cfg.EnableSink, cfg.EnableLayout, cfg.EnableSchedule = false, false, false, false
-	out, err := core.Run(cfg, p)
+	out, err := core.Run(cfg, cpu.DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func (p *Program) Check() []Violation {
 		}
 		for _, b := range f.Blocks {
 			if b.Fn != f {
-				s.add("cfg/dup", f, b, "block has Fn %q but is listed in %q", b.Fn.Name, f.Name)
+				s.add("cfg/dup", f, b, "block is listed in %q but its Fn points elsewhere", f.Name)
 			}
 			if b.ID < 0 {
 				s.add("cfg/dup", f, b, "block has negative ID %d", b.ID)
@@ -121,7 +121,7 @@ func (p *Program) CheckFunc(fn *Func) []Violation {
 	ids := make(map[int]*Block, len(fn.Blocks))
 	for _, b := range fn.Blocks {
 		if b.Fn != fn {
-			s.add("cfg/dup", fn, b, "block has Fn %q but is listed in %q", b.Fn.Name, fn.Name)
+			s.add("cfg/dup", fn, b, "block is listed in %q but its Fn points elsewhere", fn.Name)
 		}
 		if other := ids[b.ID]; other != nil {
 			s.dupBlock(fn, b, other)
@@ -189,12 +189,14 @@ func (s *scope) known(b *Block) bool {
 	return s.inProgram(b.Fn) && slices.Contains(b.Fn.Blocks, b)
 }
 
-func (s *scope) checkArc(from, to *Block, what string) {
+// checkArc checks one arc of from, a block listed in f. The crossing
+// rule judges f, not from.Fn, which a cfg/dup block may leave nil.
+func (s *scope) checkArc(f *Func, from, to *Block, what string) {
 	if !s.known(to) {
 		s.add("cfg/arc", nil, from, "%s target %s is not in the program", what, to)
 		return
 	}
-	if to.Fn != from.Fn && !from.Fn.IsPackage && !to.Fn.IsPackage {
+	if to.Fn != f && !f.IsPackage && !to.Fn.IsPackage {
 		s.add("cfg/arc", nil, from, "%s target %s crosses functions with no package involved", what, to)
 	}
 }
@@ -206,7 +208,7 @@ func (s *scope) checkBlock(f *Func, b *Block) {
 		if b.Next == nil {
 			s.add("cfg/term", f, b, "fall block has nil Next")
 		} else {
-			s.checkArc(b, b.Next, "fallthrough")
+			s.checkArc(f, b, b.Next, "fallthrough")
 		}
 		if b.Taken != nil || b.Callee != nil {
 			s.add("cfg/term", f, b, "fall block has stray terminator fields")
@@ -215,8 +217,8 @@ func (s *scope) checkBlock(f *Func, b *Block) {
 		if b.Taken == nil || b.Next == nil {
 			s.add("cfg/term", f, b, "branch block missing Taken or Next")
 		} else {
-			s.checkArc(b, b.Taken, "taken")
-			s.checkArc(b, b.Next, "fallthrough")
+			s.checkArc(f, b, b.Taken, "taken")
+			s.checkArc(f, b, b.Next, "fallthrough")
 		}
 		if !b.CmpOp.IsCondBranch() {
 			s.add("cfg/term", f, b, "branch block has CmpOp %v", b.CmpOp)
@@ -236,7 +238,7 @@ func (s *scope) checkBlock(f *Func, b *Block) {
 			}
 			// The continuation must stay in the same function (or
 			// package): a call returns to pc+1.
-			s.checkArc(b, b.Next, "continuation")
+			s.checkArc(f, b, b.Next, "continuation")
 		}
 		if b.Taken != nil {
 			s.add("cfg/term", f, b, "call block has Taken set")

@@ -380,12 +380,10 @@ func fanOut(workers, n int, o obs.Observer, fn func(i int, oi obs.Observer)) {
 // each package proof by the variants that pose the same proof
 // obligation.
 //
-// With a store, the profile (and its companion baseline timing) is
-// looked up under (ImageHash, ProfileKey) first: a hit skips the profile
-// pass; a miss runs it cold and writes both artifacts through. Store
-// write failures are deliberately non-fatal here — a full disk degrades
-// the cache, not the science — the end-of-suite Flush is where
-// persistence problems surface.
+// The profile and its baseline come through cas.ProfileTimed, the
+// store's one profile protocol: with a store, a hit skips the profile
+// pass and a miss runs it and writes both through (best effort; the
+// end-of-suite Flush is where persistence problems surface).
 func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJobs int, o obs.Observer, tally *storeTally) (*InputResult, error) {
 	start := time.Now()
 	sp := obs.Span{}
@@ -398,30 +396,15 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJob
 	if err != nil {
 		return nil, err
 	}
-	imgHash := core.ImageHash(img)
-	key := opts.Core.ProfileKey()
-	mkey := cas.MachineKey(opts.Machine)
-	var pa *core.ProfileArtifact
-	var base cpu.TimingStats
-	stored := false
+	// One pass yields the HSD profile and the baseline timing.
+	pa, base, stored, err := cas.ProfileTimed(opts.Store, opts.Core, opts.Machine, img, o)
+	if err != nil {
+		return nil, err
+	}
 	if opts.Store != nil {
-		if spa, gerr := opts.Store.GetProfileArtifact(imgHash, key); gerr == nil {
-			if sbase, berr := opts.Store.GetBaseline(imgHash, mkey); berr == nil {
-				pa, base, stored = spa, sbase, true
-			}
-		}
 		lookup(o, stored, &tally.profileHits, &tally.profileMisses, obs.StoreProfileHits.Name, obs.StoreProfileMisses.Name)
 	}
-	if !stored {
-		// One pass yields the HSD profile and the baseline timing.
-		if pa, base, err = core.ProfileTimed(opts.Core, opts.Machine, img, o); err != nil {
-			return nil, err
-		}
-		if opts.Store != nil {
-			_ = opts.Store.PutProfileArtifact(imgHash, key, pa)
-			_ = opts.Store.PutBaseline(imgHash, mkey, base)
-		}
-	}
+	imgHash := core.ImageHash(img)
 	db := pa.DB()
 
 	ir := &InputResult{
@@ -591,14 +574,9 @@ func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, o obs.Obs
 	return e, nil
 }
 
-// fill copies the timed run's coverage and speedup into the variant
-// result, with the equivalence verdict against the profiled run's
-// data-segment effects.
+// fill copies the timed run's coverage, speedup and equivalence verdict
+// against the profiled run (core.Compare) into the variant result.
 func (e *timedEntry) fill(vr *VariantResult, base cpu.TimingStats, st core.ProfileStats) {
-	stats := e.Stats
-	vr.Coverage = stats.PackageCoverage()
-	vr.Equivalent = e.DataHash == st.DataHash && e.DataStores == st.DataStores
-	if stats.Cycles > 0 {
-		vr.Speedup = float64(base.Cycles) / float64(stats.Cycles)
-	}
+	ev := core.Compare(base, st, e.Stats, e.DataHash, e.DataStores)
+	vr.Coverage, vr.Speedup, vr.Equivalent = ev.Coverage, ev.Speedup, ev.Equivalent
 }

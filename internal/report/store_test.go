@@ -126,6 +126,60 @@ func TestRunSuiteStoreWarm(t *testing.T) {
 	}
 }
 
+// TestSuiteStoreServesPipeline: the suite and the single-program
+// pipeline share one profile protocol. A store written by RunSuite serves
+// cas.PipelineObserved with no profile span, the same baseline and the
+// same evaluation as the suite's full variant; a store written by
+// cas.PipelineObserved serves RunSuite's profile.
+func TestSuiteStoreServesPipeline(t *testing.T) {
+	b, err := workload.ByName("m88ksim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := b.Inputs[0]
+	in.Scale = 1
+
+	opts, st := storeOpts(t, t.TempDir(), nil)
+	suite, err := RunSuite(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	out, err := cas.PipelineObserved(st, opts.Core, opts.Machine, b.Build(in), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range rec.Export().SpanTotals() {
+		if sp.Name == obs.StageProfile {
+			t.Fatal("the pipeline profiled although the suite store holds the profile")
+		}
+	}
+	ir := suite.Results[0]
+	if out.Base != ir.Base {
+		t.Fatalf("pipeline baseline %+v, suite %+v", out.Base, ir.Base)
+	}
+	ev, err := out.Evaluate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := ir.Full()
+	if ev.Coverage != full.Coverage || ev.Speedup != full.Speedup || !ev.Equivalent {
+		t.Fatalf("pipeline evaluation %+v, suite variant %+v", *ev, *full)
+	}
+
+	opts, st = storeOpts(t, t.TempDir(), nil)
+	if _, err := cas.PipelineObserved(st, opts.Core, opts.Machine, b.Build(in), obs.Nop{}); err != nil {
+		t.Fatal(err)
+	}
+	if suite, err = RunSuite(opts); err != nil {
+		t.Fatal(err)
+	}
+	if suite.StoreProfileHits != 1 || suite.StoreProfileMisses != 0 {
+		t.Fatalf("suite on a pipeline store: profile hits/misses %d/%d, want 1/0",
+			suite.StoreProfileHits, suite.StoreProfileMisses)
+	}
+}
+
 // TestRunSuiteStoreMatchesStoreless: results with a store (cold) are
 // bit-identical to results without one, and storeless runs report zero
 // store traffic.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func BenchmarkPipelineVerify(b *testing.B) {
 				p := bench.Build(in)
 				cfg := core.ScaledConfig()
 				cfg.Verify = on
-				if _, err := core.Run(cfg, p); err != nil {
+				if _, err := core.Run(cfg, cpu.DefaultConfig(), p); err != nil {
 					b.Fatal(err)
 				}
 			}

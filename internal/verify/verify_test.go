@@ -3,6 +3,7 @@ package verify_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -50,7 +51,7 @@ func packedFixture(t *testing.T) (*prog.Program, *pack.Result) {
 	in := bench.Inputs[0]
 	in.Scale = 1
 	p := bench.Build(in)
-	out, err := core.Run(core.ScaledConfig(), p)
+	out, err := core.Run(core.ScaledConfig(), cpu.DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,6 +463,32 @@ func TestTinyProgramClean(t *testing.T) {
 	}
 }
 
+// TestBlockWithoutFn lists a block whose Fn is nil and that falls
+// through to a real block. The whole-program check (prog's Check) and the
+// per-function check (CheckFunc) must each report it under cfg/dup
+// instead of dereferencing the missing function.
+func TestBlockWithoutFn(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		check func(p *prog.Program, fn *prog.Func) error
+	}{
+		{"Check", func(p *prog.Program, _ *prog.Func) error { return verify.Program("nofn", p) }},
+		{"CheckFunc", func(p *prog.Program, fn *prog.Func) error { return verify.Func("nofn", p, fn) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, fn, b := tinyProgram()
+			fn.Blocks = append(fn.Blocks, &prog.Block{ID: 999, Kind: prog.TermFall, Next: b})
+			var rules []string
+			for _, d := range verify.Diagnostics(tc.check(p, fn)) {
+				rules = append(rules, d.Rule)
+			}
+			if !slices.Contains(rules, "cfg/dup") {
+				t.Errorf("diagnostics %q lack cfg/dup", rules)
+			}
+		})
+	}
+}
+
 // TestCallRetOrder calls two functions that cannot return, the second
 // declared one first: their cfg/callret diagnostics follow the call sites'
 // block order on every run.
@@ -516,7 +543,7 @@ func TestVerifyCleanOverSuite(t *testing.T) {
 				case "dynamic":
 					cfg.Pack.DynamicLaunch = true
 				}
-				if _, err := core.Run(cfg, p); err != nil {
+				if _, err := core.Run(cfg, cpu.DefaultConfig(), p); err != nil {
 					t.Errorf("%s %s %s: %v", name, mode, v.Name(), err)
 				}
 			}

@@ -102,8 +102,21 @@ go run ./cmd/vptrace diff -threshold 0.10 testdata/trace_golden.json "$trace_tmp
 # happens outside the observed spans), so the same golden gates it.
 store_tmp="$(mktemp -d)"
 trap 'rm -f "$trace_tmp"; rm -rf "$store_tmp"' EXIT
-go run ./cmd/vpack -bench gzip -input A -scale 1 -q -log off -store "$store_tmp/st" -trace "$trace_tmp" >/dev/null
+go build -o bin/vpack ./cmd/vpack
+bin/vpack -bench gzip -input A -scale 1 -log off -store "$store_tmp/st" -trace "$trace_tmp" >"$store_tmp/cold.txt"
 go run ./cmd/vptrace diff -threshold 0.10 testdata/trace_golden.json "$trace_tmp"
+# Warm pass on the same directory: the stored profile and baseline serve
+# the run, so its trace has no profile span, and its report, baseline
+# cycles included, is byte-identical to the cold run's. The span check is
+# also fed the cold trace, which it must refuse.
+no_profile_span() { ! grep -q '"name": "profile"' "$1"; }
+! no_profile_span "$trace_tmp" \
+    || { echo "profile-span check accepted the cold trace" >&2; exit 1; }
+bin/vpack -bench gzip -input A -scale 1 -log off -store "$store_tmp/st" -trace "$store_tmp/warm.json" >"$store_tmp/warm.txt"
+no_profile_span "$store_tmp/warm.json" \
+    || { echo "warm vpack -store run profiled again" >&2; exit 1; }
+cmp "$store_tmp/cold.txt" "$store_tmp/warm.txt" \
+    || { echo "warm vpack -store report differs from the cold one" >&2; exit 1; }
 
 # Store cold→warm→restart smoke. A cold suite populates a fresh store;
 # the warm rerun, a fresh process on the same directory, must serve
@@ -138,6 +151,11 @@ no_eval_memo "$store_warm" \
     || { echo "warm store run timed variants instead of replaying them:" >&2; grep '^eval_memo\.' <<<"$store_warm" >&2; exit 1; }
 ! no_eval_memo "$store_cold" \
     || { echo "eval_memo gate accepted the cold run's table" >&2; exit 1; }
+# The suite store serves vpack too: one profile protocol, so a
+# single-program run of a suite input is warm.
+bin/vpack -bench perl -input A -scale 1 -q -log off -store "$store_tmp/suite" -trace "$store_tmp/perl.json" >/dev/null
+no_profile_span "$store_tmp/perl.json" \
+    || { echo "vpack did not reuse the vpbench store's perl profile" >&2; exit 1; }
 bin/vpcache verify -store "$store_tmp/suite" >/dev/null
 
 # Proof memo gate. Linking changes no package on li, so its four variants

@@ -25,11 +25,11 @@ func TestTraceGoldenSchema(t *testing.T) {
 	in.Scale = 1
 
 	rec := NewRecorder()
-	outcome, err := RunObserved(ScaledConfig(), bench.Build(in), rec)
+	outcome, err := RunObserved(ScaledConfig(), DefaultMachine(), bench.Build(in), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := outcome.EvaluateObserved(DefaultMachine(), 0, rec); err != nil {
+	if _, err := outcome.EvaluateObserved(0, rec); err != nil {
 		t.Fatal(err)
 	}
 

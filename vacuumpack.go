@@ -11,9 +11,9 @@
 //
 //	bench, _ := vacuumpack.Benchmark("perl")
 //	program := bench.Build(bench.Inputs[0])
-//	outcome, err := vacuumpack.Run(vacuumpack.ScaledConfig(), program)
+//	outcome, err := vacuumpack.Run(vacuumpack.ScaledConfig(), vacuumpack.DefaultMachine(), program)
 //	if err != nil { ... }
-//	ev, err := outcome.Evaluate(vacuumpack.DefaultMachine(), 0)
+//	ev, err := outcome.Evaluate(0)
 //	fmt.Printf("coverage %.1f%% speedup %.3f\n", ev.Coverage*100, ev.Speedup)
 //
 // Hand-written programs enter through Assemble (see the assembly syntax in
@@ -63,8 +63,9 @@ type (
 	Config = core.Config
 	// Variant is one of the paper's four evaluation configurations.
 	Variant = core.Variant
-	// Outcome is a pipeline run's result: the packed program, the phase
-	// database, regions, packages and profile statistics.
+	// Outcome is a pipeline run's result: the packed program, the
+	// baseline timing, the phase database, regions, packages and profile
+	// statistics.
 	Outcome = core.Outcome
 	// Evaluation is the timed original-vs-packed comparison.
 	Evaluation = core.Evaluation
@@ -81,11 +82,12 @@ func ScaledConfig() Config { return core.ScaledConfig() }
 func Variants() []Variant { return core.Variants() }
 
 // Run executes the full Vacuum Packing pipeline on p: profile under the
-// Hot Spot Detector, filter phases, identify regions, extract + link +
-// optimize packages. p is mutated into the packed program; the Outcome
-// carries a pristine clone for baselines. Run is a thin no-op-observer
-// wrapper around RunObserved.
-func Run(cfg Config, p *Program) (*Outcome, error) { return core.Run(cfg, p) }
+// Hot Spot Detector on the timing model mc, filter phases, identify
+// regions, extract + link + optimize packages. p is mutated into the
+// packed program; the profile run is the baseline, so the Outcome
+// carries its timing and Evaluate runs only the packed program. Run is a
+// thin no-op-observer wrapper around RunObserved.
+func Run(cfg Config, mc MachineConfig, p *Program) (*Outcome, error) { return core.Run(cfg, mc, p) }
 
 // Sentinel pipeline failures, re-exported from core. Both are always
 // wrapped with run detail, so match with errors.Is:
@@ -192,11 +194,11 @@ func DiffTraces(oldT, newT *Trace, opts TraceDiffOptions) *TraceDiff {
 // an observer:
 //
 //	rec := vacuumpack.NewRecorder()
-//	outcome, err := vacuumpack.RunObserved(cfg, program, rec)
+//	outcome, err := vacuumpack.RunObserved(cfg, vacuumpack.DefaultMachine(), program, rec)
 //	...
 //	rec.Export().WriteJSON(os.Stdout)
-func RunObserved(cfg Config, p *Program, o Observer) (*Outcome, error) {
-	return core.RunObserved(cfg, p, o)
+func RunObserved(cfg Config, mc MachineConfig, p *Program, o Observer) (*Outcome, error) {
+	return core.RunObserved(cfg, mc, p, o)
 }
 
 // Machine model.

@@ -17,11 +17,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	in.Scale = 1
 	program := bench.Build(in)
 
-	outcome, err := Run(ScaledConfig(), program)
+	outcome, err := Run(ScaledConfig(), DefaultMachine(), program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := outcome.Evaluate(DefaultMachine(), 0)
+	ev, err := outcome.Evaluate(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,12 @@ func ExampleRun() {
 	bench, _ := Benchmark("m88ksim")
 	in := bench.Inputs[0]
 	in.Scale = 1
-	outcome, err := Run(ScaledConfig(), bench.Build(in))
+	outcome, err := Run(ScaledConfig(), DefaultMachine(), bench.Build(in))
 	if err != nil {
 		fmt.Println("pipeline:", err)
 		return
 	}
-	ev, err := outcome.Evaluate(DefaultMachine(), 0)
+	ev, err := outcome.Evaluate(0)
 	if err != nil {
 		fmt.Println("evaluate:", err)
 		return

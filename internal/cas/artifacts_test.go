@@ -3,6 +3,7 @@ package cas
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -138,6 +139,52 @@ func TestWrongKeyGuards(t *testing.T) {
 	}
 	if _, err := s.GetProfileArtifact(wrong.A, wrong.B); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mis-keyed profile error = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestPhaselessProfileMisses: a stored profile blob with schema, hashes
+// and stats but no phases, under the right key and next to a valid
+// baseline, is corrupt. ProfileTimed must miss on it and profile again,
+// and the fresh artifact must carry a live phase database.
+func TestPhaselessProfileMisses(t *testing.T) {
+	cfg, mc := core.ScaledConfig(), cpu.DefaultConfig()
+	b, err := workload.ByName("m88ksim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := b.InputByName("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Scale = 1
+	img, err := b.Build(in).Linearize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	imageHash, profileKey := core.ImageHash(img), cfg.ProfileKey()
+	s := open(t, t.TempDir())
+	phaseless := fmt.Sprintf(`{"schema": %q, "program_hash": "%d", "profile_key": "%d", "stats": {"insts": "1"}}`,
+		core.ProfileArtifactSchema, imageHash, profileKey)
+	mustPut(t, s, KindProfile, Key{A: imageHash, B: profileKey}, []byte(phaseless))
+	if err := s.PutBaseline(imageHash, MachineKey(mc), cpu.TimingStats{Cycles: 2, Insts: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetProfileArtifact(imageHash, profileKey); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("phaseless profile error = %v, want ErrCorrupt", err)
+	}
+
+	pa, base, hit, err := ProfileTimed(s, cfg, mc, img, obs.Nop{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Fatal("ProfileTimed served the phaseless profile")
+	}
+	if pa.DB() == nil || pa.Stats.Insts <= 1 || base.Insts != pa.Stats.Insts {
+		t.Fatalf("re-profiled artifact not fresh: DB %v, stats %+v, base insts %d", pa.DB(), pa.Stats, base.Insts)
+	}
+	if _, _, hit, err := ProfileTimed(s, cfg, mc, img, obs.Nop{}); err != nil || !hit {
+		t.Fatalf("the fresh profile was not written through: hit %v, err %v", hit, err)
 	}
 }
 

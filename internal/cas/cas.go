@@ -273,6 +273,10 @@ func (s *Store) Has(kind string, key Key) bool {
 
 // assembleLocked reads, checksums and reassembles one entry's blob.
 func (s *Store) assembleLocked(e *Entry) ([]byte, error) {
+	if e.Size < 0 || e.Size > int64(len(e.Chunks))*chunkSize {
+		return nil, fmt.Errorf("cas: %s %016x/%016x: size %d does not fit %d chunks: %w",
+			e.Kind, e.Key.A, e.Key.B, e.Size, len(e.Chunks), ErrCorrupt)
+	}
 	data := make([]byte, 0, e.Size)
 	for _, ck := range e.Chunks {
 		chunk, err := s.readChunkLocked(ck)
@@ -300,6 +304,9 @@ func (s *Store) readChunkLocked(ck uint64) ([]byte, error) {
 	}
 	if ref.seg >= len(s.segments) {
 		return nil, fmt.Errorf("chunk %016x: segment index out of range: %w", ck, ErrCorrupt)
+	}
+	if ref.n > chunkSize {
+		return nil, fmt.Errorf("chunk %016x: length %d past the chunk size: %w", ck, ref.n, ErrCorrupt)
 	}
 	seg := s.segments[ref.seg]
 	if seg.f == nil {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 type manifestJSON struct {
@@ -152,6 +153,11 @@ func (s *Store) loadManifest() error {
 	}
 	s.gen = m.Generation
 	for i, sj := range m.Segments {
+		// A segment is a file in the store directory; GC deletes it by
+		// this name.
+		if sj.Name != filepath.Base(sj.Name) || !strings.HasSuffix(sj.Name, segmentSuffix) {
+			return fmt.Errorf("cas: manifest: bad segment name %q: %w", sj.Name, ErrCorrupt)
+		}
 		s.segments = append(s.segments, &segment{name: sj.Name, bytes: sj.Bytes})
 		for _, cj := range sj.Chunks {
 			ck, err := parseU64(cj.Key)

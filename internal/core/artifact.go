@@ -9,6 +9,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -119,8 +120,8 @@ func newProfileArtifact(cfg Config, img *prog.Image, db *phasedb.DB, st ProfileS
 	}
 }
 
-// DB returns the live phase database, materializing it from the decoded
-// snapshot on first use.
+// DB returns the live phase database, materializing it from the snapshot
+// on first use when the artifact was built with phases only.
 func (pa *ProfileArtifact) DB() *phasedb.DB {
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
@@ -169,7 +170,10 @@ func (pa *ProfileArtifact) EncodeJSON(w io.Writer) error {
 }
 
 // DecodeProfileArtifact reads an artifact previously written by
-// EncodeJSON.
+// EncodeJSON. It refuses an artifact without phases, and one whose phases
+// are not the canonical snapshot of the database they materialize to: the
+// content hash covers the snapshot, so it must describe the live database
+// later stages read.
 func DecodeProfileArtifact(r io.Reader) (*ProfileArtifact, error) {
 	var pa ProfileArtifact
 	if err := json.NewDecoder(r).Decode(&pa); err != nil {
@@ -177,6 +181,17 @@ func DecodeProfileArtifact(r io.Reader) (*ProfileArtifact, error) {
 	}
 	if pa.Schema != ProfileArtifactSchema {
 		return nil, fmt.Errorf("core: decode profile artifact: schema %q, want %q", pa.Schema, ProfileArtifactSchema)
+	}
+	if pa.Phases == nil {
+		return nil, errors.New("core: decode profile artifact: no phases")
+	}
+	pa.db = phasedb.FromSnapshot(pa.Phases)
+	got, err := json.Marshal(pa.db.Snapshot())
+	if err != nil {
+		return nil, fmt.Errorf("core: decode profile artifact: %w", err)
+	}
+	if want, err := json.Marshal(pa.Phases); err != nil || !bytes.Equal(got, want) {
+		return nil, errors.New("core: decode profile artifact: phases are not in canonical form")
 	}
 	return &pa, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -225,6 +226,25 @@ func TestPackageSetRoundTrip(t *testing.T) {
 
 // TestStagedStaleness proves every stage rejects artifacts from a
 // different build with ErrStaleArtifact.
+// TestDecodeProfileArtifactRefusesBadPhases: an artifact with schema,
+// hashes and stats but no usable phase database must fail to decode, so
+// a store holding one reports it corrupt instead of handing later stages
+// a nil database.
+func TestDecodeProfileArtifactRefusesBadPhases(t *testing.T) {
+	head := `{"schema": "` + ProfileArtifactSchema + `", "program_hash": "1", "profile_key": "2", "stats": {"insts": "10"}`
+	for name, body := range map[string]string{
+		"missing": head + `}`,
+		"null":    head + `, "phases": null}`,
+		// A zero config materializes with defaults, so the database
+		// would not snapshot back to these phases.
+		"noncanonical": head + `, "phases": {"config": {}, "phases": []}}`,
+	} {
+		if pa, err := DecodeProfileArtifact(strings.NewReader(body)); err == nil {
+			t.Errorf("%s phases: decoded, DB() = %v; want an error", name, pa.DB())
+		}
+	}
+}
+
 func TestStagedStaleness(t *testing.T) {
 	cfg := ScaledConfig()
 	b1, in1 := buildInput(t, "m88ksim", "A")

@@ -42,9 +42,11 @@ func BenchmarkMachineStep(b *testing.B) {
 }
 
 // BenchmarkMachineRunTimed measures the fused functional+timing loop, the
-// configuration every suite evaluation runs in.
+// configuration every suite evaluation runs in. Each op builds a fresh
+// block cache, so its allocations include every superblock promotion.
 func BenchmarkMachineRunTimed(b *testing.B) {
 	img := benchImage(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var total uint64
 	for i := 0; i < b.N; i++ {

@@ -295,12 +295,12 @@ func (t *Timing) runBlocks(m *Machine, bc *BlockCache) error {
 	}
 }
 
-// blockFault restores the per-instruction invariants the step loop would
-// leave behind after a fault at slot j — retired counts for the j slots
-// that completed, PC parked on the faulting instruction — so diagnostics
-// and partial machine state agree between the two paths.
-func (t *Timing) blockFault(m *Machine, b *block, j int, err error) error {
-	t.Stats.Insts += uint64(j)
+// blockFault restores the machine state the step loop would leave behind
+// after a fault at slot j — retired count for the j slots that completed,
+// PC parked on the faulting instruction — so diagnostics and partial
+// machine state agree between the two paths. The timing stats of a
+// failed run are discarded, so they are left as they stand.
+func blockFault(m *Machine, b *block, j int, err error) error {
 	m.InstCount += uint64(j)
 	m.PC = b.entry + int64(j)
 	return err
@@ -424,14 +424,14 @@ func (t *Timing) execBlock(m *Machine, b *block) (int64, error) {
 			addr := m.geti(in.Rs1) + in.Imm
 			v, err := m.Mem.Load(addr)
 			if err != nil {
-				return 0, t.blockFault(m, b, j, fmt.Errorf("cpu: pc %d: %w", pc, err))
+				return 0, blockFault(m, b, j, fmt.Errorf("cpu: pc %d: %w", pc, err))
 			}
 			m.seti(in.Rd, v)
 			lat = t.dLatency(addr)
 		case isa.ST:
 			addr := m.geti(in.Rs1) + in.Imm
 			if err := m.Mem.Store(addr, m.geti(in.Rs2)); err != nil {
-				return 0, t.blockFault(m, b, j, fmt.Errorf("cpu: pc %d: %w", pc, err))
+				return 0, blockFault(m, b, j, fmt.Errorf("cpu: pc %d: %w", pc, err))
 			}
 			m.hashStore(addr, m.geti(in.Rs2))
 			t.dLatency(addr) // stores touch the cache; latency hidden
@@ -458,7 +458,7 @@ func (t *Timing) execBlock(m *Machine, b *block) (int64, error) {
 			addr := m.geti(in.Rs1) + in.Imm
 			v, err := m.Mem.Load(addr)
 			if err != nil {
-				return 0, t.blockFault(m, b, j, fmt.Errorf("cpu: pc %d: %w", pc, err))
+				return 0, blockFault(m, b, j, fmt.Errorf("cpu: pc %d: %w", pc, err))
 			}
 			m.setf(in.Rd, math.Float64frombits(uint64(v)))
 			lat = t.dLatency(addr)
@@ -466,7 +466,7 @@ func (t *Timing) execBlock(m *Machine, b *block) (int64, error) {
 			addr := m.geti(in.Rs1) + in.Imm
 			bits := int64(math.Float64bits(m.getf(in.Rs2)))
 			if err := m.Mem.Store(addr, bits); err != nil {
-				return 0, t.blockFault(m, b, j, fmt.Errorf("cpu: pc %d: %w", pc, err))
+				return 0, blockFault(m, b, j, fmt.Errorf("cpu: pc %d: %w", pc, err))
 			}
 			m.hashStore(addr, bits)
 			t.dLatency(addr)
@@ -474,7 +474,7 @@ func (t *Timing) execBlock(m *Machine, b *block) (int64, error) {
 		case isa.LA:
 			m.seti(in.Rd, in.Target)
 		default:
-			return 0, t.blockFault(m, b, j, fmt.Errorf("cpu: pc %d: invalid opcode %v", pc, in.Op))
+			return 0, blockFault(m, b, j, fmt.Errorf("cpu: pc %d: invalid opcode %v", pc, in.Op))
 		}
 
 		if si.flags&slotWritesRd != 0 {
@@ -557,7 +557,7 @@ func (t *Timing) execBlock(m *Machine, b *block) (int64, error) {
 		case isa.HALT:
 			m.Halted = true
 		default:
-			return 0, t.blockFault(m, b, j, fmt.Errorf("cpu: pc %d: invalid opcode %v", pc, op))
+			return 0, blockFault(m, b, j, fmt.Errorf("cpu: pc %d: invalid opcode %v", pc, op))
 		}
 		if condBranch && taken {
 			next = in.Target

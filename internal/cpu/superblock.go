@@ -35,6 +35,11 @@ package cpu
 // reproduce exactly; anything else (cross-class register operands,
 // discarded loads, invalid opcodes) pins the block to tier 0 with noSB.
 //
+// Faults: a fault inside a trace restores machine state only — retired
+// count, PC on the faulting slot, and the cache and trace counters — as
+// blockFault does in tier 0. The timing stats of a failed run are
+// discarded, so neither tier credits its partial pass to them.
+//
 // Invalidation: superblocks hang off their head block, so Bind/
 // Invalidate dropping the decoded blocks drops every trace with them.
 // Demotion: a trace that keeps side-exiting (guards failing on more than
@@ -44,6 +49,7 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -122,18 +128,10 @@ const (
 
 // superblock is one promoted trace.
 type superblock struct {
-	entry int64
-	head  *block
-	slots []sslot
-
-	// Per-slot cold metadata, touched only at exits and faults: the
-	// constituent block owning each slot (handed back to the dispatch
-	// loop), and package-slot prefixes — exitPkg counts completed blocks
-	// through the slot's own, faultPkg excludes the partial block, both
-	// matching tier 0's per-completed-block coverage accounting.
-	blks     []*block
-	exitPkg  []uint64
-	faultPkg []uint64
+	entry  int64
+	head   *block
+	slots  []sslot
+	owners []slotOwner // per slot, parallel to slots; touched only at exits
 
 	totalPkg  uint64 // package slots per full pass (loop traces)
 	loopFetch bool   // loop-back re-entry crosses an I-line
@@ -149,6 +147,15 @@ type superblock struct {
 	earlyExits uint64 // side exits at the first guard
 }
 
+// slotOwner is a slot's cold exit record: the constituent block that owns
+// it, handed back to the dispatch loop, and the package slots of every
+// block completed through it, matching tier 0's per-completed-block
+// coverage accounting.
+type slotOwner struct {
+	blk *block
+	pkg uint64
+}
+
 // intReg reports whether r names an integer register (R0 included).
 func intReg(r isa.Reg) bool { return r < isa.NumIntRegs }
 
@@ -158,22 +165,51 @@ func intReg(r isa.Reg) bool { return r < isa.NumIntRegs }
 // terminator — along the already-chained pointer, so tier 0 would count
 // the same transition as Chained — and ends at dynamic-target
 // terminators, unbiased successors, size caps, or a revisit (a revisit
-// of the head marks an internal loop instead).
+// of the head marks an internal loop instead). The first pass chooses
+// the blocks; the second sizes the trace once and specializes into it.
 func (bc *BlockCache) promote(b *block) *superblock {
 	if !b.hasTerm {
 		b.noSB = true
 		return nil
 	}
-	sb := &superblock{entry: b.entry, head: b}
-	members := make(map[*block]bool, 8)
-	var pkgPrefix uint64
-	cur := b
-	for {
-		members[cur] = true
-		startSlot := len(sb.slots)
-		n := len(cur.insts)
-		for j := 0; j < n; j++ {
-			s, ok := specializeSlot(&cur.insts[j], cur.slots[j], cur.entry+int64(j), j == n-1)
+	var chain [maxSuperblockBlocks]*block
+	nb, n, loop := 0, 0, false
+	for cur := b; ; {
+		chain[nb] = cur
+		nb++
+		n += len(cur.insts)
+		var nxt *block
+		switch cur.insts[len(cur.insts)-1].Op {
+		case isa.RET, isa.JR, isa.HALT:
+			// Dynamic target (or program end): the trace ends here.
+		case isa.JMP, isa.CALL:
+			nxt = cur.taken
+		default: // conditional branch: follow the observed bias
+			if cur.takenSeen > cur.fallSeen {
+				nxt = cur.taken
+			} else {
+				nxt = cur.fall
+			}
+		}
+		if nxt == b {
+			loop = true
+		} else if nxt != nil && nxt.hasTerm && nb < maxSuperblockBlocks &&
+			n+len(nxt.insts) <= maxSuperblockSlots && !slices.Contains(chain[:nb], nxt) {
+			cur = nxt
+			continue
+		}
+		break
+	}
+
+	sb := &superblock{
+		entry: b.entry, head: b, firstGuard: -1,
+		slots: make([]sslot, n), owners: make([]slotOwner, n),
+	}
+	k := 0
+	for i, cur := range chain[:nb] {
+		sb.totalPkg += cur.pkgN
+		for j := range cur.insts {
+			s, ok := specializeSlot(&cur.insts[j], cur.slots[j], cur.entry+int64(j), j == len(cur.insts)-1)
 			if !ok {
 				b.noSB = true
 				return nil
@@ -188,61 +224,32 @@ func (bc *BlockCache) promote(b *block) *superblock {
 			if s.flags&slotWritesRd == 0 {
 				s.rd = scoreboardDummy
 			}
-			sb.slots = append(sb.slots, s)
-			sb.blks = append(sb.blks, cur)
-			sb.faultPkg = append(sb.faultPkg, pkgPrefix)
-			sb.exitPkg = append(sb.exitPkg, pkgPrefix+cur.pkgN)
-		}
-		if startSlot > 0 {
 			// Constituent entry: tier 0 compares lines at block entry;
 			// inside a trace the preceding slot's line is known, so the
 			// crossing is static.
-			if cur.entry>>3 != sb.slots[startSlot-1].pc>>3 {
-				sb.slots[startSlot].flags |= slotNewLine
+			if j == 0 && k > 0 && cur.entry>>3 != sb.slots[k-1].pc>>3 {
+				s.flags |= slotNewLine
 			}
+			sb.slots[k] = s
+			sb.owners[k] = slotOwner{cur, sb.totalPkg}
+			k++
 		}
-		pkgPrefix += cur.pkgN
-
-		last := &sb.slots[len(sb.slots)-1]
-		var nxt *block
-		var expected int64
-		switch isa.Opcode(last.kind) {
-		case isa.RET, isa.JR, isa.HALT:
-			// Dynamic target (or program end): the trace ends here.
-		case isa.JMP, isa.CALL:
-			expected, nxt = cur.takenPC, cur.taken
-		default: // conditional branch: follow the observed bias
-			if cur.takenSeen > cur.fallSeen {
-				expected, nxt = cur.takenPC, cur.taken
-			} else {
-				expected, nxt = cur.fallPC, cur.fall
-			}
-		}
+		// A guard expects the next member's entry: the chained successor
+		// is keyed by the PC it is entered at.
+		last := &sb.slots[k-1]
 		switch {
-		case nxt == nil:
-			last.flags |= slotExit
-		case nxt == b:
+		case i+1 < nb:
+			last.next = chain[i+1].entry
+		case loop:
 			last.flags |= slotLoop
-			last.next = expected
+			last.next = b.entry
 			sb.loopFetch = sb.entry>>3 != last.pc>>3
-		case members[nxt], !nxt.hasTerm,
-			len(members) >= maxSuperblockBlocks,
-			len(sb.slots)+len(nxt.insts) > maxSuperblockSlots:
-			last.flags |= slotExit
 		default:
-			last.next = expected
-			cur = nxt
-			continue
+			last.flags |= slotExit
 		}
-		break
 	}
-	sb.totalPkg = pkgPrefix
-	sb.firstGuard = -1
-	for i := range sb.slots {
-		if f := sb.slots[i].flags; f&slotCtl != 0 && f&slotExit == 0 {
-			sb.firstGuard = i
-			break
-		}
+	if nb > 1 || loop {
+		sb.firstGuard = len(b.insts) - 1 // the head's terminator
 	}
 	b.sb = sb
 	bc.SB.Promoted++
@@ -362,14 +369,11 @@ func specializeSlot(in *isa.Inst, si slotInfo, pc int64, isTerm bool) (sslot, bo
 }
 
 // superFault mirrors blockFault for a fault at trace slot k: retire the
-// k completed slots, credit the package coverage of the blocks that
-// completed, and park PC on the faulting instruction. chained is the
-// dispatch's locally accumulated guard-pass count, flushed here so the
+// k completed slots and park PC on the faulting instruction. chained is
+// the dispatch's locally accumulated guard-pass count, flushed here so the
 // cache's cumulative stats stay exact across a faulting run.
-func (t *Timing) superFault(m *Machine, bc *BlockCache, sb *superblock, k int, chained uint64, err error) error {
+func superFault(m *Machine, bc *BlockCache, sb *superblock, k int, chained uint64, err error) error {
 	bc.Stats.Chained += chained
-	t.Stats.Insts += uint64(k)
-	t.Stats.PackageInsts += sb.faultPkg[k]
 	m.InstCount += uint64(k)
 	bc.SB.ChainedInsts += uint64(k)
 	m.PC = sb.slots[k].pc
@@ -470,16 +474,7 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 				taken = true
 				next = m.IntRegs[s.rs1&31]
 			case isa.HALT:
-				m.Halted = true
-				t.cycle, t.free, t.fetchReady = cycle, free, fetchReady
-				t.Stats.RAWStalls = rawStalls
-				bc.Stats.Chained += chained
-				t.Stats.Insts += uint64(k + 1)
-				t.Stats.PackageInsts += sb.exitPkg[k]
-				m.InstCount += uint64(k + 1)
-				bc.SB.ChainedInsts += uint64(k + 1)
-				m.PC = next
-				return next, sb.blks[k], nil
+				m.Halted = true // a HALT slot always carries slotExit
 			}
 			if condBranch && taken {
 				next = s.imm
@@ -538,7 +533,7 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 				t.Stats.RAWStalls = rawStalls
 				bc.Stats.Chained += chained
 				t.Stats.Insts += uint64(k + 1)
-				t.Stats.PackageInsts += sb.exitPkg[k]
+				t.Stats.PackageInsts += sb.owners[k].pkg
 				m.InstCount += uint64(k + 1)
 				bc.SB.ChainedInsts += uint64(k + 1)
 				if fl&slotExit == 0 {
@@ -554,7 +549,7 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 					}
 				}
 				m.PC = next
-				return next, sb.blks[k], nil
+				return next, sb.owners[k].blk, nil
 			}
 			// Guard passed: the transition follows a chain pointer tier 0
 			// would have taken.
@@ -641,7 +636,7 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 			} else {
 				var err error
 				if v, err = mem.Load(addr); err != nil {
-					return 0, nil, t.superFault(m, bc, sb, k, chained, fmt.Errorf("cpu: pc %d: %w", s.pc, err))
+					return 0, nil, superFault(m, bc, sb, k, chained, fmt.Errorf("cpu: pc %d: %w", s.pc, err))
 				}
 			}
 			m.IntRegs[s.rd&31] = v
@@ -666,7 +661,7 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 			} else if d := stackBaseWord - 1 - w; fast && addr&7 == 0 && uint64(d) < uint64(len(mem.stack)) {
 				mem.stack[d] = val
 			} else if err := mem.Store(addr, val); err != nil {
-				return 0, nil, t.superFault(m, bc, sb, k, chained, fmt.Errorf("cpu: pc %d: %w", s.pc, err))
+				return 0, nil, superFault(m, bc, sb, k, chained, fmt.Errorf("cpu: pc %d: %w", s.pc, err))
 			}
 			if addr >= prog.DataBase && addr < prog.StackBase/2 {
 				h := mix64(m.dataHash ^ uint64(addr))
@@ -711,7 +706,7 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 			} else {
 				var err error
 				if v, err = mem.Load(addr); err != nil {
-					return 0, nil, t.superFault(m, bc, sb, k, chained, fmt.Errorf("cpu: pc %d: %w", s.pc, err))
+					return 0, nil, superFault(m, bc, sb, k, chained, fmt.Errorf("cpu: pc %d: %w", s.pc, err))
 				}
 			}
 			m.FPRegs[(s.rd-32)&15] = math.Float64frombits(uint64(v))
@@ -735,7 +730,7 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 			} else if d := stackBaseWord - 1 - w; fast && addr&7 == 0 && uint64(d) < uint64(len(mem.stack)) {
 				mem.stack[d] = bits
 			} else if err := mem.Store(addr, bits); err != nil {
-				return 0, nil, t.superFault(m, bc, sb, k, chained, fmt.Errorf("cpu: pc %d: %w", s.pc, err))
+				return 0, nil, superFault(m, bc, sb, k, chained, fmt.Errorf("cpu: pc %d: %w", s.pc, err))
 			}
 			if addr >= prog.DataBase && addr < prog.StackBase/2 {
 				h := mix64(m.dataHash ^ uint64(addr))
@@ -753,7 +748,7 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 		case isa.LA:
 			m.IntRegs[s.rd&31] = s.imm
 		default:
-			return 0, nil, t.superFault(m, bc, sb, k, chained,
+			return 0, nil, superFault(m, bc, sb, k, chained,
 				fmt.Errorf("cpu: pc %d: invalid opcode %v", s.pc, isa.Opcode(s.kind)))
 		}
 

@@ -220,6 +220,96 @@ flip:
 	}
 }
 
+// pkgLoopSrc is a hot loop in a package function, three blocks per
+// pass. Every eighth pass takes the rare edge, so the promoted trace's
+// first guard side-exits; on the pass where r2 equals fault, the join
+// block's load turns unaligned inside the trace (fault 0 never fires).
+func pkgLoopSrc(fault int) string {
+	return fmt.Sprintf(`
+.data 5 6 7 8
+.func main
+.main
+  call kern
+  halt
+.func kern
+.package
+  li r1, %d
+  li r2, 300
+  li r10, %d
+loop:
+  ld r4, 0(r1)
+  add r3, r3, r4
+  andi r5, r2, 7
+  beq r5, r0, rare
+  addi r3, r3, 1
+  jmp join
+rare:
+  addi r3, r3, 5
+join:
+  seq r8, r2, r10
+  muli r8, r8, 3
+  add r9, r1, r8
+  ld r6, 8(r9)
+  st r3, 16(r1)
+  addi r2, r2, -1
+  bne r2, r0, loop
+  ret
+`, prog.DataBase, fault)
+}
+
+// TestSuperblockPackageExitsAndFaults drives the trace exit and fault
+// paths through package code: side exits must credit the package slots
+// of exactly the blocks that completed, and a fault inside a promoted
+// trace must leave the machine and the block cache where tier 0 and the
+// step loop leave them.
+func TestSuperblockPackageExitsAndFaults(t *testing.T) {
+	bc := timedTriple(t, mustAssemble(t, pkgLoopSrc(0)), 2)
+	if bc.SB.Promoted == 0 || bc.SB.SideExits == 0 {
+		t.Fatalf("clean loop: %+v, want promotions and side exits", bc.SB)
+	}
+
+	img := mustAssemble(t, pkgLoopSrc(100))
+	_, mRef, errRef := runReference(DefaultConfig(), img)
+	t0Cfg := DefaultConfig()
+	t0Cfg.DisableSuperblocks = true
+	bc0 := NewBlockCache(img)
+	_, mT0, errT0 := RunTimedCached(t0Cfg, img, 0, bc0)
+	t1Cfg := DefaultConfig()
+	t1Cfg.SuperblockThreshold = 2
+	bc1 := NewBlockCache(img)
+	_, mT1, errT1 := RunTimedCached(t1Cfg, img, 0, bc1)
+	if errRef == nil || errT0 == nil || errT1 == nil {
+		t.Fatalf("want faults on every path, got reference %v, tier 0 %v, tier 1 %v", errRef, errT0, errT1)
+	}
+	if bc1.SB.Promoted == 0 || bc1.SB.SideExits == 0 {
+		t.Fatalf("faulting loop: %+v, want promotions and side exits", bc1.SB)
+	}
+	if bc1.Stats != bc0.Stats {
+		t.Errorf("tier-1 BlockCacheStats %+v, tier 0 %+v", bc1.Stats, bc0.Stats)
+	}
+	for _, run := range []struct {
+		name string
+		m    *Machine
+		err  error
+	}{{"tier 0", mT0, errT0}, {"tier 1", mT1, errT1}} {
+		if run.err.Error() != errRef.Error() {
+			t.Errorf("%s fault %q, reference %q", run.name, run.err, errRef)
+		}
+		if run.m.PC != mRef.PC || run.m.InstCount != mRef.InstCount {
+			t.Errorf("%s fault state pc %d, %d insts; reference pc %d, %d insts",
+				run.name, run.m.PC, run.m.InstCount, mRef.PC, mRef.InstCount)
+		}
+		if run.m.IntRegs != mRef.IntRegs || run.m.FPRegs != mRef.FPRegs {
+			t.Errorf("%s register files diverged from reference", run.name)
+		}
+		h, n := run.m.DataHash()
+		hr, nr := mRef.DataHash()
+		if h != hr || n != nr {
+			t.Errorf("%s DataHash %#x/%d, reference %#x/%d", run.name, h, n, hr, nr)
+		}
+	}
+}
+
 // TestSuperblockInvalidateOnBind checks the invalidation-on-install
 // rule: binding the cache to a new image evicts every block and the
 // traces hanging off them; re-binding the same image keeps both.

@@ -45,6 +45,11 @@ go test -run='^$' -fuzz=FuzzDecodeProvenance -fuzztime=10s -fuzzminimizetime=200
 # be refused with ErrCorrupt, never panic, and an accepted one must
 # re-encode to a fixed point.
 go test -run='^$' -fuzz=FuzzDecodeEvaluation -fuzztime=10s -fuzzminimizetime=200x ./internal/cas
+# Store-open fuzzing, seeded from a flushed two-entry store in
+# internal/cas/testdata/fuzz/FuzzOpen: a fuzzed manifest and segment must
+# open, every listed entry must read as data or a clean ErrCorrupt /
+# ErrNotFound miss, and Verify and Stats must not panic.
+go test -run='^$' -fuzz=FuzzOpen -fuzztime=10s -fuzzminimizetime=200x ./internal/cas
 # Daemon ingest fuzzing: profile POST bodies against one test daemon,
 # seeded from cmd/vpackd/testdata/fuzz/FuzzHandleProfile. Every answer
 # must be 200, 400, 409, 413 or 422, and a 200 must count exactly the

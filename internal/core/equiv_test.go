@@ -11,10 +11,10 @@ import (
 // TestEquivSuiteClean is the translation-validation property test: with
 // the -equiv gate on, every package the pipeline builds across the whole
 // workload suite must be proved observationally equivalent to its region
-// code — zero violations on a clean pipeline — and the fuzz-fallback
-// fraction is reported.
+// code — zero violations on a clean pipeline — and proved symbolically,
+// within the path budget: a package that is only fuzzed fails.
 func TestEquivSuiteClean(t *testing.T) {
-	totalPkgs, fuzzed, proved := 0, 0, 0
+	totalPkgs, proved, cuts := 0, 0, 0
 	for _, b := range workload.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -27,22 +27,20 @@ func TestEquivSuiteClean(t *testing.T) {
 			for _, c := range out.Equiv {
 				totalPkgs++
 				proved += c.PathsProved
-				if c.BudgetExceeded {
-					fuzzed++
-				}
+				cuts += c.Cuts
 				if !c.Equivalent {
 					t.Errorf("%s: %s", b.Name, c.Verdict())
 				}
-				if !c.BudgetExceeded && c.PathsProved == 0 {
-					t.Errorf("%s: %s proved no paths without exceeding budget", b.Name, c.Package)
+				if c.BudgetExceeded || c.PathsFuzzed > 0 {
+					t.Errorf("%s: %s was fuzzed, not proved: %s", b.Name, c.Package, c.Verdict())
+				}
+				if c.PathsProved == 0 {
+					t.Errorf("%s: %s proved no paths", b.Name, c.Package)
 				}
 			}
 		})
 	}
-	if totalPkgs > 0 {
-		t.Logf("equiv suite: %d packages, %d paths proved, fuzz-fallback fraction %.1f%% (%d/%d)",
-			totalPkgs, proved, 100*float64(fuzzed)/float64(totalPkgs), fuzzed, totalPkgs)
-	}
+	t.Logf("equiv suite: %d packages, %d paths proved, %d join cuts", totalPkgs, proved, cuts)
 }
 
 // TestEquivKnobsChangeConfigHash locks the store-keying contract: the

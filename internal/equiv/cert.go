@@ -23,8 +23,12 @@ type Certificate struct {
 	// targets and address-taken blocks, each proved under an arbitrary
 	// machine state.
 	Entries int `json:"entries"`
-	// PathsProved counts acyclic paths whose observable effects were
-	// proved term-equal. PathsFuzzed counts bounded differential-execution
+	// Cuts counts the join blocks (blocks with two or more predecessors
+	// inside the package) that a proved path reached and that were
+	// proved as segment starts, each under an arbitrary machine state.
+	Cuts int `json:"cuts,omitempty"`
+	// PathsProved counts paths, each from a segment start to the next cut
+	// points, whose observable effects were proved term-equal. PathsFuzzed counts bounded differential-execution
 	// trials run when the symbolic path budget was exceeded.
 	PathsProved int `json:"paths_proved"`
 	PathsFuzzed int `json:"paths_fuzzed,omitempty"`
@@ -50,26 +54,29 @@ func (c *Certificate) Verdict() string {
 	if c.BudgetExceeded {
 		mode = "budget exceeded"
 	}
-	return fmt.Sprintf("%s phase=%d %s: %d entries, %d paths proved (%s), %d fuzz trials, %d terms",
-		c.Package, c.Phase, state, c.Entries, c.PathsProved, mode, c.PathsFuzzed, c.Terms)
+	return fmt.Sprintf("%s phase=%d %s: %d entries, %d cuts, %d paths proved (%s), %d fuzz trials, %d terms",
+		c.Package, c.Phase, state, c.Entries, c.Cuts, c.PathsProved, mode, c.PathsFuzzed, c.Terms)
 }
 
 // Counterexample is one structured refutation: the path along which the
 // two versions diverge and what diverged there.
 type Counterexample struct {
-	// Package and Entry locate the proof; Path lists the optimized
-	// version's blocks with the branch decision taken at each ("b12+"
-	// taken, "b12-" fallthrough, "b7" unconditional).
+	// Package and Entry locate the proof (Entry is the failing segment's
+	// start: an entry or a join block); Path lists the optimized
+	// version's blocks from there with the branch decision taken at each
+	// ("b12+" taken, "b12-" fallthrough, "b7" unconditional).
 	Package string   `json:"package"`
 	Entry   string   `json:"entry"`
 	Path    []string `json:"path,omitempty"`
 	// Kind classifies the divergence: "reg" (live-out register term),
-	// "mem" (memory effect chain), "exit-target", "loop-point", "callee",
-	// "return-address", "jump-target", "event-shape" (one version performs
-	// more observable events than the other), "unresolved-branch" (the
-	// reference takes a branch the optimized version never decided — a
-	// dropped or retargeted branch), or "fuzz" (differential execution
-	// divergence).
+	// "mem" (memory effect chain), "exit-target", "loop-point" (the
+	// versions reach different cut points; cuts are the entries and the
+	// join blocks, loop headers among them), "callee", "return-address",
+	// "jump-target", "event-shape" (one version performs more observable
+	// events than the other, or the optimized version cycles without
+	// passing a cut point), "unresolved-branch" (the reference takes a
+	// branch the optimized version never decided — a dropped or retargeted
+	// branch), or "fuzz" (differential execution divergence).
 	Kind string `json:"kind"`
 	// Reg names the diverging register for Kind "reg".
 	Reg string `json:"reg,omitempty"`

@@ -146,8 +146,8 @@ func (m *Memo) TakeCounts() (hits, misses int64) {
 // obligationKey encodes everything Prove reads from snap and the live
 // function, plus the defaulted config, as one byte string:
 //
-//   - the package name and phase, the live function's name and block
-//     count (the replay depth bound), and the entries;
+//   - the package name and phase, the live function's name, and the
+//     entries;
 //   - every block of the function reachable from its block list, the
 //     snapshot or an entry, by a live or a snapshot arc, with its live
 //     instructions (BlockTarget included), terminator kind, comparison and
@@ -175,7 +175,6 @@ func obligationKey(snap *Snapshot, cfg Config) (string, bool) {
 	k.str(snap.name)
 	k.int(int64(snap.phase))
 	k.str(fn.Name)
-	k.int(int64(len(fn.Blocks)))
 	k.int(int64(len(snap.entries)))
 	for _, b := range snap.entries {
 		k.ref(b)

@@ -2,6 +2,7 @@ package equiv_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -128,12 +129,37 @@ func isIntALU(op isa.Opcode) bool {
 	return false
 }
 
+// inFnPreds maps each block of fn to its predecessors inside fn.
+func inFnPreds(fn *prog.Func) map[*prog.Block][]*prog.Block {
+	preds := make(map[*prog.Block][]*prog.Block, len(fn.Blocks))
+	for _, b := range fn.Blocks {
+		for _, s := range b.Succs(nil) {
+			if s.Fn == fn {
+				preds[s] = append(preds[s], b)
+			}
+		}
+	}
+	return preds
+}
+
+// joinArcs collects every fall-through block of fn whose successor is a
+// join block (two or more predecessors inside fn): an arc that is one of
+// several into a cut point.
+func joinArcs(fn *prog.Func) []site {
+	preds := inFnPreds(fn)
+	return blockSites(fn, func(b *prog.Block) bool {
+		return b.Kind == prog.TermFall && b.Next != nil && len(preds[b.Next]) >= 2
+	})
+}
+
 // mutation is one corpus entry: sites enumerates candidates in a
-// function; apply injects the bug at one of them.
+// function; apply injects the bug at one of them; check, when set, must
+// accept the refutation.
 type mutation struct {
 	name  string
 	sites func(fn *prog.Func) []site
 	apply func(s site)
+	check func(ce equiv.Counterexample) bool
 }
 
 var mutations = []mutation{
@@ -431,6 +457,62 @@ var mutations = []mutation{
 		},
 	},
 	{
+		// A register live into a join block clobbered on one incoming arc
+		// only. The other arcs still agree, so the prover must refute it
+		// at the cut, comparing the join's live-in registers.
+		name: "join-live-clobber",
+		sites: func(fn *prog.Func) []site {
+			lv := prog.ComputeLiveness(fn)
+			var out []site
+			for _, s := range joinArcs(fn) {
+				if lv.In[s.b.Next] != 0 {
+					out = append(out, s)
+				}
+			}
+			return out
+		},
+		apply: func(s site) {
+			live := prog.ComputeLiveness(s.b.Fn).In[s.b.Next]
+			r := isa.Reg(1)
+			for !live.Has(r) {
+				r++
+			}
+			s.b.Append(prog.Ins{Inst: isa.Inst{Op: isa.LI, Rd: r, Imm: 7654321}})
+		},
+		check: func(ce equiv.Counterexample) bool {
+			return ce.Kind == "reg" && strings.Contains(ce.Detail, "at cut event")
+		},
+	},
+	{
+		// A store dropped in a block reachable only through a join: the
+		// join itself, or a block whose chain of single predecessors
+		// leads back to one. Every path to it stops at the join first, so
+		// a segment that starts there (or at an entry past it) must see
+		// it.
+		name: "dropped-store-after-join",
+		sites: func(fn *prog.Func) []site {
+			preds := inFnPreds(fn)
+			afterJoin := func(b *prog.Block) bool {
+				for n := 0; n <= len(fn.Blocks); n++ {
+					switch len(preds[b]) {
+					case 0:
+						return false
+					case 1:
+						b = preds[b][0]
+					default:
+						return true
+					}
+				}
+				return false
+			}
+			return instSites(fn, func(b *prog.Block, i int) bool {
+				op := b.Insts[i].Op
+				return (op == isa.ST || op == isa.FST) && afterJoin(b)
+			})
+		},
+		apply: func(s site) { nopOut(s.b, s.i) },
+	},
+	{
 		// A return terminator degraded to a halt.
 		name: "ret-to-halt",
 		sites: func(fn *prog.Func) []site {
@@ -441,8 +523,8 @@ var mutations = []mutation{
 }
 
 func TestMutationCorpus(t *testing.T) {
-	if len(mutations) < 15 {
-		t.Fatalf("corpus has %d mutations, want >= 15", len(mutations))
+	if len(mutations) < 19 {
+		t.Fatalf("corpus has %d mutations, want >= 19", len(mutations))
 	}
 	for _, m := range mutations {
 		m := m
@@ -507,8 +589,42 @@ func catchMutant(t *testing.T, m mutation, prepare func([]*target) proveFn) {
 		if ce.Kind == "" || ce.Package == "" || ce.Entry == "" {
 			t.Errorf("mutation %s: counterexample not usable: %+v", m.name, ce)
 		}
+		if m.check != nil && !m.check(ce) {
+			t.Errorf("mutation %s: refuted, but not as expected: %s", m.name, ce.String())
+		}
 		t.Logf("%s caught at site %d: %s", m.name, siteIdx, ce.String())
 		return
 	}
 	t.Fatalf("mutation %s survived %d sites undetected", m.name, maxSites)
+}
+
+// TestDeadJoinClobberProved is the join cut's control: clobbering, on one
+// incoming arc only, a register that is dead at the join changes nothing
+// observable, so the prover must still prove the package.
+func TestDeadJoinClobberProved(t *testing.T) {
+	for _, tg := range buildTargets(t) {
+		for _, s := range joinArcs(tg.fn) {
+			j := s.b.Next
+			if !tg.snap.Cut(j) {
+				continue
+			}
+			r := isa.Reg(1)
+			for ; r < isa.NumRegs && tg.snap.LiveIn(j).Has(r); r++ {
+			}
+			if r == isa.NumRegs {
+				continue
+			}
+			s.b.Append(prog.Ins{Inst: isa.Inst{Op: isa.LI, Rd: r, Imm: 7654321}})
+			cert, err := equiv.Prove(tg.snap, equiv.Config{})
+			if err != nil {
+				t.Fatalf("clobbering %s, dead at join %s, was refuted: %v", r, j, err)
+			}
+			if cert.Cuts == 0 || cert.BudgetExceeded {
+				t.Fatalf("the clobbered arc was not proved up to a join cut: %s", cert.Verdict())
+			}
+			t.Logf("clobbered %s on the arc %s -> %s: %s", r, s.b, j, cert.Verdict())
+			return
+		}
+	}
+	t.Fatal("no package has a fall-through arc into a join block")
 }

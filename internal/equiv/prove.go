@@ -11,9 +11,9 @@ import (
 
 // Config parameterizes one proof.
 type Config struct {
-	// MaxPaths caps the number of acyclic paths enumerated symbolically
-	// per package (0 = 4096). When exceeded, the proof degrades to
-	// bounded differential execution.
+	// MaxPaths caps the number of paths enumerated symbolically per
+	// package, summed over its segments (0 = 4096). When exceeded, the
+	// proof degrades to bounded differential execution.
 	MaxPaths int
 	// FuzzTrials is the number of differential-execution trials per entry
 	// in the fallback regime (0 = 8); FuzzSteps bounds each trial's
@@ -80,6 +80,7 @@ type Snapshot struct {
 	blocks  map[*prog.Block]*blockSnap
 	liveIn  map[*prog.Block]prog.RegSet
 	entries []*prog.Block
+	cuts    map[*prog.Block]bool // entries and in-function join blocks
 }
 
 // Package returns the snapshot's package function name.
@@ -108,7 +109,9 @@ func (s *Snapshot) refView(b *prog.Block) (view, bool) {
 // from outside the function (linked sibling exits) and every block whose
 // address escapes through an LA instruction (dynamic-launch slots,
 // materialized return addresses), since those can be reached with
-// arbitrary machine state too.
+// arbitrary machine state too. Every entry and every block with two or
+// more predecessors inside fn is a cut point: paths stop there, and the
+// block is proved once as the start of its own segment.
 func Capture(p *prog.Program, fn *prog.Func, entries []*prog.Block) *Snapshot {
 	s := &Snapshot{
 		fn:     fn,
@@ -146,13 +149,17 @@ func Capture(p *prog.Program, fn *prog.Func, entries []*prog.Block) *Snapshot {
 	}
 	add(fn.Entry())
 	p.ComputePreds()
+	s.cuts = make(map[*prog.Block]bool, len(fn.Blocks))
 	for _, b := range fn.Blocks {
+		joins := 0
 		for _, pr := range b.Preds() {
 			if pr.Fn != fn {
 				add(b)
-				break
+			} else {
+				joins++
 			}
 		}
+		s.cuts[b] = joins >= 2
 	}
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
@@ -164,6 +171,9 @@ func Capture(p *prog.Program, fn *prog.Func, entries []*prog.Block) *Snapshot {
 		}
 	}
 	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].ID < s.entries[j].ID })
+	for _, b := range s.entries {
+		s.cuts[b] = true
+	}
 	return s
 }
 
@@ -281,7 +291,7 @@ const (
 	evHalt               // machine halt
 	evJr                 // indirect jump
 	evExit               // transfer to a block outside the package function
-	evLoop               // path cut at the first block revisit
+	evCut                // arrival at a cut point (entry or join block)
 )
 
 func (k evKind) String() string {
@@ -296,8 +306,8 @@ func (k evKind) String() string {
 		return "jr"
 	case evExit:
 		return "exit"
-	case evLoop:
-		return "loop"
+	case evCut:
+		return "cut"
 	default:
 		return fmt.Sprintf("ev?%d", uint8(k))
 	}
@@ -305,8 +315,8 @@ func (k evKind) String() string {
 
 // event is one observable point on a path. The comparator decides which
 // registers matter per kind (everything for calls/returns/indirect jumps,
-// the dummy-consumer set for exits, the reference live-in set for loop
-// cuts, nothing for halts).
+// the dummy-consumer set for exits, the reference live-in set for cuts,
+// nothing for halts).
 type event struct {
 	kind     evKind
 	callee   *prog.Func
@@ -328,7 +338,8 @@ type prover struct {
 	pathsDone int
 	memo      map[*prog.Block]*replayNode
 	refBuf    []event              // scratch for materialized replay sequences
-	onPath    map[*prog.Block]bool // scratch for refRun cycle detection
+	starts    []*prog.Block        // segment starts, in proof order
+	started   map[*prog.Block]bool // the blocks in starts
 }
 
 func (pv *prover) entryState() symState {
@@ -341,28 +352,42 @@ func (pv *prover) entryState() symState {
 	return st
 }
 
+// start queues b as a segment start, once.
+func (pv *prover) start(b *prog.Block) {
+	if !pv.started[b] {
+		pv.started[b] = true
+		pv.starts = append(pv.starts, b)
+	}
+}
+
 // Prove checks the optimized package function against its snapshot and
-// returns the certificate. A nil error means every enumerated path was
-// proved (or, past the path budget, every differential trial agreed); a
-// non-nil error is always an *Error matching ErrNotEquivalent, carrying
-// the structured counterexample.
+// returns the certificate. The proof runs segment by segment: each entry,
+// and each join block a proved path reaches, is walked once from a fresh
+// symbolic state up to the next cut points. A nil error means every
+// enumerated path was proved (or, past the path budget, every
+// differential trial agreed); a non-nil error is always an *Error
+// matching ErrNotEquivalent, carrying the structured counterexample.
 func Prove(snap *Snapshot, cfg Config) (*Certificate, error) {
 	cfg = cfg.withDefaults()
-	pv := &prover{snap: snap, cfg: cfg, it: newInterner()}
+	pv := &prover{snap: snap, cfg: cfg, it: newInterner(), started: make(map[*prog.Block]bool)}
 	pv.cert = &Certificate{Package: snap.name, Phase: snap.phase, Entries: len(snap.entries)}
 
 	for _, entry := range snap.entries {
+		pv.start(entry)
+	}
+	for i := 0; i < len(pv.starts); i++ {
 		w := &optWalker{
 			pv:     pv,
-			entry:  entry,
+			start:  pv.starts[i],
 			onPath: make(map[*prog.Block]bool, 16),
 			cons:   make(map[*Term]bool, 8),
 		}
-		if !w.walk(entry, pv.entryState(), 0) {
+		if !w.walk(w.start, pv.entryState(), 0) {
 			break // counterexample found or budget exceeded
 		}
 	}
 	pv.cert.PathsProved = pv.pathsDone
+	pv.cert.Cuts = len(pv.starts) - len(snap.entries)
 	pv.cert.BudgetExceeded = pv.exceeded
 	if pv.ce == nil && pv.exceeded {
 		pv.ce = pv.fuzz()
@@ -375,12 +400,12 @@ func Prove(snap *Snapshot, cfg Config) (*Certificate, error) {
 	return pv.cert, nil
 }
 
-// optWalker enumerates the optimized function's acyclic paths by DFS,
-// forking at every undetermined branch and accumulating the fork
-// decisions as predicate constraints.
+// optWalker enumerates the optimized function's paths from one segment
+// start to the next cut points by DFS, forking at every undetermined
+// branch and accumulating the fork decisions as predicate constraints.
 type optWalker struct {
 	pv        *prover
-	entry     *prog.Block
+	start     *prog.Block
 	onPath    map[*prog.Block]bool
 	trail     []trailStep
 	events    []event
@@ -482,14 +507,19 @@ func (w *optWalker) walkBlock(b *prog.Block, st symState, calls int) bool {
 }
 
 // transition follows one arc out of the current block: an external target
-// ends the path with an exit event, a block already on the path ends it
-// with a loop-cut event, anything else recurses.
+// ends the path with an exit event, a cut point ends it with a cut event,
+// anything else recurses. Every cycle of the snapshot passes a cut point,
+// so a revisit of any other block is a cycle the passes made.
 func (w *optWalker) transition(to *prog.Block, from view, st symState, calls int) bool {
 	if to == nil || to.Fn != w.pv.snap.fn {
 		return w.finish(event{kind: evExit, target: to, regs: st.regs, mem: st.mem, consumes: from.consumes})
 	}
+	if w.pv.snap.cuts[to] {
+		return w.finish(event{kind: evCut, target: to, regs: st.regs, mem: st.mem})
+	}
 	if w.onPath[to] {
-		return w.finish(event{kind: evLoop, target: to, regs: st.regs, mem: st.mem})
+		return w.fail(&Counterexample{Kind: "event-shape",
+			Detail: fmt.Sprintf("optimized path revisits %s, which is not a cut point", to)})
 	}
 	return w.walk(to, st, calls)
 }
@@ -509,23 +539,32 @@ func (w *optWalker) finish(terminal event) bool {
 	if n := len(w.trail); n > pv.cert.MaxPathBlocks {
 		pv.cert.MaxPathBlocks = n
 	}
-	refEvents, ce := pv.replay(w.entry, w.cons)
+	refEvents, ce := pv.replay(w.start, w.cons)
 	if ce == nil {
 		ce = pv.compare(refEvents, w.events)
 	}
 	if ce != nil {
-		ce.Package = pv.snap.name
-		ce.Entry = w.entry.String()
-		ce.Path = renderTrail(w.trail)
-		pv.attachWitness(ce, w.consOrder, w.cons)
-		pv.ce = ce
-		return false
+		return w.fail(ce)
 	}
 	pv.pathsDone++
+	if terminal.kind == evCut {
+		pv.start(terminal.target)
+	}
 	return true
 }
 
-// replayNode is one vertex of the per-entry reference-replay decision
+// fail records ce, located on the current path, as the proof's
+// counterexample and stops exploration.
+func (w *optWalker) fail(ce *Counterexample) bool {
+	ce.Package = w.pv.snap.name
+	ce.Entry = w.start.String()
+	ce.Path = renderTrail(w.trail)
+	w.pv.attachWitness(ce, w.consOrder, w.cons)
+	w.pv.ce = ce
+	return false
+}
+
+// replayNode is one vertex of the per-segment reference-replay decision
 // trie. Consecutive optimized paths differ only in their last few forks,
 // so their reference replays share long prefixes; the trie caches the
 // symbolic state at every symbolic branch and resumes from the deepest
@@ -533,14 +572,13 @@ func (w *optWalker) finish(terminal event) bool {
 // either terminal (the replay ended: ownEvents completes the sequence,
 // or ce records a constraint-independent structural failure) or a paused
 // decision (execution stopped at branchBlk just before deciding pred).
-// Each node stores only the events and blocks of its own segment and
+// Each node stores only the events of its own stretch of the replay and
 // chains to its parent; replay materializes the full sequence into a
 // reusable scratch buffer, so resuming allocates nothing proportional to
 // the shared prefix.
 type replayNode struct {
 	parent     *replayNode
 	ownEvents  []event         // events emitted by this segment
-	ownBlocks  []*prog.Block   // blocks executed by this segment
 	depth      int             // total blocks executed up to and including this segment
 	ce         *Counterexample // structural failure; cacheable, independent of constraints
 	pred       *Term           // nil when terminal
@@ -567,21 +605,22 @@ func (n *replayNode) chainEvents(buf []event) []event {
 	return append(buf, n.ownEvents...)
 }
 
-// replay executes the reference snapshot from entry, deciding every
-// branch by constant folding or by the optimized path's constraints. An
-// undecidable branch means the optimized version never evaluated this
-// predicate — a dropped, retargeted or rewritten branch — and is itself a
-// divergence. Replays are memoized in a decision trie keyed by the
-// branch outcomes, so a path's reference run costs only its un-shared
-// suffix. The returned slice is valid until the next replay call.
-func (pv *prover) replay(entry *prog.Block, cons map[*Term]bool) ([]event, *Counterexample) {
+// replay executes the reference snapshot from the segment start up to
+// the next cut points, deciding every branch by constant folding or by
+// the optimized path's constraints. An undecidable branch means the
+// optimized version never evaluated this predicate — a dropped,
+// retargeted or rewritten branch — and is itself a divergence. Replays
+// are memoized in a decision trie keyed by the branch outcomes, so a
+// path's reference run costs only its un-shared suffix. The returned
+// slice is valid until the next replay call.
+func (pv *prover) replay(start *prog.Block, cons map[*Term]bool) ([]event, *Counterexample) {
 	if pv.memo == nil {
 		pv.memo = make(map[*prog.Block]*replayNode, len(pv.snap.entries))
 	}
-	node := pv.memo[entry]
+	node := pv.memo[start]
 	if node == nil {
-		node = pv.refRun(nil, pv.entryState(), 0, entry, nil)
-		pv.memo[entry] = node
+		node = pv.refRun(nil, pv.entryState(), 0, start, nil)
+		pv.memo[start] = node
 	}
 	for {
 		if node.ce != nil {
@@ -621,51 +660,37 @@ func (pv *prover) replay(entry *prog.Block, cons map[*Term]bool) ([]event, *Coun
 // refRun executes the reference from the arc leading to `to` until the
 // replay terminates or pauses at a symbolic branch, returning the trie
 // node for that segment (chained to parent). st must be private to this
-// call (symState is a value; the caller's copy is not aliased).
+// call (symState is a value; the caller's copy is not aliased). At depth
+// 0, to is the proof segment's start: it is executed, not cut.
 func (pv *prover) refRun(parent *replayNode, st symState, calls int, to *prog.Block, fromConsumes []isa.Reg) *replayNode {
 	it := pv.it
-	if pv.onPath == nil {
-		pv.onPath = make(map[*prog.Block]bool, 32)
-	} else {
-		clear(pv.onPath)
-	}
-	onPath := pv.onPath
 	depth := 0
-	for n := parent; n != nil; n = n.parent {
-		for _, b := range n.ownBlocks {
-			onPath[b] = true
-		}
-	}
 	if parent != nil {
 		depth = parent.depth
 	}
 	var ownEvents []event
-	var ownBlocks []*prog.Block
 	done := func(ev event) *replayNode {
-		return &replayNode{parent: parent, ownEvents: append(ownEvents, ev),
-			ownBlocks: ownBlocks, depth: depth}
+		return &replayNode{parent: parent, ownEvents: append(ownEvents, ev), depth: depth}
 	}
 	for {
 		if to == nil || to.Fn != pv.snap.fn {
 			return done(event{kind: evExit, target: to, regs: st.regs, mem: st.mem, consumes: fromConsumes})
 		}
-		if onPath[to] {
-			return done(event{kind: evLoop, target: to, regs: st.regs, mem: st.mem})
+		if depth > 0 && pv.snap.cuts[to] {
+			return done(event{kind: evCut, target: to, regs: st.regs, mem: st.mem})
 		}
 		b := to
-		if depth > len(pv.snap.fn.Blocks)+1 {
-			return &replayNode{parent: parent, ownEvents: ownEvents, ownBlocks: ownBlocks, depth: depth,
+		if depth > len(pv.snap.blocks) {
+			return &replayNode{parent: parent, ownEvents: ownEvents, depth: depth,
 				ce: &Counterexample{
 					Kind:   "event-shape",
 					Detail: fmt.Sprintf("reference replay exceeded %d blocks without a path cut", depth),
 				}}
 		}
-		onPath[b] = true
-		ownBlocks = append(ownBlocks, b)
 		depth++
 		v, ok := pv.snap.refView(b)
 		if !ok {
-			return &replayNode{parent: parent, ownEvents: ownEvents, ownBlocks: ownBlocks, depth: depth,
+			return &replayNode{parent: parent, ownEvents: ownEvents, depth: depth,
 				ce: &Counterexample{
 					Kind:   "event-shape",
 					Detail: fmt.Sprintf("reference replay reached %s, which is not in the pre-optimization snapshot", b),
@@ -694,7 +719,7 @@ func (pv *prover) refRun(parent *replayNode, st symState, calls int, to *prog.Bl
 			pred, tif := canonBranch(it, &st, v)
 			if pred.kind != kConst {
 				return &replayNode{
-					parent: parent, ownEvents: ownEvents, ownBlocks: ownBlocks, depth: depth,
+					parent: parent, ownEvents: ownEvents, depth: depth,
 					pred: pred, tif: tif,
 					taken: v.taken, next: v.next,
 					st: st, calls: calls,
@@ -715,8 +740,8 @@ func (pv *prover) refRun(parent *replayNode, st symState, calls int, to *prog.Bl
 // compare checks two event sequences for observational equality. The
 // reference event picks the live set: the exiting block's dummy-consumer
 // registers for exits (everything when the set is absent, mirroring
-// prog.ComputeLiveness's treatment), the reference live-in set at loop
-// cuts, every register at calls, returns and indirect jumps.
+// prog.ComputeLiveness's treatment), the reference live-in set at cuts,
+// every register at calls, returns and indirect jumps.
 func (pv *prover) compare(ref, opt []event) *Counterexample {
 	n := len(ref)
 	if len(opt) < n {
@@ -797,11 +822,11 @@ func (pv *prover) compare(ref, opt []event) *Counterexample {
 			if ce := cmpMem(re, oe, i); ce != nil {
 				return ce
 			}
-		case evLoop:
+		case evCut:
 			if re.target != oe.target {
 				return &Counterexample{Kind: "loop-point",
 					RefTerm: re.target.String(), OptTerm: oe.target.String(),
-					Detail: fmt.Sprintf("loop cut %d revisits different blocks", i)}
+					Detail: fmt.Sprintf("cut %d reaches different blocks", i)}
 			}
 			var live []isa.Reg
 			for _, r := range allRegs {

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/equiv"
+	"repro/internal/isa"
+	"repro/internal/opt"
+	"repro/internal/prog"
 )
 
 // TestProveClean proves the unmutated pass stack equivalent on every
@@ -85,5 +88,35 @@ func TestProveBudgetFallback(t *testing.T) {
 	}
 	if !cert.Equivalent {
 		t.Errorf("clean package rejected under budget fallback: %s", cert.Verdict())
+	}
+}
+
+// TestProveMergedChain proves a straight-line function that MergeBlocks
+// fuses into a single block. The reference replay walks all five blocks
+// of the snapshot, more than the optimized function has, and that alone
+// is no divergence.
+func TestProveMergedChain(t *testing.T) {
+	bd := prog.NewBuilder()
+	fn := bd.Func("chain")
+	bd.Main()
+	for i := int64(1); i < 5; i++ {
+		next := bd.NewBlock()
+		bd.OpI(isa.ADDI, 5, 5, i)
+		bd.Goto(next)
+		bd.SetBlock(next)
+	}
+	bd.St(5, 6, 0)
+	bd.Halt()
+	snap := equiv.Capture(bd.P, fn, nil)
+	opt.MergeBlocks(bd.P, fn)
+	if len(fn.Blocks) != 1 {
+		t.Fatalf("MergeBlocks left %d blocks, want 1", len(fn.Blocks))
+	}
+	cert, err := equiv.Prove(snap, equiv.Config{})
+	if err != nil {
+		t.Fatalf("merged chain refuted: %v", err)
+	}
+	if cert.PathsProved != 1 {
+		t.Errorf("%s: want exactly one proved path", cert.Verdict())
 	}
 }

@@ -208,15 +208,11 @@ func main() {
 	}
 
 	if *equivOn && !quiet {
-		proved, fuzzed := 0, 0
+		proved := 0
 		for _, c := range out.Equiv {
 			proved += c.PathsProved
-			if c.BudgetExceeded {
-				fuzzed++
-			}
 		}
-		fmt.Printf("equiv: %d packages proved equivalent (%d paths, %d budget-capped to differential fuzzing)\n",
-			len(out.Equiv), proved, fuzzed)
+		fmt.Printf("equiv: %d packages proved equivalent (%d paths)\n", len(out.Equiv), proved)
 	}
 
 	if !quiet {

@@ -659,7 +659,6 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 	for _, c := range set.Equiv {
 		d.rec.Count(obs.EquivPackages.Name, 1)
 		d.rec.Count(obs.EquivPathsProved.Name, int64(c.PathsProved))
-		d.rec.Count(obs.EquivPathsFuzzed.Name, int64(c.PathsFuzzed))
 	}
 
 	stage = time.Now()

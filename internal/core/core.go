@@ -96,13 +96,13 @@ type Config struct {
 	// Equiv gates every optimized package on translation validation
 	// (internal/equiv): the package function is snapshotted after
 	// installation and linking, and after the optimization passes each
-	// acyclic path must produce identical observable effects — live-out
-	// register terms, memory write chains, side-exit targets — or the
-	// pipeline fails with an ErrNotEquivalent-matchable error carrying a
-	// structured counterexample. Certificates land on the Outcome and the
-	// PackageSet artifact. Off by default. EquivMaxPaths bounds symbolic
-	// path enumeration per package (0 = the equiv package default); past
-	// it the proof degrades to bounded differential execution.
+	// path between cut points must produce identical observable effects —
+	// live-out register terms, memory write chains, side-exit targets — or
+	// the pipeline fails with an ErrNotEquivalent-matchable error carrying
+	// a structured counterexample. Certificates land on the Outcome and
+	// the PackageSet artifact. Off by default. EquivMaxPaths bounds
+	// symbolic path enumeration per package (0 = the equiv package
+	// default); a proof that needs more paths is refused the same way.
 	Equiv         bool
 	EquivMaxPaths int
 }

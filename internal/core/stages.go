@@ -253,7 +253,6 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 				rec.Equiv = certs
 				o.Count(obs.EquivPackages.Name, 1)
 				o.Count(obs.EquivPathsProved.Name, int64(cert.PathsProved))
-				o.Count(obs.EquivPathsFuzzed.Name, int64(cert.PathsFuzzed))
 			}
 			if eerr != nil {
 				n := len(equiv.Counterexamples(eerr))

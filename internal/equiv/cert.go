@@ -28,13 +28,12 @@ type Certificate struct {
 	// proved as segment starts, each under an arbitrary machine state.
 	Cuts int `json:"cuts,omitempty"`
 	// PathsProved counts paths, each from a segment start to the next cut
-	// points, whose observable effects were proved term-equal. PathsFuzzed counts bounded differential-execution
-	// trials run when the symbolic path budget was exceeded.
+	// points, whose observable effects were proved term-equal.
+	// PathsFuzzed is always 0: proofs no longer fall back to differential
+	// execution. It stays for the benchmark's records and retires with
+	// them.
 	PathsProved int `json:"paths_proved"`
 	PathsFuzzed int `json:"paths_fuzzed,omitempty"`
-	// BudgetExceeded reports that path enumeration hit Config.MaxPaths and
-	// the uncovered paths were only fuzzed, not proved.
-	BudgetExceeded bool `json:"budget_exceeded,omitempty"`
 	// Terms is the size of the proof's interned term DAG; MaxPathBlocks
 	// the longest path explored, in blocks.
 	Terms         int `json:"terms"`
@@ -50,12 +49,8 @@ func (c *Certificate) Verdict() string {
 	if !c.Equivalent {
 		state = "NOT EQUIVALENT"
 	}
-	mode := "proved"
-	if c.BudgetExceeded {
-		mode = "budget exceeded"
-	}
-	return fmt.Sprintf("%s phase=%d %s: %d entries, %d cuts, %d paths proved (%s), %d fuzz trials, %d terms",
-		c.Package, c.Phase, state, c.Entries, c.Cuts, c.PathsProved, mode, c.PathsFuzzed, c.Terms)
+	return fmt.Sprintf("%s phase=%d %s: %d entries, %d cuts, %d paths proved, %d terms",
+		c.Package, c.Phase, state, c.Entries, c.Cuts, c.PathsProved, c.Terms)
 }
 
 // Counterexample is one structured refutation: the path along which the
@@ -76,7 +71,9 @@ type Counterexample struct {
 	// events than the other, or the optimized version cycles without
 	// passing a cut point), "unresolved-branch" (the reference takes a
 	// branch the optimized version never decided — a dropped or retargeted
-	// branch), or "fuzz" (differential execution divergence).
+	// branch), "budget" (the proof needs more than Config.MaxPaths paths
+	// and is refused), or "fuzz" (a divergence found by the differential
+	// executor, which only the tests run as a concrete oracle).
 	Kind string `json:"kind"`
 	// Reg names the diverging register for Kind "reg".
 	Reg string `json:"reg,omitempty"`

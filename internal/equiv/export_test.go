@@ -20,9 +20,8 @@ func (s *Snapshot) LiveIn(b *prog.Block) prog.RegSet { return s.liveIn[b] }
 // pseudo-random) from every entry, the reference snapshot against the
 // live function. It returns the first divergence as an *Error, or nil.
 func Differential(snap *Snapshot, trials int) error {
-	pv := &prover{snap: snap, cfg: Config{FuzzTrials: trials}.withDefaults(), cert: &Certificate{}}
-	if ce := pv.fuzz(); ce != nil {
-		return &Error{Package: snap.name, Cert: pv.cert, Counterexamples: []Counterexample{*ce}}
+	if ce := snap.fuzz(trials); ce != nil {
+		return &Error{Package: snap.name, Counterexamples: []Counterexample{*ce}}
 	}
 	return nil
 }

@@ -8,14 +8,15 @@ import (
 	"repro/internal/prog"
 )
 
-// Bounded differential execution: the fallback regime when symbolic path
-// enumeration exceeds its budget. Both versions are run concretely from
-// every entry under the same pseudo-random initial state, loops and all,
-// and their observable event streams are compared. Unlike the symbolic
-// regime this cannot prove equivalence — it covers only the executed
-// paths — but it is immune to path explosion and still catches drift; the
-// certificate records the fallback so callers can see which packages are
-// proved and which are merely fuzzed.
+// Bounded differential execution: the concrete oracle the tests check the
+// prover against. Both versions are run concretely from every entry under
+// the same initial state, loops and all, for at most fuzzSteps blocks, and
+// their observable event streams are compared. It cannot prove
+// equivalence — it covers only the executed paths — so Prove never runs
+// it; a proof either succeeds symbolically or is refused.
+
+// fuzzSteps bounds each differential run's dynamic block count.
+const fuzzSteps = 2048
 
 // cstate is the concrete machine state of one differential run. All 48
 // registers live in one int64 array with FP values held as their IEEE
@@ -135,10 +136,10 @@ func cstep(st *cstate, in prog.Ins) {
 	}
 }
 
-// crun executes one version (ref selects the snapshot) from entry under
-// trial's initial state. It returns the event stream and whether the run
-// reached a terminal event before exhausting the step budget.
-func (pv *prover) crun(entry *prog.Block, trial int, ref bool) ([]cevent, bool) {
+// crun executes one version (ref selects the snapshot, otherwise the live
+// function) from entry under trial's initial state. It returns the event
+// stream and whether the run reached a terminal event within fuzzSteps.
+func (s *Snapshot) crun(entry *prog.Block, trial int, ref bool) ([]cevent, bool) {
 	seed := int64(trial)*0x9e37 + 1
 	st := &cstate{seed: seed, mem: make(map[int64]int64, 32)}
 	for _, r := range allRegs {
@@ -147,11 +148,11 @@ func (pv *prover) crun(entry *prog.Block, trial int, ref bool) ([]cevent, bool) 
 	var events []cevent
 	b := entry
 	calls := int64(0)
-	for steps := 0; steps < pv.cfg.FuzzSteps; steps++ {
+	for steps := 0; steps < fuzzSteps; steps++ {
 		var v view
 		if ref {
 			var ok bool
-			if v, ok = pv.snap.refView(b); !ok {
+			if v, ok = s.blocks[b]; !ok {
 				// The reference can only leave the snapshot through an exit
 				// arc; record it as such defensively.
 				return append(events, cevent{kind: evExit, target: b, regs: st.regs, memSum: st.memSum()}), true
@@ -203,7 +204,7 @@ func (pv *prover) crun(entry *prog.Block, trial int, ref bool) ([]cevent, bool) 
 				to = v.next
 			}
 		}
-		if to == nil || to.Fn != pv.snap.fn {
+		if to == nil || to.Fn != s.fn {
 			return append(events, cevent{kind: evExit, target: to, regs: st.regs, memSum: st.memSum(), consumes: v.consumes}), true
 		}
 		b = to
@@ -211,16 +212,15 @@ func (pv *prover) crun(entry *prog.Block, trial int, ref bool) ([]cevent, bool) 
 	return events, false
 }
 
-// fuzz runs the differential trials over every entry and returns the
+// fuzz runs trials differential trials over every entry and returns the
 // first divergence, or nil when all trials agree.
-func (pv *prover) fuzz() *Counterexample {
-	for trial := 0; trial < pv.cfg.FuzzTrials; trial++ {
-		for _, entry := range pv.snap.entries {
-			pv.cert.PathsFuzzed++
-			refEvents, refDone := pv.crun(entry, trial, true)
-			optEvents, optDone := pv.crun(entry, trial, false)
-			if ce := pv.ccompare(refEvents, refDone, optEvents, optDone); ce != nil {
-				ce.Package = pv.snap.name
+func (s *Snapshot) fuzz(trials int) *Counterexample {
+	for trial := 0; trial < trials; trial++ {
+		for _, entry := range s.entries {
+			refEvents, refDone := s.crun(entry, trial, true)
+			optEvents, optDone := s.crun(entry, trial, false)
+			if ce := ccompare(refEvents, refDone, optEvents, optDone); ce != nil {
+				ce.Package = s.name
 				ce.Entry = entry.String()
 				ce.Kind = "fuzz"
 				ce.Witness = fmt.Sprintf("differential trial %d", trial)
@@ -234,7 +234,7 @@ func (pv *prover) fuzz() *Counterexample {
 // ccompare checks two concrete event streams. When either side ran out of
 // step budget only the common prefix is comparable; trailing differences
 // are not evidence either way and are accepted.
-func (pv *prover) ccompare(ref []cevent, refDone bool, opt []cevent, optDone bool) *Counterexample {
+func ccompare(ref []cevent, refDone bool, opt []cevent, optDone bool) *Counterexample {
 	n := len(ref)
 	if len(opt) < n {
 		n = len(opt)

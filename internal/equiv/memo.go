@@ -170,8 +170,6 @@ func obligationKey(snap *Snapshot, cfg Config) (string, bool) {
 		ok:  true,
 	}
 	k.int(int64(cfg.MaxPaths))
-	k.int(int64(cfg.FuzzTrials))
-	k.int(int64(cfg.FuzzSteps))
 	k.str(snap.name)
 	k.int(int64(snap.phase))
 	k.str(fn.Name)
@@ -210,9 +208,9 @@ func obligationKey(snap *Snapshot, cfg Config) (string, bool) {
 		b := live[i]
 		add(b.Taken)
 		add(b.Next)
-		if bs := snap.blocks[b]; bs != nil {
-			add(bs.taken)
-			add(bs.next)
+		if v, ok := snap.blocks[b]; ok {
+			add(v.taken)
+			add(v.next)
 		}
 	}
 	byID := func(a, b *prog.Block) int { return cmp.Compare(a.ID, b.ID) }
@@ -227,8 +225,7 @@ func obligationKey(snap *Snapshot, cfg Config) (string, bool) {
 	k.int(int64(len(snapped)))
 	for _, b := range snapped {
 		k.ref(b)
-		v, _ := snap.refView(b)
-		k.view(v)
+		k.view(snap.blocks[b])
 		k.uint(uint64(snap.liveIn[b]))
 	}
 	return string(k.buf), k.ok

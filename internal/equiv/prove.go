@@ -12,41 +12,16 @@ import (
 // Config parameterizes one proof.
 type Config struct {
 	// MaxPaths caps the number of paths enumerated symbolically per
-	// package, summed over its segments (0 = 4096). When exceeded, the
-	// proof degrades to bounded differential execution.
+	// package, summed over its segments (0 = 4096). A proof that needs
+	// more fails with a "budget" counterexample.
 	MaxPaths int
-	// FuzzTrials is the number of differential-execution trials per entry
-	// in the fallback regime (0 = 8); FuzzSteps bounds each trial's
-	// dynamic block count (0 = 2048).
-	FuzzTrials int
-	FuzzSteps  int
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxPaths <= 0 {
 		c.MaxPaths = 4096
 	}
-	if c.FuzzTrials <= 0 {
-		c.FuzzTrials = 8
-	}
-	if c.FuzzSteps <= 0 {
-		c.FuzzSteps = 2048
-	}
 	return c
-}
-
-// blockSnap is one block's captured pre-optimization contents. Blocks are
-// mutated in place by the §5.4 passes, so the snapshot keys by the block
-// pointer — which stays stable — and copies everything the passes touch.
-type blockSnap struct {
-	insts    []prog.Ins
-	kind     prog.TermKind
-	cmpOp    isa.Opcode
-	rs1, rs2 isa.Reg
-	taken    *prog.Block
-	next     *prog.Block
-	callee   *prog.Func
-	consumes []isa.Reg
 }
 
 // view is the walker-facing shape of a block, served either from the live
@@ -77,7 +52,7 @@ type Snapshot struct {
 	fn      *prog.Func
 	name    string
 	phase   int
-	blocks  map[*prog.Block]*blockSnap
+	blocks  map[*prog.Block]view // pre-optimization contents, by stable block pointer
 	liveIn  map[*prog.Block]prog.RegSet
 	entries []*prog.Block
 	cuts    map[*prog.Block]bool // entries and in-function join blocks
@@ -88,18 +63,6 @@ func (s *Snapshot) Package() string { return s.name }
 
 // Entries returns the proof entry blocks, in block-ID order.
 func (s *Snapshot) Entries() []*prog.Block { return s.entries }
-
-func (s *Snapshot) refView(b *prog.Block) (view, bool) {
-	bs, ok := s.blocks[b]
-	if !ok {
-		return view{}, false
-	}
-	return view{
-		insts: bs.insts, kind: bs.kind, cmpOp: bs.cmpOp,
-		rs1: bs.rs1, rs2: bs.rs2, taken: bs.taken, next: bs.next,
-		callee: bs.callee, consumes: bs.consumes,
-	}, true
-}
 
 // Capture snapshots fn (a package function of p) for later proof. It must
 // run after installation and linking — so launch arcs, linked exits and
@@ -117,20 +80,15 @@ func Capture(p *prog.Program, fn *prog.Func, entries []*prog.Block) *Snapshot {
 		fn:     fn,
 		name:   fn.Name,
 		phase:  fn.PhaseID,
-		blocks: make(map[*prog.Block]*blockSnap, len(fn.Blocks)),
+		blocks: make(map[*prog.Block]view, len(fn.Blocks)),
 	}
+	// The passes mutate blocks in place, so the snapshot copies the two
+	// slices they edit; the block pointers themselves stay stable.
 	for _, b := range fn.Blocks {
-		s.blocks[b] = &blockSnap{
-			insts:    append([]prog.Ins(nil), b.Insts...),
-			kind:     b.Kind,
-			cmpOp:    b.CmpOp,
-			rs1:      b.Rs1,
-			rs2:      b.Rs2,
-			taken:    b.Taken,
-			next:     b.Next,
-			callee:   b.Callee,
-			consumes: append([]isa.Reg(nil), b.ExitConsumes...),
-		}
+		v := liveView(b)
+		v.insts = append([]prog.Ins(nil), b.Insts...)
+		v.consumes = append([]isa.Reg(nil), b.ExitConsumes...)
+		s.blocks[b] = v
 	}
 	// Live-in sets for loop-cut comparison come from the same per-function
 	// liveness the sink pass consults, so everything sink may legally kill
@@ -334,21 +292,22 @@ type prover struct {
 	it        *interner
 	cert      *Certificate
 	ce        *Counterexample
-	exceeded  bool
 	pathsDone int
-	memo      map[*prog.Block]*replayNode
-	refBuf    []event              // scratch for materialized replay sequences
+	fresh     symState             // freshState, built once per proof
+	refBuf    []event              // scratch for the reference replay's events
 	starts    []*prog.Block        // segment starts, in proof order
 	started   map[*prog.Block]bool // the blocks in starts
 }
 
-func (pv *prover) entryState() symState {
+// freshState is the state every segment starts from: each register and
+// memory hold their uninterpreted initial values.
+func freshState(it *interner) symState {
 	var st symState
-	st.regs[0] = pv.it.zero
+	st.regs[0] = it.zero
 	for _, r := range allRegs {
-		st.regs[r] = pv.it.Init(r)
+		st.regs[r] = it.Init(r)
 	}
-	st.mem = pv.it.MemInit()
+	st.mem = it.MemInit()
 	return st
 }
 
@@ -364,12 +323,13 @@ func (pv *prover) start(b *prog.Block) {
 // returns the certificate. The proof runs segment by segment: each entry,
 // and each join block a proved path reaches, is walked once from a fresh
 // symbolic state up to the next cut points. A nil error means every
-// enumerated path was proved (or, past the path budget, every
-// differential trial agreed); a non-nil error is always an *Error
-// matching ErrNotEquivalent, carrying the structured counterexample.
+// path was proved within Config.MaxPaths; a non-nil error is always an
+// *Error matching ErrNotEquivalent, carrying the structured
+// counterexample (Kind "budget" when the paths ran out).
 func Prove(snap *Snapshot, cfg Config) (*Certificate, error) {
 	cfg = cfg.withDefaults()
 	pv := &prover{snap: snap, cfg: cfg, it: newInterner(), started: make(map[*prog.Block]bool)}
+	pv.fresh = freshState(pv.it)
 	pv.cert = &Certificate{Package: snap.name, Phase: snap.phase, Entries: len(snap.entries)}
 
 	for _, entry := range snap.entries {
@@ -382,16 +342,12 @@ func Prove(snap *Snapshot, cfg Config) (*Certificate, error) {
 			onPath: make(map[*prog.Block]bool, 16),
 			cons:   make(map[*Term]bool, 8),
 		}
-		if !w.walk(w.start, pv.entryState(), 0) {
-			break // counterexample found or budget exceeded
+		if !w.walk(w.start, pv.fresh, 0) {
+			break // counterexample found
 		}
 	}
 	pv.cert.PathsProved = pv.pathsDone
 	pv.cert.Cuts = len(pv.starts) - len(snap.entries)
-	pv.cert.BudgetExceeded = pv.exceeded
-	if pv.ce == nil && pv.exceeded {
-		pv.ce = pv.fuzz()
-	}
 	pv.cert.Terms = pv.it.size()
 	pv.cert.Equivalent = pv.ce == nil
 	if pv.ce != nil {
@@ -434,7 +390,7 @@ func renderTrail(trail []trailStep) []string {
 }
 
 // walk explores from b with state st; it returns false when exploration
-// must stop globally (counterexample or budget).
+// must stop globally (a counterexample, the budget's included).
 func (w *optWalker) walk(b *prog.Block, st symState, calls int) bool {
 	evMark, trMark := len(w.events), len(w.trail)
 	w.onPath[b] = true
@@ -529,8 +485,8 @@ func (w *optWalker) transition(to *prog.Block, from view, st symState, calls int
 func (w *optWalker) finish(terminal event) bool {
 	pv := w.pv
 	if pv.pathsDone >= pv.cfg.MaxPaths {
-		pv.exceeded = true
-		return false
+		return w.fail(&Counterexample{Kind: "budget",
+			Detail: fmt.Sprintf("the proof needs more than %d paths", pv.cfg.MaxPaths)})
 	}
 	w.events = append(w.events, terminal)
 	// The terminal belongs to this completed path only; sibling forks in
@@ -564,152 +520,55 @@ func (w *optWalker) fail(ce *Counterexample) bool {
 	return false
 }
 
-// replayNode is one vertex of the per-segment reference-replay decision
-// trie. Consecutive optimized paths differ only in their last few forks,
-// so their reference replays share long prefixes; the trie caches the
-// symbolic state at every symbolic branch and resumes from the deepest
-// matching decision instead of re-executing the whole path. A node is
-// either terminal (the replay ended: ownEvents completes the sequence,
-// or ce records a constraint-independent structural failure) or a paused
-// decision (execution stopped at branchBlk just before deciding pred).
-// Each node stores only the events of its own stretch of the replay and
-// chains to its parent; replay materializes the full sequence into a
-// reusable scratch buffer, so resuming allocates nothing proportional to
-// the shared prefix.
-type replayNode struct {
-	parent     *replayNode
-	ownEvents  []event         // events emitted by this segment
-	depth      int             // total blocks executed up to and including this segment
-	ce         *Counterexample // structural failure; cacheable, independent of constraints
-	pred       *Term           // nil when terminal
-	tif        bool            // the taken arc is followed when pred holds
-	taken      *prog.Block
-	next       *prog.Block
-	st         symState
-	calls      int
-	branchBlk  *prog.Block // for the unresolved-branch message
-	branchCmp  isa.Opcode
-	branchRs1  isa.Reg
-	branchRs2  isa.Reg
-	branchCons []isa.Reg // the branch block's exit-consume set
-	t, f       *replayNode
-}
-
-// chainEvents materializes the node's full event sequence (root to node)
-// into buf, reusing its capacity.
-func (n *replayNode) chainEvents(buf []event) []event {
-	if n == nil {
-		return buf[:0]
-	}
-	buf = n.parent.chainEvents(buf)
-	return append(buf, n.ownEvents...)
-}
-
 // replay executes the reference snapshot from the segment start up to
 // the next cut points, deciding every branch by constant folding or by
 // the optimized path's constraints. An undecidable branch means the
 // optimized version never evaluated this predicate — a dropped,
-// retargeted or rewritten branch — and is itself a divergence. Replays
-// are memoized in a decision trie keyed by the branch outcomes, so a
-// path's reference run costs only its un-shared suffix. The returned
-// slice is valid until the next replay call.
+// retargeted or rewritten branch — and is itself a divergence. The
+// returned slice is valid until the next replay call.
 func (pv *prover) replay(start *prog.Block, cons map[*Term]bool) ([]event, *Counterexample) {
-	if pv.memo == nil {
-		pv.memo = make(map[*prog.Block]*replayNode, len(pv.snap.entries))
-	}
-	node := pv.memo[start]
-	if node == nil {
-		node = pv.refRun(nil, pv.entryState(), 0, start, nil)
-		pv.memo[start] = node
-	}
-	for {
-		if node.ce != nil {
-			pv.refBuf = node.chainEvents(pv.refBuf)
-			ce := *node.ce
-			return pv.refBuf, &ce
-		}
-		if node.pred == nil {
-			pv.refBuf = node.chainEvents(pv.refBuf)
-			return pv.refBuf, nil
-		}
-		hold, decided := cons[node.pred]
-		if !decided {
-			pv.refBuf = node.chainEvents(pv.refBuf)
-			return pv.refBuf, &Counterexample{
-				Kind:    "unresolved-branch",
-				RefTerm: node.pred.String(),
-				Detail: fmt.Sprintf("reference branch at %s (%s %s, %s) was never decided by the optimized version",
-					node.branchBlk, node.branchCmp, node.branchRs1, node.branchRs2),
-			}
-		}
-		child := &node.f
-		if hold {
-			child = &node.t
-		}
-		if *child == nil {
-			to := node.next
-			if hold == node.tif {
-				to = node.taken
-			}
-			*child = pv.refRun(node, node.st, node.calls, to, node.branchCons)
-		}
-		node = *child
-	}
-}
-
-// refRun executes the reference from the arc leading to `to` until the
-// replay terminates or pauses at a symbolic branch, returning the trie
-// node for that segment (chained to parent). st must be private to this
-// call (symState is a value; the caller's copy is not aliased). At depth
-// 0, to is the proof segment's start: it is executed, not cut.
-func (pv *prover) refRun(parent *replayNode, st symState, calls int, to *prog.Block, fromConsumes []isa.Reg) *replayNode {
 	it := pv.it
-	depth := 0
-	if parent != nil {
-		depth = parent.depth
-	}
-	var ownEvents []event
-	done := func(ev event) *replayNode {
-		return &replayNode{parent: parent, ownEvents: append(ownEvents, ev), depth: depth}
-	}
-	for {
+	st := pv.fresh
+	events := pv.refBuf[:0]
+	defer func() { pv.refBuf = events }()
+	calls := 0
+	var fromConsumes []isa.Reg
+	for depth, to := 0, start; ; depth++ {
+		// At depth 0, to is the segment start: it is executed, not cut.
 		if to == nil || to.Fn != pv.snap.fn {
-			return done(event{kind: evExit, target: to, regs: st.regs, mem: st.mem, consumes: fromConsumes})
+			events = append(events, event{kind: evExit, target: to, regs: st.regs, mem: st.mem, consumes: fromConsumes})
+			return events, nil
 		}
 		if depth > 0 && pv.snap.cuts[to] {
-			return done(event{kind: evCut, target: to, regs: st.regs, mem: st.mem})
+			events = append(events, event{kind: evCut, target: to, regs: st.regs, mem: st.mem})
+			return events, nil
 		}
-		b := to
 		if depth > len(pv.snap.blocks) {
-			return &replayNode{parent: parent, ownEvents: ownEvents, depth: depth,
-				ce: &Counterexample{
-					Kind:   "event-shape",
-					Detail: fmt.Sprintf("reference replay exceeded %d blocks without a path cut", depth),
-				}}
+			return events, &Counterexample{Kind: "event-shape",
+				Detail: fmt.Sprintf("reference replay exceeded %d blocks without a path cut", depth)}
 		}
-		depth++
-		v, ok := pv.snap.refView(b)
+		v, ok := pv.snap.blocks[to]
 		if !ok {
-			return &replayNode{parent: parent, ownEvents: ownEvents, depth: depth,
-				ce: &Counterexample{
-					Kind:   "event-shape",
-					Detail: fmt.Sprintf("reference replay reached %s, which is not in the pre-optimization snapshot", b),
-				}}
+			return events, &Counterexample{Kind: "event-shape",
+				Detail: fmt.Sprintf("reference replay reached %s, which is not in the pre-optimization snapshot", to)}
 		}
 		for _, in := range v.insts {
 			stepIns(it, &st, in)
 		}
 		switch v.kind {
 		case prog.TermHalt:
-			return done(event{kind: evHalt, mem: st.mem})
+			events = append(events, event{kind: evHalt, mem: st.mem})
+			return events, nil
 		case prog.TermRet:
-			return done(event{kind: evRet, regs: st.regs, mem: st.mem})
+			events = append(events, event{kind: evRet, regs: st.regs, mem: st.mem})
+			return events, nil
 		case prog.TermJumpReg:
-			return done(event{kind: evJr, jr: st.get(it, v.rs1), regs: st.regs, mem: st.mem})
+			events = append(events, event{kind: evJr, jr: st.get(it, v.rs1), regs: st.regs, mem: st.mem})
+			return events, nil
 		case prog.TermCall:
 			ev := event{kind: evCall, callee: v.callee, regs: st.regs, mem: st.mem}
 			ev.regs[isa.RRA] = it.CodeAddr(v.next, 0)
-			ownEvents = append(ownEvents, ev)
+			events = append(events, ev)
 			st.havoc(it, calls)
 			calls++
 			to = v.next
@@ -717,17 +576,19 @@ func (pv *prover) refRun(parent *replayNode, st symState, calls int, to *prog.Bl
 			to = v.next
 		case prog.TermBranch:
 			pred, tif := canonBranch(it, &st, v)
+			hold := pred == it.one
 			if pred.kind != kConst {
-				return &replayNode{
-					parent: parent, ownEvents: ownEvents, depth: depth,
-					pred: pred, tif: tif,
-					taken: v.taken, next: v.next,
-					st: st, calls: calls,
-					branchBlk: b, branchCmp: v.cmpOp, branchRs1: v.rs1, branchRs2: v.rs2,
-					branchCons: v.consumes,
+				var decided bool
+				if hold, decided = cons[pred]; !decided {
+					return events, &Counterexample{
+						Kind:    "unresolved-branch",
+						RefTerm: pred.String(),
+						Detail: fmt.Sprintf("reference branch at %s (%s %s, %s) was never decided by the optimized version",
+							to, v.cmpOp, v.rs1, v.rs2),
+					}
 				}
 			}
-			if (pred == it.one) == tif {
+			if hold == tif {
 				to = v.taken
 			} else {
 				to = v.next

@@ -1,6 +1,7 @@
 package equiv_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -25,8 +26,8 @@ func TestProveClean(t *testing.T) {
 }
 
 // TestProveDeterministic locks proof reproducibility: the same snapshot
-// proved twice yields identical certificates (path counts, term counts,
-// budget outcome) — a prerequisite for byte-identical pipeline traces.
+// proved twice yields identical certificates (path, cut and term counts)
+// — a prerequisite for byte-identical pipeline traces.
 func TestProveDeterministic(t *testing.T) {
 	for _, tg := range buildTargets(t) {
 		a, err := equiv.Prove(tg.snap, equiv.Config{})
@@ -37,9 +38,7 @@ func TestProveDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.PathsProved != b.PathsProved || a.PathsFuzzed != b.PathsFuzzed ||
-			a.Terms != b.Terms || a.MaxPathBlocks != b.MaxPathBlocks ||
-			a.BudgetExceeded != b.BudgetExceeded {
+		if *a != *b {
 			t.Fatalf("%s: nondeterministic proof: %+v vs %+v", tg.snap.Package(), a, b)
 		}
 	}
@@ -72,23 +71,32 @@ func TestProveConcurrent(t *testing.T) {
 	}
 }
 
-// TestProveBudgetFallback forces a tiny path budget and checks the
-// prover degrades to differential fuzzing instead of rejecting.
-func TestProveBudgetFallback(t *testing.T) {
-	targets := buildTargets(t)
-	cert, err := equiv.Prove(targets[0].snap, equiv.Config{MaxPaths: 1, FuzzTrials: 4})
-	if err != nil {
-		t.Fatalf("budget exhaustion must fall back to fuzzing, not reject: %v", err)
+// TestProveBudgetRefuses forces a one-path budget on a package with
+// more paths and checks the proof is refused with a "budget"
+// counterexample after proving exactly the first path.
+func TestProveBudgetRefuses(t *testing.T) {
+	for _, tg := range buildTargets(t) {
+		full, err := equiv.Prove(tg.snap, equiv.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.PathsProved < 2 {
+			continue
+		}
+		cert, err := equiv.Prove(tg.snap, equiv.Config{MaxPaths: 1})
+		if !errors.Is(err, equiv.ErrNotEquivalent) {
+			t.Fatalf("%s: a proof past its budget must be refused, got %v", tg.snap.Package(), err)
+		}
+		if cert.Equivalent || cert.PathsProved != 1 {
+			t.Errorf("%s: want a refusal after one proved path: %s", tg.snap.Package(), cert.Verdict())
+		}
+		ces := equiv.Counterexamples(err)
+		if len(ces) != 1 || ces[0].Kind != "budget" {
+			t.Errorf("%s: want one budget counterexample, got %+v", tg.snap.Package(), ces)
+		}
+		return
 	}
-	if !cert.BudgetExceeded {
-		t.Skip("package proved within one path; budget fallback not exercised")
-	}
-	if cert.PathsFuzzed == 0 {
-		t.Error("budget exceeded but no differential trials recorded")
-	}
-	if !cert.Equivalent {
-		t.Errorf("clean package rejected under budget fallback: %s", cert.Verdict())
-	}
+	t.Fatal("no package has two or more paths")
 }
 
 // TestProveMergedChain proves a straight-line function that MergeBlocks

@@ -13,12 +13,12 @@
 //
 // The proof obligation is discharged per package: Capture snapshots the
 // package function after installation and linking but before the §5.4
-// passes, Prove enumerates the acyclic paths of the optimized function
-// (cutting each path at its first block revisit) and replays the snapshot
-// under the same branch constraints. When the path budget is exceeded the
-// engine falls back to bounded differential execution (fuzz.go), which
-// cannot prove equivalence but still catches drift; the Certificate
-// records which of the two regimes covered the package.
+// passes, Prove enumerates the optimized function's paths segment by
+// segment (each path ends at the next cut point: an entry or a join
+// block) and replays the snapshot under the same branch constraints. A
+// package whose proof needs more than Config.MaxPaths paths is refused,
+// not sampled. The bounded differential executor (fuzz.go) is the
+// tests' concrete oracle for the proofs; Prove never runs it.
 package equiv
 
 import (

@@ -87,15 +87,10 @@ go run ./cmd/vpverify -q -bench gzip -input A -scale 1
 go run ./cmd/vpverify -q -bench perl -input A -scale 1
 
 # Equivalence-gated pipeline pass: every optimized package of every
-# variant symbolically proved against the region code it replaced (exit
-# 4 on refutation — a live miscompile in the opt/pack passes). go, vpr
-# and twolf hold the suite's largest packages, the ones whole-path
-# enumeration could only fuzz before the prover cut paths at join points.
-go run ./cmd/vpverify -q -equiv -bench gzip -input A -scale 1
-go run ./cmd/vpverify -q -equiv -bench m88ksim -input A -scale 1
-go run ./cmd/vpverify -q -equiv -bench go -input A -scale 1
-go run ./cmd/vpverify -q -equiv -bench vpr -input A -scale 1
-go run ./cmd/vpverify -q -equiv -bench twolf -input A -scale 1
+# variant of every benchmark input symbolically proved against the region
+# code it replaced (exit 4 on refutation — a live miscompile in the
+# opt/pack passes, or a proof past its path budget, which is refused).
+go run ./cmd/vpverify -q -equiv -all
 
 # Trace regression gate: the golden is Normalize()d (wall times zeroed),
 # so this diff bites exactly on the deterministic pipeline counters —

@@ -11,6 +11,12 @@
 //	vpack -bench perl -store .vpstore   # reuse/persist profiles across runs (vpbench's store too)
 //	vpack -bench perl -q                # only the coverage/speedup line
 //	vpack -log json                     # diagnostics as JSON slog records
+//
+// Exit status: 0 when the packed run is equivalent to the original, 3
+// when the static verifier (-verify) fires, 4 when translation validation
+// (-equiv) refutes a package, 5 when the packed run's data-segment effects
+// differ from the original's (the report line says DIVERGED), 2 for a bad
+// flag and 1 for any other failure.
 package main
 
 import (
@@ -246,6 +252,10 @@ func main() {
 		fmt.Println()
 	}
 	flushTrace()
+	if !ev.Equivalent {
+		fmt.Fprintln(os.Stderr, "vpack: the packed run's data-segment effects differ from the original's")
+		os.Exit(5)
+	}
 }
 
 func fatal(err error) {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cas"
 )
 
 // TestMain makes the test binary run vpack itself when VPACK_RUN_MAIN is
@@ -60,5 +62,50 @@ func TestStoreFlushFailureExits1(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "store "+bad) {
 		t.Errorf("stderr does not name the store directory %s:\n%s", bad, stderr)
+	}
+}
+
+// TestDivergenceExits5: a packed run whose data-segment effects differ
+// from the original's exits 5. The divergence is staged through the
+// store: rewriting the stored profile's data hash makes the warm run
+// compare the packed run with effects it cannot match. The cold run
+// exits 0.
+func TestDivergenceExits5(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-bench", "li", "-scale", "1", "-q", "-store", dir}
+	if code, stderr := runVpack(t, args...); code != 0 {
+		t.Fatalf("cold run: exit %d, stderr:\n%s", code, stderr)
+	}
+	s, err := cas.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := 0
+	for _, e := range s.List() {
+		if e.Kind != cas.KindProfile {
+			continue
+		}
+		pa, err := s.GetProfileArtifact(e.Key.A, e.Key.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa.Stats.DataHash ^= 1
+		if err := s.PutProfileArtifact(e.Key.A, e.Key.B, pa); err != nil {
+			t.Fatal(err)
+		}
+		rewritten++
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rewritten != 1 {
+		t.Fatalf("store holds %d profiles, want 1", rewritten)
+	}
+	code, stderr := runVpack(t, args...)
+	if code != 5 {
+		t.Fatalf("diverged run: exit %d, want 5; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "differ from the original") {
+		t.Errorf("stderr does not report the divergence:\n%s", stderr)
 	}
 }

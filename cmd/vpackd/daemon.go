@@ -57,11 +57,6 @@ type programState struct {
 	// so ingest touches it outside the shard lock.
 	tracker *drift.Tracker
 
-	// proofs memoizes package proofs across repacks. Only one repack of a
-	// shard runs at a time (pending), so it is rotated after each
-	// successful build and keeps just the obligations that build used.
-	proofs equiv.Memo
-
 	mu      sync.Mutex
 	db      *phasedb.DB
 	records int64 // total hot-spot records accepted
@@ -501,14 +496,6 @@ func (d *Daemon) repack(st *programState) {
 	}
 	encoded, err := d.buildRecovered(st, pa, prov)
 	prov.BuildUS = time.Since(start).Microseconds()
-	if d.cfg.Equiv {
-		core.CountProofMemo(d.rec, &st.proofs)
-	}
-	if err != nil {
-		st.proofs.Discard()
-	} else {
-		st.proofs.Rotate()
-	}
 
 	version := 0
 	st.mu.Lock()
@@ -650,7 +637,7 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 	}
 
 	stage = time.Now()
-	set, err := core.PackageStageObserved(d.cfg, clone, cloneImg, ra, &st.proofs, obs.Nop{})
+	set, err := core.PackageStage(d.cfg, clone, cloneImg, ra)
 	prov.Spans = append(prov.Spans, core.SpanSummary{Name: "package_stage", US: time.Since(stage).Microseconds()})
 	if err != nil {
 		return nil, err

@@ -99,6 +99,35 @@ func awaitVersion(t *testing.T, h http.Handler, program string) *httptest.Respon
 	}
 }
 
+// newEquivDaemon is newTestDaemon with translation validation on.
+func newEquivDaemon(t *testing.T, batch int) (*Daemon, *obs.Recorder) {
+	t.Helper()
+	rec := obs.NewRecorder()
+	cfg := core.ScaledConfig()
+	cfg.Equiv = true
+	d, err := NewDaemon(cfg, []string{"m88ksim"}, 1, 2, 4, batch,
+		testDriftCfg, nil, rec, slog.New(slog.DiscardHandler))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d, rec
+}
+
+// awaitCount polls until the recorder's counter reaches n. Each round of
+// TestDaemonRepackPanicIsolated posts one batch and waits for its repack,
+// so every repack snapshots exactly the records posted before it.
+func awaitCount(t *testing.T, rec *obs.Recorder, counter string, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for rec.Export().Metrics.Counters[counter] < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s below %d after 60s", counter, n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestDaemonEndToEnd(t *testing.T) {
 	d, _ := newTestDaemon(t, 3)
 	h := d.Handler()
@@ -879,15 +908,7 @@ func TestSplitList(t *testing.T) {
 // shares the repack error machinery exercised by TestDaemonStaleProfile;
 // the refutation corpus lives in internal/equiv.)
 func TestDaemonEquivGate(t *testing.T) {
-	rec := obs.NewRecorder()
-	cfg := core.ScaledConfig()
-	cfg.Equiv = true
-	d, err := NewDaemon(cfg, []string{"m88ksim"}, 1, 2, 4, 3,
-		testDriftCfg, nil, rec, slog.New(slog.DiscardHandler))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Close)
+	d, rec := newEquivDaemon(t, 3)
 	h := d.Handler()
 	spots := captureSpots(t, d, "m88ksim")
 	hash := d.programs["m88ksim"].hash
@@ -932,5 +953,65 @@ func TestDaemonEquivGate(t *testing.T) {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics is missing %s", series)
 		}
+	}
+}
+
+// TestDaemonRepackPanicIsolated injects a panicking build: the repack
+// must fail as a version (a repack_done event naming the panic, the
+// vpackd.repack_panics counter) while the daemon keeps serving the last
+// good version and repacks the program again on its next batch.
+func TestDaemonRepackPanicIsolated(t *testing.T) {
+	d, rec := newEquivDaemon(t, 3)
+	h := d.Handler()
+	st := d.programs["m88ksim"]
+	spots := captureSpots(t, d, "m88ksim")
+	post := func() {
+		t.Helper()
+		if w := postSpots(t, h, "m88ksim", st.hash, spots); w.Code != http.StatusOK {
+			t.Fatalf("POST profile: %d: %s", w.Code, w.Body.String())
+		}
+	}
+	post()
+	awaitCount(t, rec, obs.DaemonRepacks.Name, 1)
+	good, n, err := st.version("latest")
+	if err != nil || n != 1 {
+		t.Fatalf("first repack published no version: %v (last error %q)", err, st.lastErr)
+	}
+
+	// The next build proves every package, then panics. The seam is
+	// swapped between repacks: the enqueue that starts the next one
+	// orders this write before the worker's read.
+	d.build = func(st *programState, pa *core.ProfileArtifact, prov *core.Provenance) ([]byte, error) {
+		if _, err := d.buildVersion(st, pa, prov); err != nil {
+			t.Errorf("build before the injected panic: %v", err)
+		}
+		panic("injected build failure")
+	}
+	post()
+	awaitCount(t, rec, obs.DaemonRepackPanics.Name, 1)
+	latest, n, err := st.version("latest")
+	if err != nil || n != 1 || !bytes.Equal(latest.set, good.set) {
+		t.Fatalf("after the panic latest is version %d (%v), want the last good version 1", n, err)
+	}
+	if !strings.Contains(st.lastErr, "injected build failure") {
+		t.Errorf("lastErr %q does not name the panic", st.lastErr)
+	}
+	events, _, _ := d.events.Since(0, 0)
+	found := false
+	for _, e := range events {
+		if e.Kind == drift.EventRepackDone && strings.Contains(e.Detail, "injected build failure") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no repack_done event names the panic: %+v", events)
+	}
+
+	// The shard is not left pending: its next batch repacks again.
+	d.build = d.buildVersion
+	post()
+	awaitCount(t, rec, obs.DaemonRepacks.Name, 3)
+	if _, n, err := st.version("latest"); err != nil || n != 2 {
+		t.Fatalf("repack after the panic published version %d (%v, last error %q), want 2", n, err, st.lastErr)
 	}
 }

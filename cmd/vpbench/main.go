@@ -23,6 +23,11 @@
 //	vpbench -daemon URL -phaseshift  # then shift the phase and assert the
 //	                        # daemon's drift score rises (the shifted burst
 //	                        # is sized from the daemon's own drift window)
+//
+// Exit status: 0 when every packed run is equivalent to its original, 3
+// and 4 as above, 5 when some packed run's data-segment effects differ
+// from its original's (the output still prints, Figure 10 marking the
+// input DIVERGED), 2 for a bad flag and 1 for any other failure.
 package main
 
 import (
@@ -178,11 +183,7 @@ func main() {
 
 	if *metrics {
 		printMetrics(rec.Export())
-		if *table == 0 && *figure == 0 {
-			return
-		}
 	}
-
 	switch {
 	case *table == 1:
 		fmt.Print(suite.Table1())
@@ -194,6 +195,8 @@ func main() {
 		fmt.Print(suite.Figure9())
 	case *figure == 10:
 		fmt.Print(suite.Figure10())
+	case *metrics:
+		// The metric tables alone.
 	default:
 		fmt.Println(suite.Table1())
 		fmt.Println(report.Table2(cpu.DefaultConfig()))
@@ -201,6 +204,14 @@ func main() {
 		fmt.Println(suite.Table3())
 		fmt.Println(suite.Figure9())
 		fmt.Println(suite.Figure10())
+	}
+
+	if n := suite.Diverged(); n > 0 {
+		// RunSuite has flushed the store; os.Exit skips the deferred
+		// calls, so the CPU profile is finished here.
+		fmt.Fprintf(os.Stderr, "vpbench: packed runs diverged from their original: %d\n", n)
+		pprof.StopCPUProfile()
+		os.Exit(5)
 	}
 }
 

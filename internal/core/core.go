@@ -486,11 +486,3 @@ func CountEngine(ob obs.Observer, bc *cpu.BlockCache) {
 	ob.Count(obs.SuperblockSideExits.Name, int64(bc.SB.SideExits))
 	ob.Count(obs.SuperblockChained.Name, int64(bc.SB.ChainedInsts))
 }
-
-// CountProofMemo records the proof memo's traffic since the previous
-// call (the equiv.memo_* counters).
-func CountProofMemo(ob obs.Observer, m *equiv.Memo) {
-	hits, misses := m.TakeCounts()
-	ob.Count(obs.EquivMemoHits.Name, hits)
-	ob.Count(obs.EquivMemoMisses.Name, misses)
-}

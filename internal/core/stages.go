@@ -133,16 +133,15 @@ func RegionStageObserved(cfg Config, img *prog.Image, pa *ProfileArtifact, o obs
 // otherwise) — a Clone of the profiled program qualifies, since cloning
 // preserves block IDs and layout.
 func PackageStage(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact) (*PackageSet, error) {
-	return PackageStageObserved(cfg, p, img, ra, nil, obs.Nop{})
+	return PackageStageObserved(cfg, p, img, ra, obs.Nop{})
 }
 
 // PackageStageObserved is PackageStage reporting to an observer: the
 // package and optimize stage spans, per-package events from construction
 // and linking, and PhaseSkipped events for regions that built no package.
-// With Config.Equiv each package is proved through the proofs memo (nil
-// proves directly); a hit yields the certificate a fresh proof would, so
-// neither the result nor the observer stream depends on the memo.
-func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact, proofs *equiv.Memo, o obs.Observer) (*PackageSet, error) {
+// With Config.Equiv each optimized package is proved by equiv.Prove
+// against its pre-optimization snapshot.
+func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact, o obs.Observer) (*PackageSet, error) {
 	if h := ImageHash(img); h != ra.ProgramHash {
 		return nil, fmt.Errorf("core: package stage: regions of image %016x applied to image %016x: %w",
 			ra.ProgramHash, h, ErrStaleArtifact)
@@ -247,7 +246,7 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 			return partial(fmt.Errorf("core: pass verification (%s): %w", pk.Fn.Name, err))
 		}
 		if cfg.Equiv {
-			cert, eerr := proofs.Prove(snaps[pk], equiv.Config{MaxPaths: cfg.EquivMaxPaths})
+			cert, eerr := equiv.Prove(snaps[pk], equiv.Config{MaxPaths: cfg.EquivMaxPaths})
 			if cert != nil {
 				certs = append(certs, cert)
 				rec.Equiv = certs
@@ -321,7 +320,7 @@ func PackageObserved(cfg Config, mc cpu.Config, p *prog.Program, img *prog.Image
 	if err != nil {
 		return out, err
 	}
-	set, err := PackageStageObserved(cfg, p, img, ra, nil, o)
+	set, err := PackageStageObserved(cfg, p, img, ra, o)
 	if set != nil {
 		out.SkippedPhases += set.SkippedPhases
 		out.Pack = set.Result()

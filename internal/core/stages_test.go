@@ -77,7 +77,7 @@ func TestStagedResumability(t *testing.T) {
 				t.Fatalf("region stage: %v", err)
 			}
 			ra = roundTripRegion(t, ra)
-			set, err := PackageStageObserved(cfg, pB, img, ra, nil, recB)
+			set, err := PackageStageObserved(cfg, pB, img, ra, recB)
 			if err != nil {
 				t.Fatalf("package stage: %v", err)
 			}

@@ -2,10 +2,6 @@ package equiv
 
 import "repro/internal/prog"
 
-// SetProvedHook makes m report every successful lookup's snapshot and
-// certificate to fn.
-func SetProvedHook(m *Memo, fn func(*Snapshot, *Certificate)) { m.proved = fn }
-
 // Func returns the live package function a snapshot was captured from.
 func (s *Snapshot) Func() *prog.Func { return s.fn }
 
@@ -24,14 +20,4 @@ func Differential(snap *Snapshot, trials int) error {
 		return &Error{Package: snap.name, Counterexamples: []Counterexample{*ce}}
 	}
 	return nil
-}
-
-// ObligationKey is snap's memo key under the default config, or "" when
-// the encoder refuses one.
-func ObligationKey(snap *Snapshot) string {
-	key, ok := obligationKey(snap, Config{}.withDefaults())
-	if !ok {
-		return ""
-	}
-	return key
 }

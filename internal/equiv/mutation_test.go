@@ -30,10 +30,10 @@ type target struct {
 	snap *equiv.Snapshot
 }
 
-// buildTargets constructs a freshly packed program (each call builds from
-// scratch — mutations destroy the program they are applied to) and
-// returns its packages with pre-optimization snapshots, after applying
-// the full real pass stack (merge, sink, layout, schedule).
+// buildTargets packs perl's input A at scale 1 and returns its proved
+// packages (packTargets) after the full real pass stack (merge, sink,
+// layout, schedule): the scaled config with sinking turned on. Each call
+// builds from scratch: mutations destroy the program they are applied to.
 func buildTargets(t *testing.T) []*target {
 	t.Helper()
 	b, err := workload.ByName("perl")
@@ -45,42 +45,62 @@ func buildTargets(t *testing.T) []*target {
 		t.Fatal(err)
 	}
 	in.Scale = 1
-	p := b.Build(in)
 	cfg := core.ScaledConfig()
-	// Passes run manually below, between capture and proof.
-	cfg.EnableMerge, cfg.EnableSink, cfg.EnableLayout, cfg.EnableSchedule = false, false, false, false
-	out, err := core.Run(cfg, cpu.DefaultConfig(), p)
+	cfg.EnableSink = true
+	targets, err := packTargets(b.Build(in), cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	regByPhase := make(map[int]*region.Region, len(out.Regions))
-	for _, r := range out.Regions {
-		regByPhase[r.PhaseID] = r
-	}
-	var targets []*target
-	for _, pk := range out.Pack.Packages {
-		r := regByPhase[pk.PhaseID]
-		if r == nil {
-			continue
-		}
-		entries := make([]*prog.Block, 0, len(pk.Entries))
-		for _, c := range pk.Entries {
-			entries = append(entries, c)
-		}
-		snap := equiv.Capture(out.Packed, pk.Fn, entries)
-		ps := opt.Passes{
-			Merge: true, Sink: true, Layout: true, Schedule: true,
-			Sched: cfg.Sched, EntrySeedWeight: cfg.EntrySeedWeight,
-		}
-		if err := opt.ApplyPasses(ps, out.Packed, pk.Fn, entries, r, obs.Nop{}); err != nil {
-			t.Fatal(err)
-		}
-		targets = append(targets, &target{fn: pk.Fn, snap: snap})
 	}
 	if len(targets) == 0 {
 		t.Fatal("workload built no packages")
 	}
 	return targets
+}
+
+// packTargets packs p under cfg with the optimization passes held back,
+// then does what PackageStage does with Equiv on: it snapshots every
+// package, runs cfg's passes on each and proves it against its snapshot.
+// It returns the packages in installation order, or the pipeline's error,
+// or the first refutation.
+func packTargets(p *prog.Program, cfg core.Config) ([]*target, error) {
+	ps := opt.Passes{
+		Merge: cfg.EnableMerge, Sink: cfg.EnableSink, Layout: cfg.EnableLayout, Schedule: cfg.EnableSchedule,
+		Approx: cfg.ApproxWeights, Sched: cfg.Sched, EntrySeedWeight: cfg.EntrySeedWeight,
+	}
+	cfg.EnableMerge, cfg.EnableSink, cfg.EnableLayout, cfg.EnableSchedule = false, false, false, false
+	cfg.Equiv = false
+	out, err := core.Run(cfg, cpu.DefaultConfig(), p)
+	if err != nil {
+		return nil, err
+	}
+	regByPhase := make(map[int]*region.Region, len(out.Regions))
+	for _, r := range out.Regions {
+		regByPhase[r.PhaseID] = r
+	}
+	pkgs := out.Pack.Packages
+	entries := make([][]*prog.Block, len(pkgs))
+	snaps := make([]*equiv.Snapshot, len(pkgs))
+	for i, pk := range pkgs {
+		for _, c := range pk.Entries {
+			entries[i] = append(entries[i], c)
+		}
+		snaps[i] = equiv.Capture(out.Packed, pk.Fn, entries[i])
+	}
+	var targets []*target
+	for i, pk := range pkgs {
+		r := regByPhase[pk.PhaseID]
+		if r == nil {
+			continue
+		}
+		if err := opt.ApplyPasses(ps, out.Packed, pk.Fn, entries[i], r, obs.Nop{}); err != nil {
+			return nil, err
+		}
+		if _, err := equiv.Prove(snaps[i], equiv.Config{MaxPaths: cfg.EquivMaxPaths}); err != nil {
+			return nil, err
+		}
+		targets = append(targets, &target{fn: pk.Fn, snap: snaps[i]})
+	}
+	return targets, nil
 }
 
 // site identifies one mutation candidate inside a function.

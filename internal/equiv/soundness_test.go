@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/equiv"
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/prog"
 	"repro/internal/workload"
 )
@@ -20,9 +19,9 @@ import (
 const concreteTrials = 24
 
 // TestProvedCertificatesHoldConcretely cross-checks the prover against
-// concrete execution. Seeded random programs go through the pipeline with
-// Equiv on; every package the prover proved symbolically is then run, the
-// snapshot against the optimized function, from each entry on
+// concrete execution. Seeded random programs are packed and every package
+// is proved (packTargets); each proved package is then run, the snapshot
+// against the optimized function, from each entry on
 // concreteTrials states with the differential executor, and the event
 // streams must agree. The optimized packages of a clean pipeline are
 // equivalent, so each proved package is also re-proved under random
@@ -38,33 +37,19 @@ func TestProvedCertificatesHoldConcretely(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(3000 + trial)))
 		p := workload.Random(r)
 		cfg := core.Variants()[trial%4].Apply(core.ScaledConfig())
-		cfg.Equiv = true
-		img, err := p.Linearize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, err := core.ProfileStage(cfg, img, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ra, err := core.RegionStage(cfg, img, pa)
-		if err != nil {
+		targets, err := packTargets(p, cfg)
+		switch {
+		case errors.Is(err, core.ErrNoPhases):
 			t.Logf("program %d: no regions: %v", trial, err)
 			continue
-		}
-		var memo equiv.Memo
-		var proved []*equiv.Snapshot
-		equiv.SetProvedHook(&memo, func(s *equiv.Snapshot, _ *equiv.Certificate) {
-			proved = append(proved, s)
-		})
-		if _, err := core.PackageStageObserved(cfg, p, img, ra, &memo, obs.Nop{}); err != nil {
-			if errors.Is(err, core.ErrNoPackages) {
-				t.Logf("program %d: no packages", trial)
-				continue
-			}
+		case errors.Is(err, core.ErrNoPackages):
+			t.Logf("program %d: no packages", trial)
+			continue
+		case err != nil:
 			t.Fatalf("program %d: %v", trial, err)
 		}
-		for _, s := range proved {
+		for _, tg := range targets {
+			s := tg.snap
 			if err := equiv.Differential(s, concreteTrials); err != nil {
 				t.Fatalf("program %d: %s proved equivalent, but concretely: %v", trial, s.Package(), err)
 			}

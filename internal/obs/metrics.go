@@ -135,8 +135,6 @@ var (
 	EquivPathsProved = declare("equiv.paths_proved", Counter, "Package paths proved equivalent symbolically.", PipelineSurface)
 	EquivPathsFuzzed = declare("equiv.paths_fuzzed", Counter, "Always 0: proofs no longer fall back to differential trials. Kept for the benchmark records; retires with them.", PipelineSurface)
 	EquivViolations  = declare("equiv.violations", Counter, "Counterexamples refuting a package's equivalence.", PipelineSurface)
-	EquivMemoHits    = declare("equiv.memo_hits", Counter, "Package proofs served by the proof memo: an identical obligation was already proved for the same suite input or daemon program.", PipelineSurface)
-	EquivMemoMisses  = declare("equiv.memo_misses", Counter, "Distinct proof obligations the proof memo had to prove.", PipelineSurface)
 )
 
 // Timed evaluation and its two-tier execution engine: basic-block cache

@@ -147,7 +147,6 @@ func (s *Suite) Figure10() string {
 	}
 	sb.WriteString("  equivalence\n")
 	sums := make([]float64, 4)
-	allEq := true
 	for _, r := range s.Results {
 		fmt.Fprintf(&sb, "%-10s %-5s", r.Bench, r.Input)
 		eq := true
@@ -156,7 +155,6 @@ func (s *Suite) Figure10() string {
 			sums[i] += v.Speedup
 			eq = eq && v.Equivalent
 		}
-		allEq = allEq && eq
 		mark := "ok"
 		if !eq {
 			mark = "DIVERGED"
@@ -168,7 +166,7 @@ func (s *Suite) Figure10() string {
 	for _, x := range sums {
 		fmt.Fprintf(&sb, " %12.3f", x/n)
 	}
-	if allEq {
+	if s.Diverged() == 0 {
 		sb.WriteString("  all runs functionally equivalent\n")
 	} else {
 		sb.WriteString("  SOME RUNS DIVERGED\n")

@@ -16,7 +16,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/equiv"
 	"repro/internal/obs"
 	"repro/internal/phasedb"
 	"repro/internal/prog"
@@ -156,6 +155,20 @@ func (s *Suite) TotalInsts() uint64 {
 	var n uint64
 	for i := range s.Results {
 		n += s.Results[i].DynInsts
+	}
+	return n
+}
+
+// Diverged counts the packed runs whose data-segment effects differ from
+// their original's (Figure 10 marks their inputs DIVERGED).
+func (s *Suite) Diverged() int {
+	n := 0
+	for i := range s.Results {
+		for _, v := range s.Results[i].Variants {
+			if !v.Equivalent {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -376,9 +389,7 @@ func fanOut(workers, n int, o obs.Observer, fn func(i int, oi obs.Observer)) {
 // variantJobs of them at a time. The profiled program, its image and
 // the profile artifact are shared read-only across variants; each
 // variant packages its own clone, and the timed run is shared by the
-// variants whose packed images are identical to the timed engine, as is
-// each package proof by the variants that pose the same proof
-// obligation.
+// variants whose packed images are identical to the timed engine.
 //
 // The profile and its baseline come through cas.ProfileTimed, the
 // store's one profile protocol: with a store, a hit skips the profile
@@ -421,21 +432,15 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJob
 
 	variants := core.Variants()
 	timed := &timedMemo{}
-	proofs := &equiv.Memo{}
 	ir.Variants = make([]VariantResult, len(variants))
 	verrs := make([]error, len(variants))
 	fanOut(variantJobs, len(variants), o, func(i int, vo obs.Observer) {
-		ir.Variants[i], verrs[i] = runVariant(opts, p, imgHash, pa, base, timed, proofs, variants[i], vo, tally)
+		ir.Variants[i], verrs[i] = runVariant(opts, p, imgHash, pa, base, timed, variants[i], vo, tally)
 	})
 	if err := errors.Join(verrs...); err != nil {
 		return nil, err
 	}
 	timed.count(o)
-	if opts.Core.Equiv {
-		// Counted once the variants are done, like the timed memo: the
-		// totals do not depend on which variant proved an obligation.
-		core.CountProofMemo(o, proofs)
-	}
 	ir.Elapsed = time.Since(start)
 	return ir, nil
 }
@@ -445,12 +450,11 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJob
 // its region artifact, package set and evaluation record (storedVariant):
 // the stored timed result is used and nothing is built or simulated. Any
 // other variant is rebuilt cold: RegionStage and PackageStage on a fresh
-// clone of p (packVariant), with the package proofs going through the
-// input's proof memo under Equiv, then a timed run through the input's
-// timed memo (timePacked). The timed evaluation is deterministic, so
+// clone of p (packVariant), then a timed run through the input's timed
+// memo (timePacked). The timed evaluation is deterministic, so
 // replayed results equal cold results exactly. With a store, a cold
 // rebuild writes all its entries through, so the next run replays it.
-func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileArtifact, base cpu.TimingStats, timed *timedMemo, proofs *equiv.Memo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
+func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileArtifact, base cpu.TimingStats, timed *timedMemo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
 	sp := obs.Span{}
 	if o.Enabled() {
 		sp = o.StartSpan("variant:" + v.Name())
@@ -469,7 +473,7 @@ func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileA
 	if run == nil {
 		var packedImg *prog.Image
 		var err error
-		if ra, set, packedImg, err = packVariant(cfg, p, pa, proofs, o); err != nil {
+		if ra, set, packedImg, err = packVariant(cfg, p, pa, o); err != nil {
 			return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
 		}
 		if run, err = timePacked(opts, timed, packedImg, o); err != nil {
@@ -526,7 +530,7 @@ func storedVariant(s *cas.Store, imgHash, cfgHash, mkey uint64) (ra *core.Region
 // linearizes identically to the profiled image (Clone preserves block IDs
 // and layout), so its hash matches the artifact's ProgramHash that the
 // stages check. It returns the artifacts and the packed image.
-func packVariant(cfg core.Config, p *prog.Program, pa *core.ProfileArtifact, proofs *equiv.Memo, o obs.Observer) (*core.RegionArtifact, *core.PackageSet, *prog.Image, error) {
+func packVariant(cfg core.Config, p *prog.Program, pa *core.ProfileArtifact, o obs.Observer) (*core.RegionArtifact, *core.PackageSet, *prog.Image, error) {
 	clone := p.Clone()
 	cloneImg, err := clone.Linearize()
 	if err != nil {
@@ -536,7 +540,7 @@ func packVariant(cfg core.Config, p *prog.Program, pa *core.ProfileArtifact, pro
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	set, err := core.PackageStageObserved(cfg, clone, cloneImg, ra, proofs, o)
+	set, err := core.PackageStageObserved(cfg, clone, cloneImg, ra, o)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -92,7 +92,7 @@ func pipelineOnce(b *testing.B, name string, v core.Variant) *core.Evaluation {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev, err := out.Evaluate(0)
+	ev, err := out.Evaluate()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func BenchmarkAblationBBBSize(b *testing.B) {
 					cov = 0
 					continue
 				}
-				ev, err := out.Evaluate(0)
+				ev, err := out.Evaluate()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -226,7 +226,7 @@ func BenchmarkAblationGrowth(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev, err := out.Evaluate(0)
+				ev, err := out.Evaluate()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -257,7 +257,7 @@ func BenchmarkAblationOrdering(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev, err := out.Evaluate(0)
+				ev, err := out.Evaluate()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -292,7 +292,7 @@ func BenchmarkAblationSchedOnly(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev, err := out.Evaluate(0)
+				ev, err := out.Evaluate()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -457,7 +457,7 @@ func BenchmarkAblationLaunchStrategy(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev, err := out.Evaluate(0)
+				ev, err := out.Evaluate()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -490,7 +490,7 @@ func BenchmarkAblationWeightSolver(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ev, err := out.Evaluate(0)
+				ev, err := out.Evaluate()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -229,7 +229,7 @@ func main() {
 			out.Pack.SelectedInsts, out.Pack.SelectedFraction()*100, out.Pack.Replication())
 	}
 
-	ev, err := out.EvaluateObserved(0, o)
+	ev, err := out.EvaluateObserved(o)
 	if err != nil {
 		fatal(err)
 	}

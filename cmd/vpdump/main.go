@@ -179,7 +179,7 @@ func main() {
 			// A timed evaluation run feeds the evaluate span and the
 			// block-cache/superblock engine counters into the stage view.
 			if err == nil {
-				if _, everr := out.EvaluateObserved(0, rec); everr != nil {
+				if _, everr := out.EvaluateObserved(rec); everr != nil {
 					logger.Warn("evaluation failed", "err", everr)
 				}
 			}

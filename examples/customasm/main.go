@@ -111,7 +111,7 @@ func main() {
 			pk.Fn.Name, pk.Root.Name, len(pk.Fn.Blocks), len(pk.Exits), linked)
 	}
 
-	ev, err := outcome.Evaluate(0)
+	ev, err := outcome.Evaluate()
 	if err != nil {
 		log.Fatal(err)
 	}

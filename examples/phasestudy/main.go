@@ -35,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ev, err := outcome.Evaluate(0)
+		ev, err := outcome.Evaluate()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -49,8 +49,10 @@ func main() {
 
 	// 3. Evaluate: time the packed program on the same machine model,
 	//    compare it with the profile run's baseline and confirm both
-	//    compute the same results.
-	ev, err := outcome.Evaluate(0)
+	//    compute the same results. The packed run is bounded by a budget
+	//    derived from the baseline, so a package that never halts fails
+	//    with vacuumpack.ErrInstLimit instead of hanging.
+	ev, err := outcome.Evaluate()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -315,11 +315,11 @@ func TestPipelineObserved(t *testing.T) {
 	if core.ImageHash(warmImg) != core.ImageHash(coldImg) {
 		t.Fatal("warm packed image differs from cold")
 	}
-	evCold, err := outCold.Evaluate(0)
+	evCold, err := outCold.Evaluate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	evWarm, err := outWarm.Evaluate(0)
+	evWarm, err := outWarm.Evaluate()
 	if err != nil {
 		t.Fatal(err)
 	}

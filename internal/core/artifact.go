@@ -282,9 +282,10 @@ func regionRecord(r *region.Region) RegionRecord {
 	return rec
 }
 
-// sync materializes the serializable Records from the live regions. The
-// lowering is deferred off the pipeline hot path: Run never pays for it,
-// only encoding, hashing or rebinding to a foreign program does.
+// sync materializes the serializable Records from the live regions, on
+// the first encoding, hashing or rebinding to a foreign program. Every run
+// pays it once: PackageStageObserved hashes the artifact (ra.hash) to
+// stamp the package set's provenance.
 func (ra *RegionArtifact) sync() {
 	if len(ra.Records) == 0 && len(ra.regions) > 0 {
 		ra.Records = make([]RegionRecord, 0, len(ra.regions))

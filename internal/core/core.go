@@ -437,27 +437,41 @@ func Compare(base cpu.TimingStats, prof ProfileStats, packed cpu.TimingStats, da
 	return ev
 }
 
-// Evaluate times the packed program to completion under the Outcome's
-// machine and compares it with the profile run's baseline and data
-// effects. limit bounds the packed run (0 = unlimited).
-func (o *Outcome) Evaluate(limit uint64) (*Evaluation, error) {
-	return o.EvaluateObserved(limit, obs.Nop{})
+// Packed runs are bounded by a budget derived from the baseline: at most
+// budgetFactor times the original's retired instructions plus budgetFloor.
+// Over the 19 suite inputs and 4 variants the largest packed/base ratio
+// is 0.9906 (DESIGN.md §10), so a clean run never reaches the budget,
+// while a wrong package that loops forever ends as a cpu.LimitError. The
+// floor keeps tiny programs from a budget of a few hundred instructions.
+const (
+	budgetFactor = 2
+	budgetFloor  = 1 << 16
+)
+
+// PackedBudget is the instruction limit of a packed run whose original
+// retired base.Insts instructions.
+func PackedBudget(base cpu.TimingStats) uint64 {
+	return budgetFactor*base.Insts + budgetFloor
+}
+
+// Evaluate times the packed program under the Outcome's machine, within
+// PackedBudget of the profile run, and compares it with the profile run's
+// baseline and data effects.
+func (o *Outcome) Evaluate() (*Evaluation, error) {
+	return o.EvaluateObserved(obs.Nop{})
 }
 
 // EvaluateObserved is Evaluate inside an "evaluate" span, recording the
 // eval.* counters and the eval.speedup / eval.coverage gauges.
-func (o *Outcome) EvaluateObserved(limit uint64, ob obs.Observer) (*Evaluation, error) {
+func (o *Outcome) EvaluateObserved(ob obs.Observer) (*Evaluation, error) {
 	sp := ob.StartSpan(obs.StageEvaluate)
 	defer sp.End()
 	packedImg, err := o.Packed.Linearize()
 	if err != nil {
 		return nil, fmt.Errorf("core: linearize packed: %w", err)
 	}
-	var bc *cpu.BlockCache
-	if limit == 0 {
-		bc = cpu.NewBlockCache(packedImg)
-	}
-	packedStats, packedM, err := cpu.RunTimedCached(o.Machine, packedImg, limit, bc)
+	bc := cpu.NewBlockCache(packedImg)
+	packedStats, packedM, err := cpu.RunTimedCached(o.Machine, packedImg, PackedBudget(o.Base), bc)
 	if err != nil {
 		return nil, fmt.Errorf("core: packed run: %w", err)
 	}
@@ -465,9 +479,7 @@ func (o *Outcome) EvaluateObserved(limit uint64, ob obs.Observer) (*Evaluation, 
 	ev := Compare(o.Base, o.Profile, packedStats, ph, pn)
 	ob.Count(obs.EvalBaseCycles.Name, int64(o.Base.Cycles))
 	ob.Count(obs.EvalPackedCycles.Name, int64(packedStats.Cycles))
-	if bc != nil {
-		CountEngine(ob, bc)
-	}
+	CountEngine(ob, bc)
 	ob.Gauge(obs.EvalSpeedup.Name, ev.Speedup)
 	ob.Gauge(obs.EvalCoverage.Name, ev.Coverage)
 	ob.Observe(obs.EvalCycles.Name, float64(packedStats.Cycles))

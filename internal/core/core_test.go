@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/cpu"
 	"repro/internal/workload"
 )
@@ -27,7 +29,7 @@ func runPipeline(t *testing.T, bench, input string, cfg Config) (*Outcome, *Eval
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
-	ev, err := out.Evaluate(0)
+	ev, err := out.Evaluate()
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
@@ -250,7 +252,7 @@ func TestPackingImprovesICacheLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := out.Evaluate(0)
+	ev, err := out.Evaluate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +287,7 @@ func TestBaselineFollowsMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := out.Evaluate(0)
+	ev, err := out.Evaluate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,5 +348,32 @@ func TestProfileKey(t *testing.T) {
 		if cfg.ProfileKey() == key {
 			t.Errorf("%s change did not alter the profile key", name)
 		}
+	}
+}
+
+// TestEvaluateBudget: a packed program that never halts ends its timed
+// run at PackedBudget of the baseline with a limit error instead of
+// running forever.
+func TestEvaluateBudget(t *testing.T) {
+	p, err := asm.Assemble(`
+.func main
+.main
+  li r1, 0
+loop:
+  addi r1, r1, 1
+  jmp loop
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := cpu.TimingStats{Insts: 1000}
+	out := &Outcome{Packed: p, Machine: cpu.DefaultConfig(), Base: base}
+	_, err = out.Evaluate()
+	var le *cpu.LimitError
+	if !errors.As(err, &le) || !errors.Is(err, cpu.ErrInstLimit) {
+		t.Fatalf("want a limit error, got %v", err)
+	}
+	if le.Limit != PackedBudget(base) {
+		t.Errorf("limit %d, want the budget %d", le.Limit, PackedBudget(base))
 	}
 }

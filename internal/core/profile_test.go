@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -128,32 +129,45 @@ func TestProfileTimedMatchesStepLoop(t *testing.T) {
 		}
 	}
 
-	// A run with limit > 0 takes the step loop inside RunTimedHooked; the
-	// hook must still see the reference stream, whether the run completes
-	// under the limit or is cut short by it.
+	// A limited run on the block engine stops at some count L' at most one
+	// dispatch past its limit L. Its hot-spot stream must be the step
+	// loop's stream cut at exactly L', and a limit equal to the full run's
+	// count must not fail.
 	t.Run("limited", func(t *testing.T) {
 		b, in := buildInput(t, "m88ksim", "A")
 		img, err := b.Build(in).Linearize()
 		if err != nil {
 			t.Fatalf("linearize: %v", err)
 		}
-		_, _, full, err := stepStream(mc, cfg, img, 0)
+		full, fullBase, fullM, err := stepStream(mc, cfg, img, 0)
 		if err != nil {
 			t.Fatalf("step loop: %v", err)
 		}
-		for _, limit := range []uint64{full.InstCount, full.InstCount / 2} {
-			want, wantBase, _, wantErr := stepStream(mc, cfg, img, limit)
-			got, base, _, err := timedStream(mc, cfg, img, limit)
-			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-				t.Fatalf("limit %d: error %v, step loop %v", limit, err, wantErr)
+		for _, e := range []struct {
+			name string
+			mc   cpu.Config
+		}{{"superblocks", mc}, {"blocks", tier0}} {
+			got, base, _, err := timedStream(e.mc, cfg, img, fullM.InstCount)
+			if err != nil {
+				t.Fatalf("%s: a run of exactly %d insts failed: %v", e.name, fullM.InstCount, err)
 			}
-			if limit == full.InstCount && err != nil {
-				t.Fatalf("limit %d: a run of exactly %d insts failed: %v", limit, full.InstCount, err)
+			sameStream(t, e.name, full, got)
+			if base != fullBase {
+				t.Errorf("%s: TimingStats diverged:\n  step:  %+v\n  timed: %+v", e.name, fullBase, base)
 			}
-			sameStream(t, "limited", want, got)
-			if base != wantBase {
-				t.Errorf("limit %d: TimingStats diverged:\n  step:  %+v\n  timed: %+v", limit, wantBase, base)
+
+			limit := fullM.InstCount / 2
+			got, _, m, err := timedStream(e.mc, cfg, img, limit)
+			var le *cpu.LimitError
+			if !errors.As(err, &le) || le.Limit != limit || m.InstCount < limit {
+				t.Fatalf("%s: limit %d: error %v after %d insts", e.name, limit, err, m.InstCount)
 			}
+			want, _, wantM, wantErr := stepStream(mc, cfg, img, m.InstCount)
+			var wantLE *cpu.LimitError
+			if !errors.As(wantErr, &wantLE) || wantLE.PC != le.PC || wantM.InstCount != m.InstCount {
+				t.Fatalf("%s: cut at %d insts, pc %d; step loop cut there: %v", e.name, m.InstCount, le.PC, wantErr)
+			}
+			sameStream(t, e.name+"/limited", want, got)
 		}
 	})
 }

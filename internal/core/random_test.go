@@ -31,7 +31,7 @@ func TestRandomProgramsThroughPipeline(t *testing.T) {
 			t.Logf("trial %d (%s): pipeline declined: %v", trial, v.Name(), err)
 			continue
 		}
-		ev, err := out.Evaluate(80_000_000)
+		ev, err := out.Evaluate()
 		if err != nil {
 			t.Fatalf("trial %d: evaluate: %v", trial, err)
 		}

@@ -114,7 +114,7 @@ func TestStagedResumability(t *testing.T) {
 
 			// The staged packed program still runs equivalently.
 			outB := &Outcome{Packed: pB, Machine: mc, Base: base, Profile: pa.Stats, DB: pa.DB(), Pack: res}
-			ev, err := outB.Evaluate(0)
+			ev, err := outB.Evaluate()
 			if err != nil {
 				t.Fatal(err)
 			}

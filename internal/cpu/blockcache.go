@@ -224,11 +224,19 @@ func (c *BlockCache) decode(entry int64) *block {
 // superblock.go) and thereafter run through the specialized trace
 // executor, which returns control here at the trace's exit block. Both
 // tiers classify dispatches identically into BlockCacheStats.
-func (t *Timing) runBlocks(m *Machine, bc *BlockCache) error {
+//
+// limit (0 = none) is checked after every dispatch and, inside a looping
+// trace, at every loop-back, so a limited run stops at most one dispatch
+// past it: one tier-0 block or one superblock pass.
+func (t *Timing) runBlocks(m *Machine, bc *BlockCache, limit uint64) error {
 	n := int64(len(m.Img.Code))
 	pc := m.PC
 	if uint64(pc) >= uint64(n) {
 		return fmt.Errorf("cpu: PC %d outside code image (len %d)", pc, n)
+	}
+	stop := limit
+	if stop == 0 {
+		stop = math.MaxUint64
 	}
 	sbOn := !t.cfg.DisableSuperblocks
 	thresh := uint32(DefaultSuperblockThreshold)
@@ -240,13 +248,13 @@ func (t *Timing) runBlocks(m *Machine, bc *BlockCache) error {
 		var next int64
 		var err error
 		if sbOn && b.sb != nil {
-			next, b, err = t.execSuper(m, bc, b.sb)
+			next, b, err = t.execSuper(m, bc, b.sb, stop)
 		} else {
 			if sbOn && !b.noSB && b.count < thresh {
 				b.count++
 				if b.count == thresh {
 					if sb := bc.promote(b); sb != nil {
-						next, b, err = t.execSuper(m, bc, sb)
+						next, b, err = t.execSuper(m, bc, sb, stop)
 						goto dispatched
 					}
 				}
@@ -259,6 +267,9 @@ func (t *Timing) runBlocks(m *Machine, bc *BlockCache) error {
 		}
 		if m.Halted {
 			return nil
+		}
+		if m.InstCount >= stop {
+			return &LimitError{Limit: limit, PC: next}
 		}
 		switch next {
 		case b.fallPC:

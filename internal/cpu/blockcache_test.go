@@ -1,7 +1,8 @@
 package cpu
 
 import (
-	"strings"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -179,30 +180,93 @@ func TestBlockCacheConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestBlockCacheLimitFallsBack: limit > 0 must use the per-instruction
-// loop so the limit is exact, and must keep the legacy error text.
-func TestBlockCacheLimitFallsBack(t *testing.T) {
+// dispatchBound is the most instructions one dispatch through bc can
+// retire: its longest decoded block or live trace, or the trace cap once
+// a trace has been demoted out of the cache.
+func dispatchBound(bc *BlockCache) uint64 {
+	n := 0
+	if bc.SB.Demoted > 0 {
+		n = maxSuperblockSlots
+	}
+	for _, b := range bc.blocks {
+		if b != nil {
+			n = max(n, len(b.insts))
+			if b.sb != nil {
+				n = max(n, len(b.sb.slots))
+			}
+		}
+	}
+	return uint64(n)
+}
+
+// TestBlockEngineLimit: on tier 0 and on tier 1, a run that reaches its
+// instruction limit before halting ends with a *LimitError carrying the
+// step loop's text, having retired at least the limit and at most one
+// dispatch past it. The spin program never halts and its loop is promoted
+// into a looping superblock, so on tier 1 only the trace's loop-back check
+// can stop it. A limit equal to a run's full count does not fail.
+func TestBlockEngineLimit(t *testing.T) {
+	spin := mustAssemble(t, `
+.func main
+.main
+  li r1, 0
+loop:
+  addi r1, r1, 1
+  blt r1, r0, skip
+  addi r2, r2, 1
+skip:
+  jmp loop
+`)
 	bench := workload.Ordered()[0]
 	in := bench.Inputs[0]
 	in.Scale = 1
-	img, err := bench.Build(in).Linearize()
+	wl, err := bench.Build(in).Linearize()
 	if err != nil {
 		t.Fatalf("linearize: %v", err)
 	}
-	_, m, err := RunTimed(DefaultConfig(), img, 1000)
-	if err == nil {
-		t.Fatal("want instruction-limit error, got nil")
+	_, full, err := RunTimed(DefaultConfig(), wl, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "instruction limit 1000 reached") {
-		t.Errorf("unexpected error text: %v", err)
-	}
-	if m.InstCount != 1000 {
-		t.Errorf("limit run retired %d insts, want exactly 1000", m.InstCount)
+	tier0 := DefaultConfig()
+	tier0.DisableSuperblocks = true
+	for _, e := range []struct {
+		name string
+		cfg  Config
+	}{{"tier0", tier0}, {"tier1", DefaultConfig()}} {
+		for _, c := range []struct {
+			name  string
+			img   *prog.Image
+			limit uint64
+		}{{"spin", spin, 1000}, {"spin", spin, 1 << 20}, {bench.Name, wl, 1000}, {bench.Name, wl, full.InstCount / 2}} {
+			bc := NewBlockCache(c.img)
+			_, m, err := RunTimedCached(e.cfg, c.img, c.limit, bc)
+			var le *LimitError
+			if !errors.As(err, &le) || !errors.Is(err, ErrInstLimit) {
+				t.Fatalf("%s/%s limit %d: want a limit error, got %v", e.name, c.name, c.limit, err)
+			}
+			if want := fmt.Sprintf("cpu: instruction limit %d reached at pc %d", c.limit, m.PC); err.Error() != want || le.Limit != c.limit || le.PC != m.PC {
+				t.Errorf("%s/%s: error %q (%+v), want %q", e.name, c.name, err, *le, want)
+			}
+			if d := dispatchBound(bc); m.InstCount < c.limit || m.InstCount > c.limit+d {
+				t.Errorf("%s/%s: retired %d insts, want %d..%d", e.name, c.name, m.InstCount, c.limit, c.limit+d)
+			}
+			if c.img == spin && e.name == "tier1" && bc.SB.Promoted == 0 {
+				t.Errorf("%s: the spin loop was never promoted", e.name)
+			}
+		}
+		st, m, err := RunTimed(e.cfg, wl, full.InstCount)
+		if err != nil || m.InstCount != full.InstCount {
+			t.Errorf("%s: a limit of exactly the run's %d insts: %v after %d", e.name, full.InstCount, err, m.InstCount)
+		}
+		if ref, _, _ := RunTimed(e.cfg, wl, 0); st != ref {
+			t.Errorf("%s: limited stats diverged:\n  limited:   %+v\n  unlimited: %+v", e.name, st, ref)
+		}
 	}
 }
 
-// TestBranchHookSeesEveryCondBranch: on every engine — superblocks, tier
-// 0 only, and the limit > 0 step loop — the hook fires once per retired
+// TestBranchHookSeesEveryCondBranch: on both tiers — superblocks and
+// tier 0 only — the hook fires once per retired
 // conditional branch, at a conditional-branch PC, with a strictly rising
 // retired-instruction count.
 func TestBranchHookSeesEveryCondBranch(t *testing.T) {
@@ -216,10 +280,9 @@ func TestBranchHookSeesEveryCondBranch(t *testing.T) {
 			t.Fatalf("linearize: %v", err)
 		}
 		for _, e := range []struct {
-			name  string
-			cfg   Config
-			limit uint64
-		}{{"superblocks", DefaultConfig(), 0}, {"blocks", tier0, 0}, {"limited", DefaultConfig(), 1 << 40}} {
+			name string
+			cfg  Config
+		}{{"superblocks", DefaultConfig()}, {"blocks", tier0}} {
 			var calls, last uint64
 			hook := func(pc int64, taken bool, insts uint64) {
 				calls++
@@ -231,7 +294,7 @@ func TestBranchHookSeesEveryCondBranch(t *testing.T) {
 				}
 				last = insts
 			}
-			st, m, err := RunTimedHooked(e.cfg, img, e.limit, nil, hook)
+			st, m, err := RunTimedHooked(e.cfg, img, 0, nil, hook)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", bench.Name, e.name, err)
 			}

@@ -4,6 +4,7 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -300,10 +301,28 @@ func b2i(b bool) int64 {
 	return 0
 }
 
+// ErrInstLimit matches (errors.Is) every *LimitError.
+var ErrInstLimit = errors.New("cpu: instruction limit reached")
+
+// LimitError reports a run stopped by its instruction limit before it
+// halted: Limit is the bound and PC the next instruction to execute.
+type LimitError struct {
+	Limit uint64
+	PC    int64
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("cpu: instruction limit %d reached at pc %d", e.Limit, e.PC)
+}
+
+// Is makes every LimitError match ErrInstLimit.
+func (e *LimitError) Is(target error) bool { return target == ErrInstLimit }
+
 // Run executes until halt or until limit instructions have retired (0 means
 // no limit). observe, if non-nil, is called for every retired instruction.
-// It returns an error for architectural faults or when the limit is hit
-// before the program halts.
+// It returns an error for architectural faults, or a *LimitError when the
+// limit is hit before the program halts; the limit is exact per
+// instruction.
 //
 // The loop is fused with the per-instruction dispatch: the code slice, its
 // bounds and the halted/observer checks are hoisted out of the retirement
@@ -315,7 +334,7 @@ func (m *Machine) Run(limit uint64, observe func(*StepInfo)) error {
 	if observe == nil {
 		for !m.Halted {
 			if limit > 0 && m.InstCount >= limit {
-				return fmt.Errorf("cpu: instruction limit %d reached at pc %d", limit, m.PC)
+				return &LimitError{Limit: limit, PC: m.PC}
 			}
 			pc := m.PC
 			if uint64(pc) >= uint64(n) {
@@ -329,7 +348,7 @@ func (m *Machine) Run(limit uint64, observe func(*StepInfo)) error {
 	}
 	for !m.Halted {
 		if limit > 0 && m.InstCount >= limit {
-			return fmt.Errorf("cpu: instruction limit %d reached at pc %d", limit, m.PC)
+			return &LimitError{Limit: limit, PC: m.PC}
 		}
 		pc := m.PC
 		if uint64(pc) >= uint64(n) {

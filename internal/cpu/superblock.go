@@ -384,13 +384,15 @@ func superFault(m *Machine, bc *BlockCache, sb *superblock, k int, chained uint6
 // flat-slot loop, guards at stitched terminators, internal loop-backs,
 // and batched accounting at every exit. It returns the next PC and the
 // constituent block that actually ran last, so the dispatch loop resumes
-// exactly where tier 0 would have.
+// exactly where tier 0 would have. A looping trace also exits at the
+// loop-back once stop retired instructions are reached, so the dispatch
+// loop can report the limit.
 //
 // The hot timing state — cycle, packed issue word, fetchReady, the RAW
 // stall counter and the Chained count — lives in locals for the whole
 // dispatch so the slot loop runs out of registers; every return path
 // writes it back through flush-style assignments first.
-func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *block, error) {
+func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock, stop uint64) (int64, *block, error) {
 	slots := sb.slots
 	sb.execs++
 
@@ -556,11 +558,19 @@ func (t *Timing) execSuper(m *Machine, bc *BlockCache, sb *superblock) (int64, *
 			chained++
 			if fl&slotLoop != 0 {
 				// Back to the head: account the completed pass and
-				// restart the slot loop without leaving the executor.
+				// restart the slot loop without leaving the executor,
+				// unless the pass reached the limit.
 				t.Stats.Insts += uint64(len(slots))
 				t.Stats.PackageInsts += sb.totalPkg
 				m.InstCount += uint64(len(slots))
 				bc.SB.ChainedInsts += uint64(len(slots))
+				if m.InstCount >= stop {
+					t.cycle, t.free, t.fetchReady = cycle, free, fetchReady
+					t.Stats.RAWStalls = rawStalls
+					bc.Stats.Chained += chained
+					m.PC = next
+					return next, sb.owners[k].blk, nil
+				}
 				sb.execs++
 				if sb.loopFetch {
 					fetchReady = t.lineFetchAt(sb.entry, cycle, fetchReady)

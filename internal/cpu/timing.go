@@ -318,7 +318,10 @@ func (t *Timing) iFetch(pc int64) int {
 
 // Observe accounts one retired instruction. Call it in retirement order.
 // Per-opcode properties come from the flat isa.Meta table — one load per
-// instruction instead of a method call per property.
+// instruction instead of a method call per property. Driven by Machine.Run
+// it is the step loop: the reference the block engine's tests compare
+// against and what ProfileStage's obsFn callers use. RunTimed* never call
+// it.
 func (t *Timing) Observe(info *StepInfo) {
 	in := info.Inst
 	op := in.Op
@@ -454,9 +457,10 @@ func (t *Timing) Finish() TimingStats {
 
 // RunTimed runs the program to completion on a fresh machine under this
 // timing model and returns the statistics. limit bounds retired
-// instructions (0 = unlimited). It dispatches through a private, run-local
-// block cache; use RunTimedCached to share decoded blocks across repeated
-// runs of the same image.
+// instructions (0 = unlimited): a run that reaches it before halting
+// stops within one dispatch past it with a *LimitError. It dispatches
+// through a private, run-local block cache; use RunTimedCached to share
+// decoded blocks across repeated runs of the same image.
 func RunTimed(cfg Config, img *prog.Image, limit uint64) (TimingStats, *Machine, error) {
 	return RunTimedCached(cfg, img, limit, nil)
 }
@@ -466,10 +470,6 @@ func RunTimed(cfg Config, img *prog.Image, limit uint64) (TimingStats, *Machine,
 // blocks if it was bound to a different image — the invalidation-on-
 // install rule) and keeps its entries otherwise, making repeated timed
 // runs of one image skip decode entirely.
-//
-// A run with limit > 0 takes the step loop (Machine.Run + Observe)
-// instead, so the limit is exact per instruction; bc is then unused.
-// Limits only guard runaway runs, never the measured suite path.
 func RunTimedCached(cfg Config, img *prog.Image, limit uint64, bc *BlockCache) (TimingStats, *Machine, error) {
 	return RunTimedHooked(cfg, img, limit, bc, nil)
 }
@@ -479,29 +479,15 @@ func RunTimedCached(cfg Config, img *prog.Image, limit uint64, bc *BlockCache) (
 // monitor. The hook costs one nil check per conditional branch when it is
 // nil and leaves the statistics unchanged either way.
 func RunTimedHooked(cfg Config, img *prog.Image, limit uint64, bc *BlockCache, hook BranchHook) (TimingStats, *Machine, error) {
+	if bc == nil {
+		bc = NewBlockCache(img)
+	} else {
+		bc.Bind(img)
+	}
 	m := NewMachine(img)
 	t := NewTiming(cfg, img)
 	t.onBranch = hook
-	var err error
-	switch {
-	case limit > 0:
-		observe := t.Observe
-		if hook != nil {
-			observe = func(info *StepInfo) {
-				if info.Inst.Op.IsCondBranch() {
-					hook(info.PC, info.Taken, m.InstCount)
-				}
-				t.Observe(info)
-			}
-		}
-		err = m.Run(limit, observe)
-	case bc == nil:
-		err = t.runBlocks(m, NewBlockCache(img))
-	default:
-		bc.Bind(img)
-		err = t.runBlocks(m, bc)
-	}
-	if err != nil {
+	if err := t.runBlocks(m, bc, limit); err != nil {
 		return TimingStats{}, m, err
 	}
 	return t.Finish(), m, nil

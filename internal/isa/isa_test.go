@@ -1,10 +1,8 @@
 package isa
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestRegString(t *testing.T) {
@@ -145,103 +143,6 @@ func TestInstString(t *testing.T) {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
-	}
-}
-
-// randomInst builds a valid instruction for property tests.
-func randomInst(r *rand.Rand) Inst {
-	op := Opcode(r.Intn(NumOpcodes))
-	in := Inst{Op: op}
-	if op.HasRd() {
-		in.Rd = Reg(r.Intn(NumRegs))
-	}
-	if op.HasRs1() {
-		in.Rs1 = Reg(r.Intn(NumRegs))
-	}
-	if op.HasRs2() {
-		in.Rs2 = Reg(r.Intn(NumRegs))
-	}
-	if op.HasImm() {
-		in.Imm = r.Int63() - r.Int63()
-	}
-	if op.HasTarget() {
-		in.Target = int64(r.Intn(1 << 20))
-	}
-	return in
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		in := randomInst(r)
-		var buf [EncodedSize]byte
-		if err := in.Encode(buf[:]); err != nil {
-			t.Fatalf("encode %v: %v", in, err)
-		}
-		out, err := Decode(buf[:])
-		if err != nil {
-			t.Fatalf("decode %v: %v", in, err)
-		}
-		if out != in {
-			t.Fatalf("round trip: got %+v, want %+v", out, in)
-		}
-	}
-}
-
-func TestEncodeErrors(t *testing.T) {
-	var buf [EncodedSize]byte
-	if err := (Inst{Op: Opcode(250)}).Encode(buf[:]); err == nil {
-		t.Error("invalid opcode encoded without error")
-	}
-	if err := (Inst{Op: ADD, Rd: Reg(99)}).Encode(buf[:]); err == nil {
-		t.Error("invalid register encoded without error")
-	}
-	if err := (Inst{Op: JMP, Target: -1}).Encode(buf[:]); err == nil {
-		t.Error("negative target encoded without error")
-	}
-	if err := (Inst{Op: ADD}).Encode(buf[:4]); err == nil {
-		t.Error("short buffer encoded without error")
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(make([]byte, 3)); err == nil {
-		t.Error("short buffer decoded without error")
-	}
-	bad := make([]byte, EncodedSize)
-	bad[0] = 250
-	if _, err := Decode(bad); err == nil {
-		t.Error("invalid opcode decoded without error")
-	}
-	bad[0] = byte(ADD)
-	bad[1] = 200
-	if _, err := Decode(bad); err == nil {
-		t.Error("invalid register decoded without error")
-	}
-}
-
-// Property: every encodable instruction survives a round trip, regardless of
-// junk in unused fields being rejected or normalized.
-func TestQuickEncodeRoundTrip(t *testing.T) {
-	f := func(opRaw uint8, rd, rs1, rs2 uint8, imm int64, target uint32) bool {
-		op := Opcode(opRaw % uint8(NumOpcodes))
-		in := Inst{
-			Op:     op,
-			Rd:     Reg(rd % NumRegs),
-			Rs1:    Reg(rs1 % NumRegs),
-			Rs2:    Reg(rs2 % NumRegs),
-			Imm:    imm,
-			Target: int64(target),
-		}
-		var buf [EncodedSize]byte
-		if err := in.Encode(buf[:]); err != nil {
-			return false
-		}
-		out, err := Decode(buf[:])
-		return err == nil && out == in
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 

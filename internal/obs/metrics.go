@@ -133,7 +133,6 @@ var (
 var (
 	EquivPackages    = declare("equiv.packages", Counter, "Optimized packages checked by translation validation.", PipelineSurface)
 	EquivPathsProved = declare("equiv.paths_proved", Counter, "Package paths proved equivalent symbolically.", PipelineSurface)
-	EquivPathsFuzzed = declare("equiv.paths_fuzzed", Counter, "Always 0: proofs no longer fall back to differential trials. Kept for the benchmark records; retires with them.", PipelineSurface)
 	EquivViolations  = declare("equiv.violations", Counter, "Counterexamples refuting a package's equivalence.", PipelineSurface)
 )
 

@@ -476,7 +476,7 @@ func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileA
 		if ra, set, packedImg, err = packVariant(cfg, p, pa, o); err != nil {
 			return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
 		}
-		if run, err = timePacked(opts, timed, packedImg, o); err != nil {
+		if run, err = timePacked(opts, timed, packedImg, base, o); err != nil {
 			return VariantResult{}, fmt.Errorf("variant %s: timed run: %w", v.Name(), err)
 		}
 		if opts.Store != nil {
@@ -553,15 +553,16 @@ func packVariant(cfg core.Config, p *prog.Program, pa *core.ProfileArtifact, o o
 
 // timePacked evaluates one packed image inside an evaluate span, emitting
 // the engine counters. The timed run itself comes from the input's memo:
-// the first variant with this image runs it, and the others wait for and
-// share its result. Every caller records the same span and counters, so
-// each variant's trace is the one its own run would have produced.
-func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, o obs.Observer) (*timedEntry, error) {
+// the first variant with this image runs it, within core.PackedBudget of
+// the baseline base, and the others wait for and share its result. Every
+// caller records the same span and counters, so each variant's trace is
+// the one its own run would have produced.
+func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, base cpu.TimingStats, o obs.Observer) (*timedEntry, error) {
 	esp := o.StartSpan(obs.StageEvaluate)
 	e := timed.entry(packedImg)
 	e.once.Do(func() {
 		bc := cpu.NewBlockCache(packedImg)
-		stats, m, err := cpu.RunTimedCached(opts.Machine, packedImg, 0, bc)
+		stats, m, err := cpu.RunTimedCached(opts.Machine, packedImg, core.PackedBudget(base), bc)
 		if err != nil {
 			e.err = err
 			return

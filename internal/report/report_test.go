@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -554,5 +555,31 @@ func TestProfileBaseMatchesBlockEngine(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestTimePackedBudget: the suite's timed run of a packed image that
+// never halts ends at core.PackedBudget of the baseline with a limit
+// error instead of running forever.
+func TestTimePackedBudget(t *testing.T) {
+	p, err := asm.Assemble(`
+.func main
+.main
+loop:
+  addi r1, r1, 1
+  jmp loop
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := p.Linearize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := cpu.TimingStats{Insts: 1000}
+	_, err = timePacked(Options{Machine: cpu.DefaultConfig()}, &timedMemo{}, img, base, obs.Nop{})
+	var le *cpu.LimitError
+	if !errors.As(err, &le) || le.Limit != core.PackedBudget(base) {
+		t.Fatalf("want a limit error at the budget %d, got %v", core.PackedBudget(base), err)
 	}
 }

@@ -158,7 +158,7 @@ func TestSuiteStoreServesPipeline(t *testing.T) {
 	if out.Base != ir.Base {
 		t.Fatalf("pipeline baseline %+v, suite %+v", out.Base, ir.Base)
 	}
-	ev, err := out.Evaluate(0)
+	ev, err := out.Evaluate()
 	if err != nil {
 		t.Fatal(err)
 	}

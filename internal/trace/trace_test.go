@@ -104,7 +104,7 @@ func TestPackagesBeatTracesOnCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev, err := out.Evaluate(0)
+			ev, err := out.Evaluate()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,6 +25,13 @@ mkdir -p bin
 go build -o bin/vplint ./cmd/vplint
 go vet -vettool="$(pwd)/bin/vplint" ./...
 go test ./...
+# Instruction limit and packed-run budget, once more under a one-minute
+# timeout: each runs a program that never halts, so a regression that
+# lets the block engine or Evaluate run past its limit fails here within
+# a minute instead of at go test's 10-minute default.
+go test -count=1 -timeout 60s -run '^TestBlockEngineLimit$' ./internal/cpu
+go test -count=1 -timeout 60s -run '^(TestEvaluateBudget|TestProfileTimedMatchesStepLoop)$/^limited$' ./internal/core
+go test -count=1 -timeout 60s -run '^TestTimePackedBudget$' ./internal/report
 # Assembler fuzzing: a bounded run of the native fuzz target from its
 # checked-in seed corpus (internal/asm/testdata/fuzz/FuzzAssemble). An
 # input that panics the assembler, or that it accepts but cannot round

@@ -29,7 +29,7 @@ func TestTraceGoldenSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := outcome.EvaluateObserved(0, rec); err != nil {
+	if _, err := outcome.EvaluateObserved(rec); err != nil {
 		t.Fatal(err)
 	}
 

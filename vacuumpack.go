@@ -13,7 +13,7 @@
 //	program := bench.Build(bench.Inputs[0])
 //	outcome, err := vacuumpack.Run(vacuumpack.ScaledConfig(), vacuumpack.DefaultMachine(), program)
 //	if err != nil { ... }
-//	ev, err := outcome.Evaluate(0)
+//	ev, err := outcome.Evaluate()
 //	fmt.Printf("coverage %.1f%% speedup %.3f\n", ev.Coverage*100, ev.Speedup)
 //
 // Hand-written programs enter through Assemble (see the assembly syntax in
@@ -105,6 +105,10 @@ var (
 	// ErrStaleArtifact: a staged-pipeline artifact was applied to a
 	// program whose image differs from the artifact's origin.
 	ErrStaleArtifact = core.ErrStaleArtifact
+	// ErrInstLimit: a timed run reached its instruction limit before
+	// halting — for Evaluate, a packed run past its budget (a multiple
+	// of the baseline's retired instructions plus a floor).
+	ErrInstLimit = cpu.ErrInstLimit
 )
 
 // Staged pipeline API. The three stages behind Run are independently
@@ -227,7 +231,9 @@ func DefaultMachine() MachineConfig { return cpu.DefaultConfig() }
 // NewMachine builds a functional emulator for a linearized image.
 func NewMachine(img *Image) *Machine { return cpu.NewMachine(img) }
 
-// RunTimed runs an image to completion under the timing model.
+// RunTimed runs an image to completion under the timing model. limit
+// bounds retired instructions (0 = unlimited); a run stopped by it fails
+// with an ErrInstLimit-matchable error.
 func RunTimed(mc MachineConfig, img *Image, limit uint64) (TimingStats, *Machine, error) {
 	return cpu.RunTimed(mc, img, limit)
 }

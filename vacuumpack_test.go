@@ -21,7 +21,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := outcome.Evaluate(0)
+	ev, err := outcome.Evaluate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func ExampleRun() {
 		fmt.Println("pipeline:", err)
 		return
 	}
-	ev, err := outcome.Evaluate(0)
+	ev, err := outcome.Evaluate()
 	if err != nil {
 		fmt.Println("evaluate:", err)
 		return

@@ -119,6 +119,9 @@ type Daemon struct {
 	// build turns a profile artifact into an encoded version; it is
 	// buildVersion except in tests that need a failing build.
 	build func(st *programState, pa *core.ProfileArtifact, prov *core.Provenance) ([]byte, error)
+	// persist makes a built version durable before it is published:
+	// persistVersion with a store, nil without; tests wrap it.
+	persist func(name string, version int, encoded []byte, prov *core.Provenance) error
 }
 
 // NewDaemon registers one programState per benchmark (restricted to
@@ -172,6 +175,9 @@ func NewDaemon(cfg core.Config, benches []string, scale int64, workers, queueCap
 		queue:    make(chan *programState, queueCap),
 	}
 	d.build = d.buildVersion
+	if store != nil {
+		d.persist = d.persistVersion
+	}
 	for _, b := range ordered {
 		in := b.Inputs[0]
 		if scale > 0 {
@@ -497,14 +503,31 @@ func (d *Daemon) repack(st *programState) {
 	encoded, err := d.buildRecovered(st, pa, prov)
 	prov.BuildUS = time.Since(start).Microseconds()
 
+	// Publish in one order: make the version durable, install its
+	// snapshot as the drift baseline, and only then append it to the
+	// history, so a reader that sees version N also sees its baseline and
+	// its durable copy. The shard stays pending until the append, so no
+	// other repack can claim the same version number.
 	version := 0
+	if err == nil {
+		st.mu.Lock()
+		version = len(st.history) + 1
+		st.mu.Unlock()
+		prov.Version = version
+		// Persistence failures degrade the store, not serving.
+		if d.persist != nil {
+			if perr := d.persist(st.name, version, encoded, prov); perr != nil {
+				d.logger.Warn("version persist failed", "program", st.name, "version", version, "err", perr)
+			}
+		}
+		// Future windows measure against what is now actually deployed.
+		st.tracker.SetBaseline(snap, version)
+	}
 	st.mu.Lock()
 	if err != nil {
 		st.lastErr = err.Error()
 	} else {
 		st.lastErr = ""
-		version = len(st.history) + 1
-		prov.Version = version
 		st.history = append(st.history, published{set: encoded, prov: prov})
 	}
 	st.pending = false
@@ -540,19 +563,6 @@ func (d *Daemon) repack(st *programState) {
 		return
 	}
 
-	// Write the published version through to the artifact store and make
-	// it durable before announcing: a crash after this point loses
-	// nothing, a crash before it simply rebuilds the version from the
-	// next stream. Persistence failures degrade the store, not serving.
-	if d.store != nil {
-		if perr := d.persistVersion(st.name, version, encoded, prov); perr != nil {
-			d.logger.Warn("version persist failed", "program", st.name, "version", version, "err", perr)
-		}
-	}
-
-	// The published version's snapshot becomes the new drift baseline:
-	// future windows measure against what is now actually deployed.
-	st.tracker.SetBaseline(snap, version)
 	d.publishDriftAggregate()
 	d.events.Append(drift.StreamEvent{
 		UnixUS: time.Now().UnixMicro(), Kind: drift.EventRepackDone,
@@ -649,15 +659,13 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 	}
 
 	stage = time.Now()
-	var buf bytes.Buffer
-	if err := set.EncodeJSON(&buf); err != nil {
+	encoded, h, err := set.Encode()
+	if err != nil {
 		return nil, err
 	}
-	if h, err := set.Hash(); err == nil {
-		prov.PackageHash = h
-	}
+	prov.PackageHash = h
 	prov.Spans = append(prov.Spans, core.SpanSummary{Name: "encode", US: time.Since(stage).Microseconds()})
-	return buf.Bytes(), nil
+	return encoded, nil
 }
 
 // version resolves a selector — a 1-based version number in canonical

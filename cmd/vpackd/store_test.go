@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cas"
 	"repro/internal/core"
+	"repro/internal/drift"
+	"repro/internal/hsd"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
@@ -33,14 +37,15 @@ func TestDaemonStoreRestart(t *testing.T) {
 	dir := t.TempDir()
 
 	// First incarnation: stream, publish, shut down (Close flushes the
-	// store — the graceful-shutdown path main.go drives on SIGTERM).
+	// store — the graceful-shutdown path main.go drives on SIGTERM). The
+	// stream is one POST, so it starts exactly one repack: the version
+	// awaited is the last one Close persists.
 	d1, _ := newTestDaemonStore(t, 3, openStore(t, dir))
 	h1 := d1.Handler()
 	spots := captureSpots(t, d1, "m88ksim")
-	for i := 0; i < 3; i++ {
-		if w := postSpots(t, h1, "m88ksim", 0, spots); w.Code != http.StatusOK {
-			t.Fatalf("POST: %d", w.Code)
-		}
+	stream := append(append(append([]hsd.HotSpot(nil), spots...), spots...), spots...)
+	if w := postSpots(t, h1, "m88ksim", 0, stream); w.Code != http.StatusOK {
+		t.Fatalf("POST: %d: %s", w.Code, w.Body.String())
 	}
 	pkg1 := awaitVersion(t, h1, "m88ksim")
 	prov1 := get(h1, "/v1/provenance/m88ksim/latest")
@@ -103,6 +108,82 @@ func TestDaemonStoreRestart(t *testing.T) {
 	}
 }
 
+// TestDaemonPublishSettled: a version becomes visible only once it is
+// durable and the drift tracker measures against it. While the persist
+// step of version 2 is held open, latest stays at version 1 and the drift
+// baseline is still version 1; as soon as latest is version 2, /v1/drift
+// reports it as the baseline.
+func TestDaemonPublishSettled(t *testing.T) {
+	d, _ := newTestDaemonStore(t, 3, openStore(t, t.TempDir()))
+	h := d.Handler()
+	st := d.programs["m88ksim"]
+	spots := captureSpots(t, d, "m88ksim")
+	post := func() {
+		t.Helper()
+		if w := postSpots(t, h, "m88ksim", st.hash, spots); w.Code != http.StatusOK {
+			t.Fatalf("POST profile: %d: %s", w.Code, w.Body.String())
+		}
+	}
+	latest := func() string { return get(h, "/v1/packages/m88ksim/latest").Header().Get("Vpackd-Version") }
+	baseline := func() int {
+		t.Helper()
+		var s drift.Status
+		if err := json.Unmarshal(get(h, "/v1/drift/m88ksim").Body.Bytes(), &s); err != nil {
+			t.Fatal(err)
+		}
+		return s.BaselineVersion
+	}
+
+	post()
+	awaitVersion(t, h, "m88ksim")
+	if v := latest(); v != "1" {
+		t.Fatalf("one POST published version %s, want 1", v)
+	}
+
+	// Hold the next version between build and publication. The seam is
+	// swapped between repacks: the enqueue that starts the next one
+	// orders this write before the worker's read.
+	entered := make(chan int, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(release) }) })
+	d.persist = func(name string, version int, encoded []byte, prov *core.Provenance) error {
+		entered <- version
+		<-release
+		return d.persistVersion(name, version, encoded, prov)
+	}
+	post()
+	select {
+	case v := <-entered:
+		if v != 2 {
+			t.Fatalf("persisting version %d, want 2", v)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("version 2 never reached the persist step")
+	}
+	for i := 0; i < 5; i++ {
+		if v := latest(); v != "1" {
+			t.Fatalf("latest is version %s while version 2 is not yet durable", v)
+		}
+		if b := baseline(); b != 1 {
+			t.Fatalf("drift baseline is version %d while version 2 is not yet durable", b)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	once.Do(func() { close(release) })
+	deadline := time.Now().Add(60 * time.Second)
+	for latest() != "2" {
+		if time.Now().After(deadline) {
+			t.Fatal("version 2 never published")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if b := baseline(); b != 2 {
+		t.Fatalf("latest is version 2 but the drift baseline is version %d", b)
+	}
+}
+
 // TestDaemonStoreRepackContinues: after recovery, fresh streams continue
 // the version sequence — version N+1, not a restart at 1 — and persist
 // in turn.
@@ -116,10 +197,12 @@ func TestDaemonStoreRepackContinues(t *testing.T) {
 		postSpots(t, h1, "m88ksim", 0, spots)
 	}
 	awaitVersion(t, h1, "m88ksim")
+	// Close waits for any repack still running, so the history read after
+	// it is the one the store holds.
+	d1.Close()
 	d1.programs["m88ksim"].mu.Lock()
 	n1 := len(d1.programs["m88ksim"].history)
 	d1.programs["m88ksim"].mu.Unlock()
-	d1.Close()
 
 	d2, _ := newTestDaemonStore(t, 3, openStore(t, dir))
 	h2 := d2.Handler()

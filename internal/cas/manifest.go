@@ -5,6 +5,8 @@
 package cas
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -43,7 +45,10 @@ type entryJSON struct {
 	Created int64    `json:"created"`
 }
 
-func hexU64(v uint64) string { return fmt.Sprintf("%016x", v) }
+// hexU64 formats v as 16 lower-case hex digits, zero-padded.
+func hexU64(v uint64) string {
+	return hex.EncodeToString(binary.BigEndian.AppendUint64(make([]byte, 0, 8), v))
+}
 
 func parseU64(s string) (uint64, error) {
 	var v uint64
@@ -55,20 +60,22 @@ func parseU64(s string) (uint64, error) {
 
 // writeManifestLocked atomically replaces the manifest with the current
 // index state. Segments must already be durable (flushLocked orders the
-// segment fsync before this call).
+// segment fsync before this call). It groups chunks by segment in one
+// pass, but still rewrites the whole manifest on every flush.
 func (s *Store) writeManifestLocked() error {
 	m := manifestJSON{Schema: manifestSchema, Generation: s.gen}
-	for i, seg := range s.segments {
-		sj := segmentJSON{Name: seg.name, Bytes: seg.bytes}
-		for ck, ref := range s.chunks {
-			if ref.seg == i {
-				sj.Chunks = append(sj.Chunks, chunkJSON{
-					Key: hexU64(ck), Off: ref.off, Len: ref.n, CRC: ref.crc,
-				})
-			}
+	for _, seg := range s.segments {
+		m.Segments = append(m.Segments, segmentJSON{Name: seg.name, Bytes: seg.bytes})
+	}
+	for ck, ref := range s.chunks {
+		if ref.seg >= 0 && ref.seg < len(m.Segments) {
+			sj := &m.Segments[ref.seg]
+			sj.Chunks = append(sj.Chunks, chunkJSON{Key: hexU64(ck), Off: ref.off, Len: ref.n, CRC: ref.crc})
 		}
-		sort.Slice(sj.Chunks, func(a, b int) bool { return sj.Chunks[a].Off < sj.Chunks[b].Off })
-		m.Segments = append(m.Segments, sj)
+	}
+	for _, sj := range m.Segments {
+		c := sj.Chunks
+		sort.Slice(c, func(a, b int) bool { return c[a].Off < c[b].Off })
 	}
 	for _, e := range s.listLocked() {
 		ej := entryJSON{

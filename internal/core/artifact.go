@@ -283,9 +283,9 @@ func regionRecord(r *region.Region) RegionRecord {
 }
 
 // sync materializes the serializable Records from the live regions, on
-// the first encoding, hashing or rebinding to a foreign program. Every run
-// pays it once: PackageStageObserved hashes the artifact (ra.hash) to
-// stamp the package set's provenance.
+// the first encoding, hashing or rebinding to a foreign program. A
+// storeless run never pays it: the package set stamps its RegionHash
+// from the artifact only when the set itself is encoded or hashed.
 func (ra *RegionArtifact) sync() {
 	if len(ra.Records) == 0 && len(ra.regions) > 0 {
 		ra.Records = make([]RegionRecord, 0, len(ra.regions))
@@ -464,19 +464,21 @@ type PackageSet struct {
 	// carries its own proof metadata.
 	Equiv []*equiv.Certificate `json:"equiv,omitempty"`
 
-	// live results, set when the stage ran in-process.
+	// live results, set when the stage ran in-process; ra is the region
+	// artifact RegionHash is taken from.
 	res    *pack.Result
 	packed *prog.Program
+	ra     *RegionArtifact
 }
 
 // newPackageSet lowers an installation result over the packed program.
-// PackedAsm and PackedHash are deferred to encode time (sync), so the
-// pipeline hot path never disassembles or re-linearizes.
-func newPackageSet(packed *prog.Program, res *pack.Result, regionHash, programHash uint64) *PackageSet {
+// PackedAsm, PackedHash and RegionHash are deferred to encode time
+// (sync), so the pipeline hot path never disassembles, re-linearizes or
+// hashes the regions.
+func newPackageSet(packed *prog.Program, res *pack.Result, ra *RegionArtifact, programHash uint64) *PackageSet {
 	ps := &PackageSet{
 		Schema:      PackageSetSchema,
 		ProgramHash: programHash,
-		RegionHash:  regionHash,
 		Stats: PackStats{
 			Packages:      len(res.Packages),
 			Groups:        len(res.Groups),
@@ -489,6 +491,7 @@ func newPackageSet(packed *prog.Program, res *pack.Result, regionHash, programHa
 		},
 		res:    res,
 		packed: packed,
+		ra:     ra,
 	}
 	phases := make(map[int]bool)
 	for _, pk := range res.Packages {
@@ -558,9 +561,12 @@ func (ps *PackageSet) Replication() float64 {
 	return float64(ps.Stats.AddedInsts) / float64(ps.Stats.SelectedInsts)
 }
 
-// sync materializes the serialized program text and packed-image hash
-// from the live program.
+// sync materializes the serialized program text, the packed-image hash
+// and the region hash from the live results.
 func (ps *PackageSet) sync() error {
+	if ps.RegionHash == 0 && ps.ra != nil {
+		ps.RegionHash = ps.ra.hash()
+	}
 	if ps.packed == nil {
 		return nil
 	}
@@ -577,24 +583,60 @@ func (ps *PackageSet) sync() error {
 	return nil
 }
 
-// Hash returns the set's content hash.
+// Hash returns the set's content hash: FNV-1a over its compact JSON.
 func (ps *PackageSet) Hash() (uint64, error) {
-	if err := ps.sync(); err != nil {
-		return 0, err
-	}
-	type plain PackageSet
-	return jsonHash((*plain)(ps))
+	_, h, err := ps.Encode()
+	return h, err
 }
 
 // EncodeJSON writes the set's canonical JSON form.
 func (ps *PackageSet) EncodeJSON(w io.Writer) error {
+	data, _, err := ps.Encode()
+	if err == nil {
+		_, err = w.Write(data)
+	}
+	return err
+}
+
+// Encode returns the set's canonical JSON form, as json.Encoder with a
+// one-space indent writes it, and its content hash, FNV-1a over the
+// json.Marshal form. The packed text dwarfs the rest of the set, so it
+// is JSON-escaped once and spliced into both forms; only the metadata is
+// marshaled and indented.
+func (ps *PackageSet) Encode() ([]byte, uint64, error) {
 	if err := ps.sync(); err != nil {
-		return err
+		return nil, 0, err
 	}
 	type plain PackageSet
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode((*plain)(ps))
+	meta := plain(*ps)
+	meta.PackedAsm = ""
+	compact, err := json.Marshal(&meta)
+	if err != nil {
+		return nil, 0, err
+	}
+	text, err := json.Marshal(ps.PackedAsm)
+	if err != nil {
+		return nil, 0, err
+	}
+	// The first "packed_asm":"" is the field: no key before it is
+	// packed_asm, and a string value never holds an unescaped quote.
+	h := fnv.New64a()
+	at := bytes.Index(compact, []byte(`"packed_asm":""`)) + len(`"packed_asm":`)
+	h.Write(compact[:at])
+	h.Write(text)
+	h.Write(compact[at+len(`""`):])
+
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact, "", " "); err != nil {
+		return nil, 0, err
+	}
+	ind := indented.Bytes()
+	at = bytes.Index(ind, []byte(`"packed_asm": ""`)) + len(`"packed_asm": `)
+	out := make([]byte, 0, len(ind)+len(text)+1)
+	out = append(out, ind[:at]...)
+	out = append(out, text...)
+	out = append(out, ind[at+len(`""`):]...)
+	return append(out, '\n'), h.Sum64(), nil
 }
 
 // EncodeSplit writes the set's canonical JSON form with an empty

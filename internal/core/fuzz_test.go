@@ -40,8 +40,13 @@ func fuzzFixedPoint[T interface{ EncodeJSON(io.Writer) error }](f *testing.F, de
 
 // FuzzDecodePackageSet fuzzes DecodePackageSet. The seed corpus
 // (testdata/fuzz/FuzzDecodePackageSet) holds the package set the pipeline
-// builds, with -equiv certificates, for testdata/twophase.vpasm.
-func FuzzDecodePackageSet(f *testing.F) { fuzzFixedPoint(f, DecodePackageSet, nil) }
+// builds, with -equiv certificates, for testdata/twophase.vpasm, and a
+// small set whose program and packed text hold the characters JSON
+// escapes (<, &, ", \, a tab, U+2028). Every accepted set must encode
+// and hash exactly as the encoding/json reference does.
+func FuzzDecodePackageSet(f *testing.F) {
+	fuzzFixedPoint(f, DecodePackageSet, func(t *testing.T, ps *PackageSet) { checkEncode(t, ps) })
+}
 
 // FuzzDecodeProfileArtifact fuzzes DecodeProfileArtifact. The seed
 // corpus holds the profile artifact of testdata/twophase.vpasm, its

@@ -287,7 +287,7 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 	if err := p.Verify(); err != nil {
 		return partial(fmt.Errorf("core: packed program invalid: %w", err))
 	}
-	set := newPackageSet(p, res, ra.hash(), ra.ProgramHash)
+	set := newPackageSet(p, res, ra, ra.ProgramHash)
 	set.SkippedPhases = skipped
 	set.Equiv = certs
 	return set, nil

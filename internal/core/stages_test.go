@@ -188,7 +188,7 @@ func TestPackageSetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	set := newPackageSet(out.Packed, out.Pack, 0, 0)
+	set := newPackageSet(out.Packed, out.Pack, nil, 0)
 	h1, err := set.Hash()
 	if err != nil {
 		t.Fatal(err)

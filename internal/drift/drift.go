@@ -326,12 +326,13 @@ func (t *Tracker) SetBaseline(snap *phasedb.Snapshot, version int) {
 	t.o.Gauge(obs.DriftBaselineVersion.For(t.program), float64(version))
 }
 
-// Score returns the latest measurement (recomputed lazily against the
-// current ring, so callers between window closes still see fresh axes).
+// Score returns the latest measurement. Only a window close and a
+// baseline swap change what it scores, and both refresh it, so it is
+// served as measured.
 func (t *Tracker) Score() Score {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.computeScoreLocked()
+	s := t.last
 	if s.Composite > t.peak {
 		t.peak = s.Composite
 	}

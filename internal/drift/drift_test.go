@@ -2,6 +2,8 @@ package drift
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -237,6 +239,42 @@ func TestBaselineSwapAndPeak(t *testing.T) {
 	}
 	if s.Peak < high.Composite {
 		t.Fatalf("peak = %.4f lost the excursion %.4f", s.Peak, high.Composite)
+	}
+}
+
+// TestScoreServesLastMeasurement drives a tracker through a seeded random
+// sequence of records and baseline swaps, and after every step checks
+// that Score serves what a fresh scoring of the current ring against the
+// current baseline gives. The axes sum over maps, so floats compare
+// within a rounding tolerance.
+func TestScoreServesLastMeasurement(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tr := NewTracker(Config{Window: 3, Ring: 5, Recent: 2}, "p", obs.Nop{})
+	var recent []hsd.HotSpot
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
+	swaps := 0
+	for step := 0; step < 400; step++ {
+		if rng.Intn(8) == 0 && len(recent) > 0 {
+			swaps++
+			baselineFrom(t, tr, swaps, recent)
+			recent = recent[:0]
+		} else {
+			pcs := pcRange(0x400*int64(1+rng.Intn(4)), 4+rng.Intn(8))
+			exec := uint32(50 + rng.Intn(100))
+			hs := spot(step, uint64(1000*step), pcs, exec, uint32(rng.Intn(int(exec)+1)))
+			recent = append(recent, hs)
+			tr.Observe(hs, rng.Intn(3))
+		}
+		got, want := tr.Score(), tr.FreshScore()
+		if got.BiasFlips != want.BiasFlips || got.WindowsScored != want.WindowsScored ||
+			got.BaselineVersion != want.BaselineVersion || !near(got.HotSetDivergence, want.HotSetDivergence) ||
+			!near(got.FilterCrossings, want.FilterCrossings) || !near(got.Composite, want.Composite) ||
+			!near(got.Peak, want.Peak) {
+			t.Fatalf("step %d (%d baselines): Score %+v, fresh %+v", step, swaps, got, want)
+		}
+	}
+	if swaps < 10 {
+		t.Fatalf("only %d baseline swaps in the sequence", swaps)
 	}
 }
 

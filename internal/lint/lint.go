@@ -14,11 +14,11 @@
 //
 //	lint/mutate-after-hash — a field of an artifact (internal/core) or IR
 //	    value (prog.Func, prog.Block) is assigned after the same variable's
-//	    content hash was taken with Hash() or EncodeJSON() in the same
-//	    function. The hash no longer describes the value: a store keyed by
-//	    it serves stale bytes, and an equivalence certificate attached to
-//	    it attests to code that no longer exists. Take the hash last, or
-//	    re-take it after the mutation.
+//	    content hash was taken with Hash(), EncodeJSON() or Encode() in
+//	    the same function. The hash no longer describes the value: a store
+//	    keyed by it serves stale bytes, and an equivalence certificate
+//	    attached to it attests to code that no longer exists. Take the hash
+//	    last, or re-take it after the mutation.
 //
 // The analysis is purely syntactic + type-based over one package at a
 // time, so it slots into the vet unitchecker protocol without needing
@@ -87,8 +87,8 @@ func Analyze(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPath s
 
 // hashedPkgs are the package-path suffixes whose named types carry
 // content hashes: the IR (hashed into ProgramHash/ImageHash) and the
-// artifact layer (Hash()/EncodeJSON() feed the store keys and the
-// equivalence certificates).
+// artifact layer (Hash()/EncodeJSON()/Encode() feed the store keys and
+// the equivalence certificates).
 var hashedPkgs = []string{"internal/prog", "internal/core"}
 
 // isHashed reports whether t (or *t) is a named type from one of the
@@ -140,7 +140,8 @@ func baseVar(e ast.Expr, info *types.Info) *types.Var {
 }
 
 // mutatedAfterHash flags field writes through a hashed-type variable at a
-// position after the same variable's Hash() or EncodeJSON() call in fn.
+// position after the same variable's Hash(), EncodeJSON() or Encode()
+// call in fn.
 // The ordering is positional — good enough for straight-line build code,
 // where this bug class lives; a loop that hashes then mutates on the next
 // iteration is equally wrong and also caught.
@@ -166,8 +167,8 @@ func mutatedAfterHash(fn *ast.FuncDecl, info *types.Info) []Diagnostic {
 		switch f := call.Fun.(type) {
 		case *ast.SelectorExpr:
 			name = f.Sel.Name
-			if name == "Hash" || name == "EncodeJSON" {
-				// Method form: pa.Hash(), set.EncodeJSON(w).
+			if name == "Hash" || name == "EncodeJSON" || name == "Encode" {
+				// Method form: pa.Hash(), set.EncodeJSON(w), set.Encode().
 				mark(baseVar(f.X, info), call)
 			}
 		case *ast.Ident:
@@ -175,7 +176,7 @@ func mutatedAfterHash(fn *ast.FuncDecl, info *types.Info) []Diagnostic {
 		}
 		// Free-function form: ImageHash(img) and friends take the value
 		// to digest as an argument.
-		if name == "Hash" || name == "ImageHash" || name == "EncodeJSON" {
+		if name == "Hash" || name == "ImageHash" || name == "EncodeJSON" || name == "Encode" {
 			for _, arg := range call.Args {
 				mark(baseVar(arg, info), call)
 			}

@@ -36,6 +36,8 @@ type ProfileArtifact struct {
 }
 func (a *ProfileArtifact) Hash() (uint64, error)    { return 0, nil }
 func (a *ProfileArtifact) EncodeJSON(w int) error   { return nil }
+type PackageSet struct{ Program string }
+func (s *PackageSet) Encode() ([]byte, uint64, error) { return nil, 0, nil }
 func ImageHash(b *prog.Block) uint64                { return 0 }
 `
 
@@ -172,10 +174,15 @@ func encode(a *core.ProfileArtifact) {
 	_ = a.EncodeJSON(0)
 	a.Name = "y" // flagged: serialized bytes no longer match
 }
+func encodeOnce(s *core.PackageSet) []byte {
+	data, _, _ := s.Encode()
+	s.Program = "z" // flagged: the bytes and the hash Encode returned are stale
+	return data
+}
 `
 	diags := check(t, "test/internal/client", src)
-	if len(diags) != 3 {
-		t.Fatalf("got %d diagnostics (%v), want 3", len(diags), rules(diags))
+	if len(diags) != 4 {
+		t.Fatalf("got %d diagnostics (%v), want 4", len(diags), rules(diags))
 	}
 	for _, d := range diags {
 		if d.Rule != "lint/mutate-after-hash" {

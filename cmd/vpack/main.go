@@ -229,6 +229,7 @@ func main() {
 			out.Pack.SelectedInsts, out.Pack.SelectedFraction()*100, out.Pack.Replication())
 	}
 
+	out.Program = title
 	ev, err := out.EvaluateObserved(o)
 	if err != nil {
 		fatal(err)

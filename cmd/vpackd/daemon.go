@@ -1,8 +1,8 @@
 // Daemon core: per-program sharded profile accumulators, a bounded
 // repack queue drained by a fixed worker pool, and versioned package
 // serving. The HTTP layer is a thin JSON shim over this; the heavy
-// lifting is the staged pipeline API (core.RegionStage/PackageStage)
-// resumed from each program's accumulated profile artifact.
+// lifting is the staged pipeline's composer (core.Compose) resumed from
+// each program's accumulated profile artifact.
 package main
 
 import (
@@ -451,8 +451,8 @@ func (d *Daemon) enqueue(st *programState) bool {
 
 // repack runs stages 2+3 from the shard's accumulated profile: snapshot
 // the database (so ingest keeps streaming), wrap it as a ProfileArtifact
-// stamped with the shard's image hash, resume RegionStage+PackageStage
-// against a fresh clone, and publish the encoded PackageSet as the next
+// stamped with the shard's image hash, resume core.Compose against a
+// fresh clone, and publish the encoded PackageSet as the next
 // version. Runs on a pool worker; only the snapshot and publish steps
 // hold the shard mutex.
 func (d *Daemon) repack(st *programState) {
@@ -624,7 +624,8 @@ func (d *Daemon) buildRecovered(st *programState, pa *core.ProfileArtifact, prov
 	return d.build(st, pa, prov)
 }
 
-// buildVersion resumes the staged pipeline from pa, filling prov's
+// buildVersion resumes the staged pipeline from pa with core.Compose on
+// a fresh clone, under the image hash taken at boot, fills prov's
 // artifact hashes and stage spans, and returns the encoded PackageSet.
 func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *core.Provenance) ([]byte, error) {
 	clone := st.prog.Clone()
@@ -635,22 +636,13 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 	if h, err := pa.Hash(); err == nil {
 		prov.ProfileHash = h
 	}
-
-	stage := time.Now()
-	ra, err := core.RegionStage(d.cfg, cloneImg, pa)
-	prov.Spans = append(prov.Spans, core.SpanSummary{Name: "region_stage", US: time.Since(stage).Microseconds()})
+	rec := obs.NewRecorder()
+	ra, set, err := core.Compose(d.cfg, clone, cloneImg, st.hash, pa, rec)
 	if err != nil {
 		return nil, err
 	}
 	if h, err := ra.Hash(); err == nil {
 		prov.RegionHash = h
-	}
-
-	stage = time.Now()
-	set, err := core.PackageStage(d.cfg, clone, cloneImg, ra)
-	prov.Spans = append(prov.Spans, core.SpanSummary{Name: "package_stage", US: time.Since(stage).Microseconds()})
-	if err != nil {
-		return nil, err
 	}
 	set.Program = st.name
 	for _, c := range set.Equiv {
@@ -658,14 +650,34 @@ func (d *Daemon) buildVersion(st *programState, pa *core.ProfileArtifact, prov *
 		d.rec.Count(obs.EquivPathsProved.Name, int64(c.PathsProved))
 	}
 
-	stage = time.Now()
+	sp := rec.StartSpan("encode")
 	encoded, h, err := set.Encode()
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	prov.PackageHash = h
-	prov.Spans = append(prov.Spans, core.SpanSummary{Name: "encode", US: time.Since(stage).Microseconds()})
+	prov.Spans = buildSteps(rec.Export())
 	return encoded, nil
+}
+
+// buildSteps reads a build's provenance spans off its trace: region_stage
+// runs from the start of the filter span to the end of the region span,
+// package_stage from the package span to the optimize span (so it covers
+// linking and the proof snapshots too), and encode is the encode span.
+func buildSteps(t *obs.Trace) []core.SpanSummary {
+	at := make(map[string]obs.SpanRecord, len(t.Spans))
+	for _, sp := range t.Spans {
+		at[sp.Name] = sp
+	}
+	step := func(name, first, last string) core.SpanSummary {
+		return core.SpanSummary{Name: name, US: at[last].StartUS + at[last].DurUS - at[first].StartUS}
+	}
+	return []core.SpanSummary{
+		step("region_stage", obs.StageFilter, obs.StageRegion),
+		step("package_stage", obs.StagePackage, obs.StageOptimize),
+		step("encode", "encode", "encode"),
+	}
 }
 
 // version resolves a selector — a 1-based version number in canonical

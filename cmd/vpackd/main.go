@@ -1,8 +1,8 @@
 // Command vpackd is the continuous-optimization daemon: it accepts
 // hardware hot-spot records streamed over HTTP from many concurrent
 // clients, aggregates them into per-program profile artifacts, and
-// continuously repackages each program through the staged pipeline API
-// (RegionStage + PackageStage), serving the resulting versioned
+// continuously repackages each program through the staged pipeline's
+// composer (core.Compose: the region and package stages), serving the resulting versioned
 // PackageSets back out. This is the paper's vacuum-packing loop run as
 // a service: detection happens at the clients, packing here.
 //

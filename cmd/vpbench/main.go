@@ -158,6 +158,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "vpbench: hint: some inputs were too short for the detector; raise -scale")
 		}
 		fmt.Fprintln(os.Stderr, "vpbench:", err)
+		if runs := report.Refused(err); len(runs) > 0 {
+			fmt.Fprintf(os.Stderr, "vpbench: packed runs refused at their instruction budget: %d (%s)\n", len(runs), strings.Join(runs, ", "))
+		}
 		if errors.Is(err, core.ErrVerifyFailed) {
 			os.Exit(3)
 		}

@@ -34,6 +34,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Sentinel store errors; both are always wrapped with detail, so match
@@ -193,16 +194,37 @@ func hash64(b []byte) uint64 {
 	return h.Sum64()
 }
 
+// chunkHashes returns hash64 of data and of each of its chunkSize chunks
+// (one for empty data), in one pass with two running FNV-1a states.
+func chunkHashes(data []byte) (blob uint64, chunks []uint64) {
+	const offset, prime = 14695981039346656037, 1099511628211
+	blob = offset
+	for off := 0; off == 0 || off < len(data); off += chunkSize {
+		ck := uint64(offset)
+		for _, c := range data[off:min(off+chunkSize, len(data))] {
+			blob = (blob ^ uint64(c)) * prime
+			ck = (ck ^ uint64(c)) * prime
+		}
+		chunks = append(chunks, ck)
+	}
+	return blob, chunks
+}
+
 // Put stores data under (kind, key), replacing any previous entry. The
 // data is chunked and deduplicated against every chunk already present;
-// storing identical content twice costs only index metadata.
+// storing identical content twice costs only index metadata. One pass
+// over the bytes hashes the blob and its chunks; a kind that is not valid
+// UTF-8 is refused.
 func (s *Store) Put(kind string, key Key, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("cas: put %s: store closed", kind)
 	}
-	blobHash := hash64(data)
+	if !utf8.ValidString(kind) { // JSON would reload it with U+FFFD
+		return fmt.Errorf("cas: put %q: kind is not valid UTF-8", kind)
+	}
+	blobHash, keys := chunkHashes(data)
 	ek := entryKey{kind: kind, key: key}
 	if old, ok := s.entries[ek]; ok && old.Hash == blobHash && old.Size == int64(len(data)) {
 		return nil // identical content already indexed
@@ -212,28 +234,18 @@ func (s *Store) Put(kind string, key Key, data []byte) error {
 		Key:     key,
 		Size:    int64(len(data)),
 		Hash:    blobHash,
+		Chunks:  keys,
 		Created: s.now().Unix(),
 	}
-	for off := 0; off < len(data) || (off == 0 && len(data) == 0); off += chunkSize {
-		end := off + chunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		chunk := data[off:end]
-		ck := hash64(chunk)
-		e.Chunks = append(e.Chunks, ck)
+	for i, ck := range keys {
 		if _, ok := s.chunks[ck]; ok {
 			s.stats.DedupChunks++
 			continue
 		}
-		cp := make([]byte, len(chunk))
-		copy(cp, chunk)
+		cp := append([]byte(nil), data[i*chunkSize:min((i+1)*chunkSize, len(data))]...)
 		s.mem[ck] = cp
 		s.memBytes += int64(len(cp))
 		s.chunks[ck] = chunkRef{seg: -1, n: uint32(len(cp)), crc: crc32.ChecksumIEEE(cp)}
-		if len(data) == 0 {
-			break
-		}
 	}
 	s.entries[ek] = e
 	s.dirty = true
@@ -385,7 +397,7 @@ func (s *Store) writeSegmentLocked() error {
 	}
 	for _, ck := range keys {
 		chunk := s.mem[ck]
-		crc := crc32.ChecksumIEEE(chunk)
+		crc := s.chunks[ck].crc // taken by Put
 		binary.LittleEndian.PutUint64(hdr[0:8], ck)
 		binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(chunk)))
 		binary.LittleEndian.PutUint32(hdr[12:16], crc)

@@ -307,3 +307,40 @@ func TestErrorStringsNameTheKey(t *testing.T) {
 		t.Fatalf("miss error %q does not name the key", err)
 	}
 }
+
+// TestPutHashes: Put's one pass over a blob gives Entry.Hash the blob's
+// hash64 and every chunk key its chunk's hash64, at every size around the
+// chunk boundaries, and identical content put again adds no chunk, under
+// the same key or another.
+func TestPutHashes(t *testing.T) {
+	s := open(t, t.TempDir())
+	for i, n := range []int{0, 1, chunkSize - 1, chunkSize, chunkSize + 1, 3 * chunkSize} {
+		data := blob(byte(i), n)
+		k := Key{A: uint64(n)}
+		mustPut(t, s, KindProfile, k, data)
+		var e Entry
+		for _, le := range s.List() {
+			if le.Key == k {
+				e = le
+			}
+		}
+		if e.Hash != hash64(data) || e.Size != int64(n) {
+			t.Fatalf("size %d: entry hash %016x size %d, want %016x size %d", n, e.Hash, e.Size, hash64(data), n)
+		}
+		if want := max(1, (n+chunkSize-1)/chunkSize); len(e.Chunks) != want {
+			t.Fatalf("size %d: %d chunks, want %d", n, len(e.Chunks), want)
+		}
+		for j, ck := range e.Chunks {
+			if chunk := data[j*chunkSize : min((j+1)*chunkSize, n)]; ck != hash64(chunk) {
+				t.Errorf("size %d: chunk %d key %016x, want %016x", n, j, ck, hash64(chunk))
+			}
+		}
+		before := s.Stats()
+		mustPut(t, s, KindProfile, k, data)
+		mustPut(t, s, KindRegion, k, data)
+		if after := s.Stats(); after.Chunks != before.Chunks || after.MemBytes != before.MemBytes {
+			t.Errorf("size %d: identical content put again grew the chunks from %d (%d bytes) to %d (%d bytes)",
+				n, before.Chunks, before.MemBytes, after.Chunks, after.MemBytes)
+		}
+	}
+}

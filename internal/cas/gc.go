@@ -148,7 +148,7 @@ func (s *Store) GC(maxBytes int64, maxAge time.Duration) (GCResult, error) {
 	live = kept
 
 	// Rebuild the index around the survivors.
-	oldSegments := s.segments
+	oldSegments, oldChunks := s.segments, s.chunks
 	s.segments = nil
 	s.chunks = make(map[uint64]chunkRef, len(data))
 	s.mem = make(map[uint64][]byte, len(data))
@@ -163,7 +163,8 @@ func (s *Store) GC(maxBytes int64, maxAge time.Duration) (GCResult, error) {
 			chunk := data[ck]
 			s.mem[ck] = chunk
 			s.memBytes += int64(len(chunk))
-			s.chunks[ck] = chunkRef{seg: -1, n: uint32(len(chunk))}
+			// The CRC was checked when the chunk was read back.
+			s.chunks[ck] = chunkRef{seg: -1, n: uint32(len(chunk)), crc: oldChunks[ck].crc}
 		}
 	}
 	s.dirty = true

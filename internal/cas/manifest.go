@@ -5,13 +5,12 @@
 package cas
 
 import (
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -45,11 +44,6 @@ type entryJSON struct {
 	Created int64    `json:"created"`
 }
 
-// hexU64 formats v as 16 lower-case hex digits, zero-padded.
-func hexU64(v uint64) string {
-	return hex.EncodeToString(binary.BigEndian.AppendUint64(make([]byte, 0, 8), v))
-}
-
 func parseU64(s string) (uint64, error) {
 	var v uint64
 	if _, err := fmt.Sscanf(s, "%016x", &v); err != nil {
@@ -60,43 +54,16 @@ func parseU64(s string) (uint64, error) {
 
 // writeManifestLocked atomically replaces the manifest with the current
 // index state. Segments must already be durable (flushLocked orders the
-// segment fsync before this call). It groups chunks by segment in one
-// pass, but still rewrites the whole manifest on every flush.
+// segment fsync before this call). The manifest is rewritten whole on
+// every flush.
 func (s *Store) writeManifestLocked() error {
-	m := manifestJSON{Schema: manifestSchema, Generation: s.gen}
-	for _, seg := range s.segments {
-		m.Segments = append(m.Segments, segmentJSON{Name: seg.name, Bytes: seg.bytes})
-	}
-	for ck, ref := range s.chunks {
-		if ref.seg >= 0 && ref.seg < len(m.Segments) {
-			sj := &m.Segments[ref.seg]
-			sj.Chunks = append(sj.Chunks, chunkJSON{Key: hexU64(ck), Off: ref.off, Len: ref.n, CRC: ref.crc})
-		}
-	}
-	for _, sj := range m.Segments {
-		c := sj.Chunks
-		sort.Slice(c, func(a, b int) bool { return c[a].Off < c[b].Off })
-	}
-	for _, e := range s.listLocked() {
-		ej := entryJSON{
-			Kind: e.Kind, A: hexU64(e.Key.A), B: hexU64(e.Key.B),
-			Size: e.Size, Hash: hexU64(e.Hash), Created: e.Created,
-		}
-		for _, ck := range e.Chunks {
-			ej.Chunks = append(ej.Chunks, hexU64(ck))
-		}
-		m.Entries = append(m.Entries, ej)
-	}
-
 	path := filepath.Join(s.dir, manifestName)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("cas: write manifest: %w", err)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(&m); err != nil {
+	if _, err := f.Write(s.appendManifest(nil)); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("cas: write manifest: %w", err)
@@ -115,6 +82,95 @@ func (s *Store) writeManifestLocked() error {
 		return fmt.Errorf("cas: publish manifest: %w", err)
 	}
 	return syncDir(s.dir)
+}
+
+// appendManifest renders the index as the manifest: byte for byte what
+// json.Encoder with a one-space indent writes for the manifestJSON of the
+// index (the test-only referenceManifest checks it), appended straight
+// from the segments, chunks and entries.
+func (s *Store) appendManifest(b []byte) []byte {
+	bySeg := make([][]uint64, len(s.segments))
+	for ck, ref := range s.chunks {
+		if ref.seg >= 0 && ref.seg < len(bySeg) {
+			bySeg[ref.seg] = append(bySeg[ref.seg], ck)
+		}
+	}
+	b = appendJSONString(append(b, "{\n \"schema\": "...), manifestSchema)
+	b = strconv.AppendUint(append(b, ",\n \"generation\": "...), s.gen, 10)
+	b = appendArray(append(b, ",\n \"segments\": "...), len(s.segments), " ", func(b []byte, i int) []byte {
+		b = appendJSONString(append(b, "{\n   \"name\": "...), s.segments[i].name)
+		b = strconv.AppendInt(append(b, ",\n   \"bytes\": "...), s.segments[i].bytes, 10)
+		keys := bySeg[i]
+		sort.Slice(keys, func(x, y int) bool { return s.chunks[keys[x]].off < s.chunks[keys[y]].off })
+		b = appendArray(append(b, ",\n   \"chunks\": "...), len(keys), "   ", func(b []byte, j int) []byte {
+			ref := s.chunks[keys[j]]
+			b = appendHex(append(b, "{\n     \"key\": "...), keys[j])
+			b = strconv.AppendInt(append(b, ",\n     \"off\": "...), ref.off, 10)
+			b = strconv.AppendUint(append(b, ",\n     \"len\": "...), uint64(ref.n), 10)
+			b = strconv.AppendUint(append(b, ",\n     \"crc\": "...), uint64(ref.crc), 10)
+			return append(b, "\n    }"...)
+		})
+		return append(b, "\n  }"...)
+	})
+	entries := s.listLocked()
+	b = appendArray(append(b, ",\n \"entries\": "...), len(entries), " ", func(b []byte, i int) []byte {
+		e := entries[i]
+		b = appendJSONString(append(b, "{\n   \"kind\": "...), e.Kind)
+		b = appendHex(append(b, ",\n   \"a\": "...), e.Key.A)
+		b = appendHex(append(b, ",\n   \"b\": "...), e.Key.B)
+		b = strconv.AppendInt(append(b, ",\n   \"size\": "...), e.Size, 10)
+		b = appendHex(append(b, ",\n   \"hash\": "...), e.Hash)
+		b = appendArray(append(b, ",\n   \"chunks\": "...), len(e.Chunks), "   ", func(b []byte, j int) []byte {
+			return appendHex(b, e.Chunks[j])
+		})
+		b = strconv.AppendInt(append(b, ",\n   \"created\": "...), e.Created, 10)
+		return append(b, "\n  }"...)
+	})
+	return append(b, "\n}\n"...)
+}
+
+// appendArray appends n elements, each rendered by elem, as an indented
+// JSON array whose closing bracket sits at indent: null when n is 0, as
+// encoding/json writes a nil slice.
+func appendArray(b []byte, n int, indent string, elem func(b []byte, i int) []byte) []byte {
+	if n == 0 {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = elem(append(append(append(b, '\n'), indent...), ' '), i)
+	}
+	return append(append(append(b, '\n'), indent...), ']')
+}
+
+// appendHex appends v as a JSON string of 16 lower-case hex digits.
+func appendHex(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	b = append(b, '"')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
+	}
+	return append(b, '"')
+}
+
+// appendJSONString appends str quoted as encoding/json quotes it: as is
+// when every byte is printable ASCII that json copies verbatim, and
+// through json.Marshal otherwise (control bytes, invalid UTF-8, the
+// quote, the backslash and the HTML-escaped <, > and &). Kind strings
+// and segment names can come from a loaded manifest.
+func appendJSONString(b []byte, str string) []byte {
+	for i := 0; i < len(str); i++ {
+		if c := str[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(str)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, str...)
+	return append(b, '"')
 }
 
 // listLocked returns the live entries sorted by kind then key; the

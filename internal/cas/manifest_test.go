@@ -2,18 +2,23 @@ package cas
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // referenceManifest renders the store's index the way the manifest
-// writer did before it grouped chunks in one pass: one scan of every
-// chunk per segment, hashes through fmt.
+// writer did before it wrote straight from the index: a manifestJSON
+// built with one scan of every chunk per segment and hashes through fmt,
+// encoded by json.Encoder with a one-space indent.
 func referenceManifest(t *testing.T, s *Store) []byte {
 	t.Helper()
 	hex := func(v uint64) string { return fmt.Sprintf("%016x", v) }
@@ -88,4 +93,107 @@ func TestManifestMatchesReference(t *testing.T) {
 		t.Fatalf("gc of everything: %+v, %v", res, err)
 	}
 	check("gc of everything")
+}
+
+// FuzzPutFlush drives the store's write path with a fuzzed script over
+// two fuzzed kind strings: 4-byte ops that Put a blob (its tag and length
+// fuzzed, up to past 3×chunkSize, so blobs share chunks), Flush, or run
+// the one GC. After every Flush, MANIFEST.json must be what
+// the encoding/json reference renders, every entry must read back as put
+// with Entry.Hash the FNV-1a of its blob, and a reopened store must list
+// the same entries. A kind that is not valid UTF-8 must be refused.
+func FuzzPutFlush(f *testing.F) {
+	f.Fuzz(func(t *testing.T, script []byte, kind0, kind1 string, keyA uint64) {
+		dir := t.TempDir()
+		s := open(t, dir)
+		defer s.Close()
+		want := make(map[entryKey][]byte)
+		check := func(step string) {
+			t.Helper()
+			got, err := os.ReadFile(filepath.Join(dir, manifestName))
+			if err != nil && !(os.IsNotExist(err) && len(want) == 0) {
+				t.Fatalf("%s: %v", step, err)
+			}
+			s.mu.Lock()
+			ref := referenceManifest(t, s)
+			s.mu.Unlock()
+			if err == nil && !bytes.Equal(got, ref) {
+				t.Fatalf("%s: MANIFEST.json differs from the reference writer:\n got: %q\nwant: %q", step, got, ref)
+			}
+			list := s.List()
+			if len(list) != len(want) {
+				t.Fatalf("%s: %d entries listed, %d put", step, len(list), len(want))
+			}
+			for _, e := range list {
+				data, ok := want[entryKey{kind: e.Kind, key: e.Key}]
+				if !ok {
+					t.Fatalf("%s: unexpected entry %q %v", step, e.Kind, e.Key)
+				}
+				h := fnv.New64a()
+				h.Write(data)
+				if e.Hash != h.Sum64() {
+					t.Fatalf("%s: %q %v: Entry.Hash %016x, FNV-1a of the blob %016x", step, e.Kind, e.Key, e.Hash, h.Sum64())
+				}
+				if back, err := s.Get(e.Kind, e.Key); err != nil || !bytes.Equal(back, data) {
+					t.Fatalf("%s: %q %v read back %d bytes, %v; want the %d bytes put", step, e.Kind, e.Key, len(back), err, len(data))
+				}
+			}
+			r, err := Open(dir)
+			if err != nil {
+				t.Fatalf("%s: reopen: %v", step, err)
+			}
+			defer r.Close()
+			if err := r.LoadErr(); err != nil {
+				t.Fatalf("%s: reopen: %v", step, err)
+			}
+			if relist := r.List(); !reflect.DeepEqual(relist, list) {
+				t.Fatalf("%s: reopened store lists %+v, want %+v", step, relist, list)
+			}
+		}
+		if len(script) > 48 {
+			script = script[:48]
+		}
+		gced := false
+		for i := 0; i+4 <= len(script); i += 4 {
+			op, tag := script[i], script[i+1]
+			switch op % 4 {
+			case 0, 1:
+				kind := kind0
+				if op&4 != 0 {
+					kind = kind1
+				}
+				n := int(binary.LittleEndian.Uint16(script[i+2:])) + int(op>>4%4)*chunkSize
+				k := Key{A: keyA + uint64(tag%4), B: uint64(op >> 6)}
+				data := blob(tag, n)
+				err := s.Put(kind, k, data)
+				if !utf8.ValidString(kind) {
+					if err == nil {
+						t.Fatalf("put of kind %q, not valid UTF-8, was accepted", kind)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("put %q %v: %v", kind, k, err)
+				}
+				want[entryKey{kind: kind, key: k}] = data
+			case 2:
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("flush at op %d", i/4))
+			case 3:
+				if gced {
+					continue
+				}
+				gced = true
+				if _, err := s.GC(0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check("final flush")
+	})
 }

@@ -465,17 +465,17 @@ type PackageSet struct {
 	Equiv []*equiv.Certificate `json:"equiv,omitempty"`
 
 	// live results, set when the stage ran in-process; ra is the region
-	// artifact RegionHash is taken from.
+	// artifact RegionHash is taken from, img the packed image.
 	res    *pack.Result
 	packed *prog.Program
 	ra     *RegionArtifact
+	img    *prog.Image
 }
 
 // newPackageSet lowers an installation result over the packed program.
 // PackedAsm, PackedHash and RegionHash are deferred to encode time
-// (sync), so the pipeline hot path never disassembles, re-linearizes or
-// hashes the regions.
-func newPackageSet(packed *prog.Program, res *pack.Result, ra *RegionArtifact, programHash uint64) *PackageSet {
+// (sync), so the pipeline hot path never disassembles or hashes.
+func newPackageSet(packed *prog.Program, img *prog.Image, res *pack.Result, ra *RegionArtifact, programHash uint64) *PackageSet {
 	ps := &PackageSet{
 		Schema:      PackageSetSchema,
 		ProgramHash: programHash,
@@ -492,6 +492,7 @@ func newPackageSet(packed *prog.Program, res *pack.Result, ra *RegionArtifact, p
 		res:    res,
 		packed: packed,
 		ra:     ra,
+		img:    img,
 	}
 	phases := make(map[int]bool)
 	for _, pk := range res.Packages {
@@ -521,6 +522,10 @@ func newPackageSet(packed *prog.Program, res *pack.Result, ra *RegionArtifact, p
 // Result returns the live installation result when the set was produced
 // in-process, or nil for a decoded set (the static Stats remain).
 func (ps *PackageSet) Result() *pack.Result { return ps.res }
+
+// PackedImage returns the packed image the package stage linearized, or
+// nil for a decoded set.
+func (ps *PackageSet) PackedImage() *prog.Image { return ps.img }
 
 // Materialize returns the packed program: the in-process original when
 // available, otherwise a program reassembled from PackedAsm whose
@@ -562,25 +567,18 @@ func (ps *PackageSet) Replication() float64 {
 }
 
 // sync materializes the serialized program text, the packed-image hash
-// and the region hash from the live results.
-func (ps *PackageSet) sync() error {
+// and the region hash from the live results (a partial set from a failed
+// package stage has no image, so no packed hash).
+func (ps *PackageSet) sync() {
 	if ps.RegionHash == 0 && ps.ra != nil {
 		ps.RegionHash = ps.ra.hash()
 	}
-	if ps.packed == nil {
-		return nil
-	}
-	if ps.PackedAsm == "" {
+	if ps.PackedAsm == "" && ps.packed != nil {
 		ps.PackedAsm = asm.Disassemble(ps.packed)
 	}
-	if ps.PackedHash == 0 {
-		img, err := ps.packed.Linearize()
-		if err != nil {
-			return fmt.Errorf("core: package set: linearize packed program: %w", err)
-		}
-		ps.PackedHash = ImageHash(img)
+	if ps.PackedHash == 0 && ps.img != nil {
+		ps.PackedHash = ImageHash(ps.img)
 	}
-	return nil
 }
 
 // Hash returns the set's content hash: FNV-1a over its compact JSON.
@@ -604,9 +602,7 @@ func (ps *PackageSet) EncodeJSON(w io.Writer) error {
 // is JSON-escaped once and spliced into both forms; only the metadata is
 // marshaled and indented.
 func (ps *PackageSet) Encode() ([]byte, uint64, error) {
-	if err := ps.sync(); err != nil {
-		return nil, 0, err
-	}
+	ps.sync()
 	type plain PackageSet
 	meta := plain(*ps)
 	meta.PackedAsm = ""
@@ -645,9 +641,7 @@ func (ps *PackageSet) Encode() ([]byte, uint64, error) {
 // JSON-escaped, and setting PackedAsm to it on the decoded set restores
 // the EncodeJSON form.
 func (ps *PackageSet) EncodeSplit(w io.Writer) (string, error) {
-	if err := ps.sync(); err != nil {
-		return "", err
-	}
+	ps.sync()
 	type plain PackageSet
 	meta := plain(*ps)
 	meta.PackedAsm = ""

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 
 	"repro/internal/cpu"
 	"repro/internal/equiv"
@@ -232,6 +233,14 @@ type Outcome struct {
 	// Equiv holds the per-package translation-validation certificates when
 	// Config.Equiv is on, in package order.
 	Equiv []*equiv.Certificate
+
+	// Program optionally labels the run (benchmark/input) and Variant is
+	// the configuration's; together they name a refused packed run.
+	Program string
+	Variant Variant
+
+	// packedImg is the packed image Compose linearized; Evaluate times it.
+	packedImg *prog.Image
 }
 
 // ProfileStats summarizes one profiling run. The JSON tags are the
@@ -247,12 +256,14 @@ type ProfileStats struct {
 	DataStores uint64 `json:"data_stores,string"`
 }
 
-// HotSpots runs img to completion under the Hot Spot Detector and returns
-// every detection in order, unfiltered: the raw stream a hardware
-// monitor would report, and what clients of the daemon post.
+// HotSpots runs img to completion under the Hot Spot Detector, on the
+// timed block engine that profiles production runs, and returns every
+// detection in order, unfiltered: the raw stream a hardware monitor would
+// report, and what clients of the daemon post.
 func HotSpots(cfg Config, img *prog.Image) ([]hsd.HotSpot, error) {
 	var spots []hsd.HotSpot
-	_, _, err := detect(cfg, stepDriver(img, cfg.ProfileLimit, nil), func(h hsd.HotSpot) {
+	var base cpu.TimingStats
+	_, _, err := detect(cfg, timedDriver(cpu.DefaultConfig(), img, cfg.ProfileLimit, &base), func(h hsd.HotSpot) {
 		spots = append(spots, h)
 	})
 	if err != nil {
@@ -265,9 +276,9 @@ func HotSpots(cfg Config, img *prog.Image) ([]hsd.HotSpot, error) {
 // branch to branch in retirement order, and returns the machine it ran.
 type driver func(branch cpu.BranchHook) (*cpu.Machine, error)
 
-// stepDriver runs img on the functional step loop, the cheaper driver when
-// no timing is wanted. obsFn, when non-nil, also sees every retired
-// instruction.
+// stepDriver runs img on the functional step loop, the one driver with a
+// per-instruction hook: obsFn, when non-nil, sees every retired
+// instruction (ProfileStage's).
 func stepDriver(img *prog.Image, limit uint64, obsFn func(*cpu.StepInfo)) driver {
 	return func(branch cpu.BranchHook) (*cpu.Machine, error) {
 		m := cpu.NewMachine(img)
@@ -466,13 +477,17 @@ func (o *Outcome) Evaluate() (*Evaluation, error) {
 func (o *Outcome) EvaluateObserved(ob obs.Observer) (*Evaluation, error) {
 	sp := ob.StartSpan(obs.StageEvaluate)
 	defer sp.End()
-	packedImg, err := o.Packed.Linearize()
-	if err != nil {
-		return nil, fmt.Errorf("core: linearize packed: %w", err)
+	packedImg := o.packedImg
+	if packedImg == nil {
+		var err error
+		if packedImg, err = o.Packed.Linearize(); err != nil {
+			return nil, fmt.Errorf("core: linearize packed: %w", err)
+		}
 	}
 	bc := cpu.NewBlockCache(packedImg)
 	packedStats, packedM, err := cpu.RunTimedCached(o.Machine, packedImg, PackedBudget(o.Base), bc)
 	if err != nil {
+		CountRefusal(ob, strings.TrimPrefix(o.Program+"/"+o.Variant.Name(), "/"), err)
 		return nil, fmt.Errorf("core: packed run: %w", err)
 	}
 	ph, pn := packedM.DataHash()
@@ -484,6 +499,18 @@ func (o *Outcome) EvaluateObserved(ob obs.Observer) (*Evaluation, error) {
 	ob.Gauge(obs.EvalCoverage.Name, ev.Coverage)
 	ob.Observe(obs.EvalCycles.Name, float64(packedStats.Cycles))
 	return &ev, nil
+}
+
+// CountRefusal accounts a packed run (run names input and variant) that
+// err ended at its instruction budget, with one RunRefused event and one
+// eval.budget_refused series, and reports whether err was such a refusal.
+func CountRefusal(ob obs.Observer, run string, err error) bool {
+	if !errors.Is(err, cpu.ErrInstLimit) {
+		return false
+	}
+	ob.Emit(obs.Event{Kind: obs.RunRefused, Phase: -1, Name: run})
+	ob.Count(obs.EvalBudgetRefused.For(run), 1)
+	return true
 }
 
 // CountEngine records the block cache's and superblock tier's engine

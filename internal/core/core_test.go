@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cpu"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -353,7 +354,8 @@ func TestProfileKey(t *testing.T) {
 
 // TestEvaluateBudget: a packed program that never halts ends its timed
 // run at PackedBudget of the baseline with a limit error instead of
-// running forever.
+// running forever, and the refusal names the input and variant in a
+// run_refused event and an eval.budget_refused series.
 func TestEvaluateBudget(t *testing.T) {
 	p, err := asm.Assemble(`
 .func main
@@ -367,13 +369,28 @@ loop:
 		t.Fatal(err)
 	}
 	base := cpu.TimingStats{Insts: 1000}
-	out := &Outcome{Packed: p, Machine: cpu.DefaultConfig(), Base: base}
-	_, err = out.Evaluate()
+	out := &Outcome{Packed: p, Machine: cpu.DefaultConfig(), Base: base, Program: "loop/A", Variant: Variant{Inference: true}}
+	rec := obs.NewRecorder()
+	_, err = out.EvaluateObserved(rec)
 	var le *cpu.LimitError
 	if !errors.As(err, &le) || !errors.Is(err, cpu.ErrInstLimit) {
 		t.Fatalf("want a limit error, got %v", err)
 	}
 	if le.Limit != PackedBudget(base) {
 		t.Errorf("limit %d, want the budget %d", le.Limit, PackedBudget(base))
+	}
+	const run = "loop/A/inference, no linking"
+	tr := rec.Export()
+	if n := tr.Metrics.Counters[obs.EvalBudgetRefused.For(run)]; n != 1 {
+		t.Errorf("%s = %d, want 1 (counters %v)", obs.EvalBudgetRefused.For(run), n, tr.Metrics.Counters)
+	}
+	var refused []string
+	for _, e := range tr.Events {
+		if e.Kind == obs.RunRefused.String() {
+			refused = append(refused, e.Name)
+		}
+	}
+	if len(refused) != 1 || refused[0] != run {
+		t.Errorf("run_refused events name %q, want [%q]", refused, run)
 	}
 }

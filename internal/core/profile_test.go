@@ -171,3 +171,29 @@ func TestProfileTimedMatchesStepLoop(t *testing.T) {
 		}
 	})
 }
+
+// TestHotSpotsMatchesStepLoop: HotSpots, which runs on the timed block
+// engine, reports the functional step loop's detections record for record
+// on the first input of every benchmark at its own scale, the programs
+// vpackd serves.
+func TestHotSpotsMatchesStepLoop(t *testing.T) {
+	cfg := ScaledConfig()
+	for _, bench := range workload.Ordered() {
+		img, err := bench.Build(bench.Inputs[0]).Linearize()
+		if err != nil {
+			t.Fatalf("%s: linearize: %v", bench.Name, err)
+		}
+		var want []hsd.HotSpot
+		if _, _, err := detect(cfg, stepDriver(img, 0, nil), func(h hsd.HotSpot) { want = append(want, h) }); err != nil {
+			t.Fatalf("%s: step loop: %v", bench.Name, err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: step loop detected no hot spots", bench.Name)
+		}
+		got, err := HotSpots(cfg, img)
+		if err != nil {
+			t.Fatalf("%s: %v", bench.Name, err)
+		}
+		sameStream(t, bench.Name, want, got)
+	}
+}

@@ -8,11 +8,12 @@
 //
 // Each stage can resume from an artifact decoded out of JSON — the basis
 // of the vpackd continuous-optimization daemon, which accumulates
-// streamed profiles, re-runs RegionStage+PackageStage in the background
-// and serves the resulting PackageSets back out. Run/RunObserved and
-// PackageObserved are thin compositions over these stages; their
-// observer streams are byte-identical to the pre-staged monolith
-// (TestTraceGoldenSchema locks this).
+// streamed profiles, re-runs the region and package stages in the
+// background and serves the resulting PackageSets back out. Compose is
+// the one composition of stages 2 and 3 that Run/RunObserved (through
+// PackageObserved), the suite and vpackd share; its observer stream is
+// byte-identical to the pre-staged monolith (TestTraceGoldenSchema locks
+// this).
 package core
 
 import (
@@ -73,9 +74,14 @@ func RegionStage(cfg Config, img *prog.Image, pa *ProfileArtifact) (*RegionArtif
 // and region stage spans, PhaseSkipped events and the filter.*/region.*
 // counters.
 func RegionStageObserved(cfg Config, img *prog.Image, pa *ProfileArtifact, o obs.Observer) (*RegionArtifact, error) {
-	if h := ImageHash(img); h != pa.ProgramHash {
+	return regionStage(cfg, img, ImageHash(img), pa, o)
+}
+
+// regionStage is RegionStageObserved on img, whose hash is imgHash.
+func regionStage(cfg Config, img *prog.Image, imgHash uint64, pa *ProfileArtifact, o obs.Observer) (*RegionArtifact, error) {
+	if imgHash != pa.ProgramHash {
 		return nil, fmt.Errorf("core: region stage: profile of image %016x applied to image %016x: %w",
-			pa.ProgramHash, h, ErrStaleArtifact)
+			pa.ProgramHash, imgHash, ErrStaleArtifact)
 	}
 	db := pa.DB()
 
@@ -128,10 +134,11 @@ func RegionStageObserved(cfg Config, img *prog.Image, pa *ProfileArtifact, o obs
 }
 
 // PackageStage runs stage 3 on p, mutating it: package construction
-// (§3.3), installation and linking, and the §5.4 optimization passes. p's
-// image must hash to the region artifact's origin (ErrStaleArtifact
-// otherwise) — a Clone of the profiled program qualifies, since cloning
-// preserves block IDs and layout.
+// (§3.3), installation and linking, and the §5.4 optimization passes;
+// the set keeps the packed program's image (PackedImage). p's image must
+// hash to the region artifact's origin (ErrStaleArtifact otherwise) — a
+// Clone of the profiled program qualifies, since cloning preserves block
+// IDs and layout.
 func PackageStage(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact) (*PackageSet, error) {
 	return PackageStageObserved(cfg, p, img, ra, obs.Nop{})
 }
@@ -142,9 +149,14 @@ func PackageStage(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifa
 // With Config.Equiv each optimized package is proved by equiv.Prove
 // against its pre-optimization snapshot.
 func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *RegionArtifact, o obs.Observer) (*PackageSet, error) {
-	if h := ImageHash(img); h != ra.ProgramHash {
+	return packageStage(cfg, p, ImageHash(img), ra, o)
+}
+
+// packageStage is PackageStageObserved on p, whose image hashes to imgHash.
+func packageStage(cfg Config, p *prog.Program, imgHash uint64, ra *RegionArtifact, o obs.Observer) (*PackageSet, error) {
+	if imgHash != ra.ProgramHash {
 		return nil, fmt.Errorf("core: package stage: regions of image %016x applied to image %016x: %w",
-			ra.ProgramHash, h, ErrStaleArtifact)
+			ra.ProgramHash, imgHash, ErrStaleArtifact)
 	}
 	regions, err := ra.bind(p)
 	if err != nil {
@@ -199,16 +211,17 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 	// function now — after installation and linking, before the passes
 	// mutate them — so each optimized package can be proved against the
 	// region code it replaced.
-	var snaps map[*pack.Package]*equiv.Snapshot
-	if cfg.Equiv {
-		snaps = make(map[*pack.Package]*equiv.Snapshot, len(res.Packages))
-		for _, pk := range res.Packages {
-			entries := make([]*prog.Block, 0, len(pk.Entries))
-			for _, c := range pk.Entries {
-				entries = append(entries, c)
-			}
-			snaps[pk] = equiv.Capture(p, pk.Fn, entries)
+	fns := make([]*prog.Func, len(res.Packages))
+	entries := make([][]*prog.Block, len(res.Packages))
+	for i, pk := range res.Packages {
+		fns[i] = pk.Fn
+		for _, c := range pk.Entries {
+			entries[i] = append(entries[i], c)
 		}
+	}
+	var snaps []*equiv.Snapshot
+	if cfg.Equiv {
+		snaps = equiv.CaptureAll(p, fns, entries)
 	}
 
 	// Optimization (§5.4): weight calculation, relayout, rescheduling.
@@ -223,7 +236,7 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 		rec = &opt.PassRecord{}
 		ps.Record = rec
 	}
-	for _, pk := range res.Packages {
+	for i, pk := range res.Packages {
 		r := regByPhase[pk.PhaseID]
 		if r == nil {
 			continue
@@ -237,16 +250,12 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 				return verifyCheck(o, verify.Func("optimize/"+pass, p, fn))
 			}
 		}
-		entries := make([]*prog.Block, 0, len(pk.Entries))
-		for _, c := range pk.Entries {
-			entries = append(entries, c)
-		}
-		if err := opt.ApplyPasses(ps, p, pk.Fn, entries, r, o); err != nil {
+		if err := opt.ApplyPasses(ps, p, pk.Fn, entries[i], r, o); err != nil {
 			osp.End()
 			return partial(fmt.Errorf("core: pass verification (%s): %w", pk.Fn.Name, err))
 		}
 		if cfg.Equiv {
-			cert, eerr := equiv.Prove(snaps[pk], equiv.Config{MaxPaths: cfg.EquivMaxPaths})
+			cert, eerr := equiv.Prove(snaps[i], equiv.Config{MaxPaths: cfg.EquivMaxPaths})
 			if cert != nil {
 				certs = append(certs, cert)
 				rec.Equiv = certs
@@ -287,21 +296,39 @@ func PackageStageObserved(cfg Config, p *prog.Program, img *prog.Image, ra *Regi
 	if err := p.Verify(); err != nil {
 		return partial(fmt.Errorf("core: packed program invalid: %w", err))
 	}
-	set := newPackageSet(p, res, ra, ra.ProgramHash)
+	img, err := p.Linearize()
+	if err != nil {
+		return partial(fmt.Errorf("core: linearize packed: %w", err))
+	}
+	set := newPackageSet(p, img, res, ra, ra.ProgramHash)
 	set.SkippedPhases = skipped
 	set.Equiv = certs
 	return set, nil
 }
 
-// PackageObserved runs RegionStage and PackageStage on p (mutating it)
-// from an existing profile artifact and the baseline base its run took
-// under mc, reporting to an observer, and builds the whole Outcome: the
-// machine and baseline, the artifact's phase database and profile stats,
-// the regions, the packing result and the equivalence certificates. img
-// must be p's image and hash to the artifact's origin. On failure the
-// Outcome keeps what was built: the regions identified so far survive a
-// region- or package-stage failure, and the skip counts of both stages
-// sum into SkippedPhases.
+// Compose runs the region stage and the package stage, which ends with
+// the packed linearize, on p (mutating it) under one observer. img is p's
+// image and imgHash its hash, which every caller already holds, so no
+// stage hashes the image; a profile of another image fails with
+// ErrStaleArtifact. On failure Compose returns what was built, as the
+// stages do.
+func Compose(cfg Config, p *prog.Program, img *prog.Image, imgHash uint64, pa *ProfileArtifact, o obs.Observer) (*RegionArtifact, *PackageSet, error) {
+	ra, err := regionStage(cfg, img, imgHash, pa, o)
+	if err != nil {
+		return ra, nil, err
+	}
+	set, err := packageStage(cfg, p, imgHash, ra, o)
+	return ra, set, err
+}
+
+// PackageObserved runs Compose on p (mutating it) from a profile
+// artifact of img, p's image, and the baseline base its run took under
+// mc, reporting to an observer, and builds the whole Outcome: the machine
+// and baseline, the artifact's phase database and profile stats, the
+// regions, the packing result, the equivalence certificates and the
+// packed image. On failure the Outcome keeps what was built: the regions
+// identified so far survive a region- or package-stage failure, and the
+// skip counts of both stages sum into SkippedPhases.
 func PackageObserved(cfg Config, mc cpu.Config, p *prog.Program, img *prog.Image, pa *ProfileArtifact, base cpu.TimingStats, o obs.Observer) (*Outcome, error) {
 	out := &Outcome{
 		Packed:  p,
@@ -309,22 +336,18 @@ func PackageObserved(cfg Config, mc cpu.Config, p *prog.Program, img *prog.Image
 		Base:    base,
 		DB:      pa.DB(),
 		Profile: pa.Stats,
+		Variant: Variant{Inference: cfg.Region.EnableInference, Linking: cfg.Pack.EnableLinking},
 	}
-	ra, err := RegionStageObserved(cfg, img, pa, o)
+	ra, set, err := Compose(cfg, p, img, pa.ProgramHash, pa, o)
 	if ra != nil {
 		out.SkippedPhases += ra.SkippedPhases
-		if regions, berr := ra.bind(p); berr == nil && len(regions) > 0 {
-			out.Regions = regions
-		}
+		out.Regions = ra.regions // bound to p, img's program
 	}
-	if err != nil {
-		return out, err
-	}
-	set, err := PackageStageObserved(cfg, p, img, ra, o)
 	if set != nil {
 		out.SkippedPhases += set.SkippedPhases
 		out.Pack = set.Result()
 		out.Equiv = set.Equiv
+		out.packedImg = set.img
 	}
 	return out, err
 }

@@ -188,7 +188,7 @@ func TestPackageSetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	set := newPackageSet(out.Packed, out.Pack, nil, 0)
+	set := newPackageSet(out.Packed, img, out.Pack, nil, 0)
 	h1, err := set.Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -275,5 +275,46 @@ func TestStagedStaleness(t *testing.T) {
 	}
 	if _, err := ra.Regions(p2, img2); !errors.Is(err, ErrStaleArtifact) {
 		t.Fatalf("Regions on foreign image: %v, want ErrStaleArtifact", err)
+	}
+}
+
+// TestComposeStaleness: Compose refuses another input's profile artifact
+// with ErrStaleArtifact on the image hash it is handed, without hashing
+// the image itself, and a composed set keeps the packed image a fresh
+// linearize of the packed program would give.
+func TestComposeStaleness(t *testing.T) {
+	cfg := ScaledConfig()
+	b1, in1 := buildInput(t, "m88ksim", "A")
+	b2, in2 := buildInput(t, "perl", "A")
+	p1, p2 := b1.Build(in1), b2.Build(in2)
+	img1, err := p1.Linearize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img2, err := p2.Linearize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa1, err := ProfileStage(cfg, img1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa2, err := ProfileStage(cfg, img2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Compose(cfg, p1, img1, pa1.ProgramHash, pa2, obs.Nop{}); !errors.Is(err, ErrStaleArtifact) {
+		t.Fatalf("Compose with perl's profile on m88ksim: %v, want ErrStaleArtifact", err)
+	}
+	_, set, err := Compose(cfg, p1, img1, pa1.ProgramHash, pa1, obs.Nop{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := p1.Linearize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.PackedImage() == nil || ImageHash(set.PackedImage()) != ImageHash(fresh) {
+		t.Fatalf("composed set keeps packed image %v, want one hashing as the packed program's", set.PackedImage())
 	}
 }

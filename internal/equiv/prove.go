@@ -2,6 +2,7 @@ package equiv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -76,6 +77,34 @@ func (s *Snapshot) Entries() []*prog.Block { return s.entries }
 // more predecessors inside fn is a cut point: paths stop there, and the
 // block is proved once as the start of its own segment.
 func Capture(p *prog.Program, fn *prog.Func, entries []*prog.Block) *Snapshot {
+	return CaptureAll(p, []*prog.Func{fn}, [][]*prog.Block{entries})[0]
+}
+
+// CaptureAll is Capture for every package function fns[i] of p, seeded
+// with entries[i], in one pass over the program: the predecessor lists
+// and the index of escaped block addresses are built once for all.
+func CaptureAll(p *prog.Program, fns []*prog.Func, entries [][]*prog.Block) []*Snapshot {
+	p.ComputePreds()
+	targets := make(map[*prog.Func][]*prog.Block)
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			for i := range b.Insts {
+				if bt := b.Insts[i].BlockTarget; bt != nil {
+					targets[bt.Fn] = append(targets[bt.Fn], bt)
+				}
+			}
+		}
+	}
+	snaps := make([]*Snapshot, len(fns))
+	for i, fn := range fns {
+		snaps[i] = capture(fn, slices.Concat(entries[i], targets[fn]))
+	}
+	return snaps
+}
+
+// capture snapshots fn once the program's predecessor lists are current;
+// entries holds its seeds and its blocks whose address escapes.
+func capture(fn *prog.Func, entries []*prog.Block) *Snapshot {
 	s := &Snapshot{
 		fn:     fn,
 		name:   fn.Name,
@@ -106,7 +135,6 @@ func Capture(p *prog.Program, fn *prog.Func, entries []*prog.Block) *Snapshot {
 		add(b)
 	}
 	add(fn.Entry())
-	p.ComputePreds()
 	s.cuts = make(map[*prog.Block]bool, len(fn.Blocks))
 	for _, b := range fn.Blocks {
 		joins := 0
@@ -118,15 +146,6 @@ func Capture(p *prog.Program, fn *prog.Func, entries []*prog.Block) *Snapshot {
 			}
 		}
 		s.cuts[b] = joins >= 2
-	}
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for i := range b.Insts {
-				if bt := b.Insts[i].BlockTarget; bt != nil && bt.Fn == fn {
-					add(bt)
-				}
-			}
-		}
 	}
 	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].ID < s.entries[j].ID })
 	for _, b := range s.entries {

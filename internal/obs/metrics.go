@@ -144,6 +144,7 @@ var (
 	EvalSpeedup         = declare("eval.speedup", Gauge, "Base cycles over packed cycles of the last evaluation.", 0)
 	EvalCoverage        = declare("eval.coverage", Gauge, "Fraction of the last packed run retired from package code.", 0)
 	EvalCycles          = declare("eval.cycles", Histogram, "Simulated cycles per timed packed run.", 0)
+	EvalBudgetRefused   = declare("eval.budget_refused", Counter, "Packed runs stopped at their instruction budget, one series per input and variant.", 0)
 	EvalMemoHits        = declare("eval_memo.hits", Counter, "Suite variants whose packed program another variant of the same input had already timed.", 0)
 	EvalMemoMisses      = declare("eval_memo.misses", Counter, "Distinct packed programs the suite timed, one per input and image.", 0)
 	SuiteInputElapsed   = declare("suite.input_elapsed_us", Histogram, "Wall time per suite input in microseconds.", 0)

@@ -44,7 +44,9 @@ type EventKind uint8
 
 // Event kinds. PhaseFiltered is a raw detection the software filter merged
 // into an existing phase; PhaseSkipped is a phase dropped later in the
-// pipeline (Event.Name carries the reason). Drift has no event kind here:
+// pipeline (Event.Name carries the reason); RunRefused is a packed run
+// stopped at its instruction budget (Event.Name names the input and
+// variant). Drift has no event kind here:
 // the drift.* metrics carry its state, and vpackd's /v1/events ring
 // records each closed window and baseline.
 const (
@@ -55,6 +57,7 @@ const (
 	PackageBuilt
 	PackageLinked
 	PassApplied
+	RunRefused
 )
 
 var kindNames = [...]string{
@@ -65,6 +68,7 @@ var kindNames = [...]string{
 	PackageBuilt:  "package_built",
 	PackageLinked: "package_linked",
 	PassApplied:   "pass_applied",
+	RunRefused:    "run_refused",
 }
 
 func (k EventKind) String() string {

@@ -168,7 +168,7 @@ func TestSpanTotals(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{PhaseDetected, PhaseFiltered, PhaseSkipped, RegionGrown, PackageBuilt, PackageLinked, PassApplied}
+	kinds := []EventKind{PhaseDetected, PhaseFiltered, PhaseSkipped, RegionGrown, PackageBuilt, PackageLinked, PassApplied, RunRefused}
 	if len(kinds) != len(kindNames) {
 		t.Fatalf("test lists %d kinds, obs declares %d", len(kinds), len(kindNames))
 	}

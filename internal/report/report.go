@@ -415,7 +415,6 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJob
 	if opts.Store != nil {
 		lookup(o, stored, &tally.profileHits, &tally.profileMisses, obs.StoreProfileHits.Name, obs.StoreProfileMisses.Name)
 	}
-	imgHash := core.ImageHash(img)
 	db := pa.DB()
 
 	ir := &InputResult{
@@ -435,7 +434,7 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJob
 	ir.Variants = make([]VariantResult, len(variants))
 	verrs := make([]error, len(variants))
 	fanOut(variantJobs, len(variants), o, func(i int, vo obs.Observer) {
-		ir.Variants[i], verrs[i] = runVariant(opts, p, imgHash, pa, base, timed, variants[i], vo, tally)
+		ir.Variants[i], verrs[i] = runVariant(opts, b.Name+"/"+in.Name, p, pa, base, timed, variants[i], vo, tally)
 	})
 	if err := errors.Join(verrs...); err != nil {
 		return nil, err
@@ -449,18 +448,19 @@ func runInput(opts Options, b *workload.Benchmark, in workload.Input, variantJob
 // shared baseline base. A stored variant is replayed when the store holds
 // its region artifact, package set and evaluation record (storedVariant):
 // the stored timed result is used and nothing is built or simulated. Any
-// other variant is rebuilt cold: RegionStage and PackageStage on a fresh
-// clone of p (packVariant), then a timed run through the input's timed
-// memo (timePacked). The timed evaluation is deterministic, so
-// replayed results equal cold results exactly. With a store, a cold
-// rebuild writes all its entries through, so the next run replays it.
-func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileArtifact, base cpu.TimingStats, timed *timedMemo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
+// other variant is rebuilt cold: core.Compose on a fresh clone of p,
+// then a timed run through the input's timed memo (timePacked). The
+// timed evaluation is deterministic, so replayed results equal cold
+// results exactly. With a store, a cold rebuild writes all its entries
+// through, so the next run replays it. input names the benchmark input.
+func runVariant(opts Options, input string, p *prog.Program, pa *core.ProfileArtifact, base cpu.TimingStats, timed *timedMemo, v core.Variant, o obs.Observer, tally *storeTally) (VariantResult, error) {
 	sp := obs.Span{}
 	if o.Enabled() {
 		sp = o.StartSpan("variant:" + v.Name())
 	}
 	defer sp.End()
 	cfg := v.Apply(opts.Core)
+	imgHash := pa.ProgramHash // the profiled image's
 	var cfgHash, mkey uint64
 	var ra *core.RegionArtifact
 	var set *core.PackageSet
@@ -471,12 +471,17 @@ func runVariant(opts Options, p *prog.Program, imgHash uint64, pa *core.ProfileA
 		lookup(o, run != nil, &tally.packageHits, &tally.packageMisses, obs.StorePackageHits.Name, obs.StorePackageMisses.Name)
 	}
 	if run == nil {
-		var packedImg *prog.Image
-		var err error
-		if ra, set, packedImg, err = packVariant(cfg, p, pa, o); err != nil {
+		// The clone linearizes as the profiled image did (Clone keeps
+		// block IDs and layout), so imgHash is its hash too.
+		clone := p.Clone()
+		cloneImg, err := clone.Linearize()
+		if err == nil {
+			ra, set, err = core.Compose(cfg, clone, cloneImg, imgHash, pa, o)
+		}
+		if err != nil {
 			return VariantResult{}, fmt.Errorf("variant %s: %w", v.Name(), err)
 		}
-		if run, err = timePacked(opts, timed, packedImg, base, o); err != nil {
+		if run, err = timePacked(opts, timed, set.PackedImage(), base, input+"/"+v.Name(), o); err != nil {
 			return VariantResult{}, fmt.Errorf("variant %s: timed run: %w", v.Name(), err)
 		}
 		if opts.Store != nil {
@@ -525,39 +530,14 @@ func storedVariant(s *cas.Store, imgHash, cfgHash, mkey uint64) (ra *core.Region
 	return ra, set, &timedEntry{Evaluation: ev}
 }
 
-// packVariant packages a fresh clone of the profiled program p under cfg:
-// RegionStage and PackageStage against the clone's image, which
-// linearizes identically to the profiled image (Clone preserves block IDs
-// and layout), so its hash matches the artifact's ProgramHash that the
-// stages check. It returns the artifacts and the packed image.
-func packVariant(cfg core.Config, p *prog.Program, pa *core.ProfileArtifact, o obs.Observer) (*core.RegionArtifact, *core.PackageSet, *prog.Image, error) {
-	clone := p.Clone()
-	cloneImg, err := clone.Linearize()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ra, err := core.RegionStageObserved(cfg, cloneImg, pa, o)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	set, err := core.PackageStageObserved(cfg, clone, cloneImg, ra, o)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	packedImg, err := clone.Linearize()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ra, set, packedImg, nil
-}
-
 // timePacked evaluates one packed image inside an evaluate span, emitting
 // the engine counters. The timed run itself comes from the input's memo:
 // the first variant with this image runs it, within core.PackedBudget of
 // the baseline base, and the others wait for and share its result. Every
 // caller records the same span and counters, so each variant's trace is
-// the one its own run would have produced.
-func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, base cpu.TimingStats, o obs.Observer) (*timedEntry, error) {
+// the one its own run would have produced; a run stopped at the budget
+// is refused under each caller's name run (core.CountRefusal).
+func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, base cpu.TimingStats, run string, o obs.Observer) (*timedEntry, error) {
 	esp := o.StartSpan(obs.StageEvaluate)
 	e := timed.entry(packedImg)
 	e.once.Do(func() {
@@ -572,11 +552,41 @@ func timePacked(opts Options, timed *timedMemo, packedImg *prog.Image, base cpu.
 	})
 	esp.End()
 	if e.err != nil {
+		if core.CountRefusal(o, run, e.err) {
+			return nil, &RefusedError{Run: run, Err: e.err}
+		}
 		return nil, e.err
 	}
 	o.Observe(obs.EvalCycles.Name, float64(e.Stats.Cycles))
 	core.CountEngine(o, e.bc)
 	return e, nil
+}
+
+// RefusedError is a packed run that timePacked stopped at its
+// instruction budget (cpu.ErrInstLimit). Run names its input and
+// variant; the message is the limit error's.
+type RefusedError struct {
+	Run string
+	Err error
+}
+
+func (e *RefusedError) Error() string { return e.Err.Error() }
+func (e *RefusedError) Unwrap() error { return e.Err }
+
+// Refused lists the runs a RunSuite error reports refused at their
+// budget, in paper order.
+func Refused(err error) (runs []string) {
+	switch e := err.(type) {
+	case *RefusedError:
+		return []string{e.Run}
+	case interface{ Unwrap() []error }:
+		for _, c := range e.Unwrap() {
+			runs = append(runs, Refused(c)...)
+		}
+	case interface{ Unwrap() error }:
+		return Refused(e.Unwrap())
+	}
+	return runs
 }
 
 // fill copies the timed run's coverage, speedup and equivalence verdict

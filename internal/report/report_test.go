@@ -2,6 +2,7 @@ package report
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -560,7 +561,8 @@ func TestProfileBaseMatchesBlockEngine(t *testing.T) {
 
 // TestTimePackedBudget: the suite's timed run of a packed image that
 // never halts ends at core.PackedBudget of the baseline with a limit
-// error instead of running forever.
+// error instead of running forever, and the refusal names its run in a
+// typed error, a run_refused event and an eval.budget_refused series.
 func TestTimePackedBudget(t *testing.T) {
 	p, err := asm.Assemble(`
 .func main
@@ -577,9 +579,28 @@ loop:
 		t.Fatal(err)
 	}
 	base := cpu.TimingStats{Insts: 1000}
-	_, err = timePacked(Options{Machine: cpu.DefaultConfig()}, &timedMemo{}, img, base, obs.Nop{})
+	const run = "loop/A/inference + linking"
+	rec := obs.NewRecorder()
+	_, err = timePacked(Options{Machine: cpu.DefaultConfig()}, &timedMemo{}, img, base, run, rec)
 	var le *cpu.LimitError
 	if !errors.As(err, &le) || le.Limit != core.PackedBudget(base) {
 		t.Fatalf("want a limit error at the budget %d, got %v", core.PackedBudget(base), err)
+	}
+	joined := errors.Join(fmt.Errorf("report: loop/A: variant x: timed run: %w", err), errors.New("other"))
+	if got := Refused(joined); len(got) != 1 || got[0] != run {
+		t.Errorf("Refused = %q, want [%q]", got, run)
+	}
+	tr := rec.Export()
+	if n := tr.Metrics.Counters[obs.EvalBudgetRefused.For(run)]; n != 1 {
+		t.Errorf("%s = %d, want 1 (counters %v)", obs.EvalBudgetRefused.For(run), n, tr.Metrics.Counters)
+	}
+	var refused []string
+	for _, e := range tr.Events {
+		if e.Kind == obs.RunRefused.String() {
+			refused = append(refused, e.Name)
+		}
+	}
+	if len(refused) != 1 || refused[0] != run {
+		t.Errorf("run_refused events name %q, want [%q]", refused, run)
 	}
 }

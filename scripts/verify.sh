@@ -57,6 +57,13 @@ go test -run='^$' -fuzz=FuzzDecodeEvaluation -fuzztime=10s -fuzzminimizetime=200
 # open, every listed entry must read as data or a clean ErrCorrupt /
 # ErrNotFound miss, and Verify and Stats must not panic.
 go test -run='^$' -fuzz=FuzzOpen -fuzztime=10s -fuzzminimizetime=200x ./internal/cas
+# Store write-path fuzzing, seeded from
+# internal/cas/testdata/fuzz/FuzzPutFlush: a fuzzed script of Puts (kind
+# strings, keys and blob lengths fuzzed), Flushes and one GC. After every
+# Flush the manifest must match the encoding/json reference writer, every
+# entry must read back with its FNV-1a hash, and a reopened store must
+# list the same entries.
+go test -run='^$' -fuzz=FuzzPutFlush -fuzztime=10s -fuzzminimizetime=200x ./internal/cas
 # Daemon ingest fuzzing: profile POST bodies against one test daemon,
 # seeded from cmd/vpackd/testdata/fuzz/FuzzHandleProfile. Every answer
 # must be 200, 400, 409, 413 or 422, and a 200 must count exactly the
